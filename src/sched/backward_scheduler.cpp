@@ -37,13 +37,15 @@ BackwardListScheduler::scheduleBlock(const Block &block, SchedStats &stats)
                                  depth_[edge.pred] + edge.min_dist);
         }
     }
+    // Ties keep source order; a total order, so the in-place sort needs
+    // no stable-sort buffer.
     ready_.resize(n);
     for (uint32_t i = 0; i < n; ++i)
         ready_[i] = i;
-    std::stable_sort(ready_.begin(), ready_.end(),
-                     [&](uint32_t a, uint32_t b) {
-                         return depth_[a] > depth_[b];
-                     });
+    std::sort(ready_.begin(), ready_.end(), [&](uint32_t a, uint32_t b) {
+        return depth_[a] != depth_[b] ? depth_[a] > depth_[b] : a < b;
+    });
+    sched.issue_order.reserve(n);
 
     unscheduled_succs_.assign(n, 0);
     for (const auto &e : graph_.edges())

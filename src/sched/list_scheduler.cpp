@@ -32,14 +32,15 @@ ListScheduler::scheduleBlock(const Block &block, SchedStats &stats)
 
     // Instruction order for the ready list: critical path first, then
     // source order (deterministic across representations/transforms).
+    // A total order, so the in-place sort needs no stable-sort buffer.
     ready_.resize(n);
     for (uint32_t i = 0; i < n; ++i)
         ready_[i] = i;
-    std::stable_sort(ready_.begin(), ready_.end(),
-                     [&](uint32_t a, uint32_t b) {
-                         return graph_.priorities()[a] >
-                                graph_.priorities()[b];
-                     });
+    const std::vector<int32_t> &prio = graph_.priorities();
+    std::sort(ready_.begin(), ready_.end(), [&](uint32_t a, uint32_t b) {
+        return prio[a] != prio[b] ? prio[a] > prio[b] : a < b;
+    });
+    sched.issue_order.reserve(n);
 
     unscheduled_preds_.assign(n, 0);
     for (const auto &e : graph_.edges())

@@ -1,10 +1,8 @@
 #include "sched/verify.h"
 
 #include <algorithm>
+#include <span>
 #include <sstream>
-
-#include "rumap/checker.h"
-#include "sched/dep_graph.h"
 
 namespace mdes::sched {
 
@@ -45,29 +43,29 @@ fail(VerifyFault fault, uint32_t instr, std::string message)
 } // namespace
 
 VerifyResult
-verifyScheduleEx(const Block &block, const BlockSchedule &sched,
-                 const lmdes::LowMdes &low)
+Verifier::verify(const Block &block, const BlockSchedule &sched)
 {
     const size_t n = block.instrs.size();
-    std::ostringstream os;
     if (sched.cycles.size() != n || sched.used_cascade.size() != n)
         return fail(VerifyFault::SizeMismatch, kInvalidId,
                     "schedule size does not match block size");
 
     for (size_t i = 0; i < n; ++i) {
         if (sched.cycles[i] < 0) {
+            std::ostringstream os;
             os << "instruction " << i << " was never scheduled";
             return fail(VerifyFault::Unscheduled, uint32_t(i), os.str());
         }
     }
 
     // Dependence distances.
-    DepGraph graph = DepGraph::build(block, low);
-    for (const auto &edge : graph.edges()) {
+    graph_.rebuild(block, low_);
+    for (const auto &edge : graph_.edges()) {
         int32_t dist = edge.min_dist;
         if (edge.cascade_relax && sched.used_cascade[edge.succ])
             dist = 0;
         if (sched.cycles[edge.succ] - sched.cycles[edge.pred] < dist) {
+            std::ostringstream os;
             os << "dependence violated: instruction " << edge.succ
                << " at cycle " << sched.cycles[edge.succ]
                << " is closer than " << dist << " to instruction "
@@ -81,50 +79,60 @@ verifyScheduleEx(const Block &block, const BlockSchedule &sched,
     // made its reservations, so the checker's greedy option choices
     // coincide with the original ones. Without a recorded issue order,
     // fall back to (cycle, critical-path priority) - the forward
-    // scheduler's attempt order.
-    std::vector<uint32_t> order;
+    // scheduler's attempt order - with source order breaking ties.
+    std::span<const uint32_t> order;
     if (sched.issue_order.size() == n) {
         order = sched.issue_order;
-        std::vector<bool> seen(n, false);
+        seen_.assign(n, 0);
         for (uint32_t u : order) {
-            if (u >= n || seen[u])
+            if (u >= n || seen_[u])
                 return fail(VerifyFault::BadIssueOrder, u,
                             "issue order is not a permutation of the "
                             "block");
-            seen[u] = true;
+            seen_[u] = 1;
         }
     } else {
-        order.resize(n);
+        order_.resize(n);
         for (uint32_t i = 0; i < n; ++i)
-            order[i] = i;
-        std::stable_sort(order.begin(), order.end(),
-                         [&](uint32_t a, uint32_t b) {
-                             if (sched.cycles[a] != sched.cycles[b])
-                                 return sched.cycles[a] < sched.cycles[b];
-                             return graph.priorities()[a] >
-                                    graph.priorities()[b];
-                         });
+            order_[i] = i;
+        const std::vector<int32_t> &prio = graph_.priorities();
+        std::sort(order_.begin(), order_.end(),
+                  [&](uint32_t a, uint32_t b) {
+                      if (sched.cycles[a] != sched.cycles[b])
+                          return sched.cycles[a] < sched.cycles[b];
+                      if (prio[a] != prio[b])
+                          return prio[a] > prio[b];
+                      return a < b;
+                  });
+        order = order_;
     }
 
-    rumap::RuMap ru;
-    rumap::Checker checker(low);
-    rumap::CheckStats scratch;
+    ru_.clear();
     for (uint32_t u : order) {
-        const auto &cls = low.opClasses()[block.instrs[u].op_class];
+        const auto &cls = low_.opClasses()[block.instrs[u].op_class];
         uint32_t tree =
             sched.used_cascade[u] ? cls.cascade_tree : cls.tree;
         if (tree == kInvalidId) {
+            std::ostringstream os;
             os << "instruction " << u
                << " claims cascade but has no cascade tree";
             return fail(VerifyFault::MissingCascadeTree, u, os.str());
         }
-        if (!checker.tryReserve(tree, sched.cycles[u], ru, scratch)) {
+        if (!checker_.tryReserve(tree, sched.cycles[u], ru_, scratch_)) {
+            std::ostringstream os;
             os << "resource conflict replaying instruction " << u
                << " at cycle " << sched.cycles[u];
             return fail(VerifyFault::ResourceConflict, u, os.str());
         }
     }
     return {};
+}
+
+VerifyResult
+verifyScheduleEx(const Block &block, const BlockSchedule &sched,
+                 const lmdes::LowMdes &low)
+{
+    return Verifier(low).verify(block, sched);
 }
 
 std::string

@@ -273,6 +273,7 @@ ServiceMetrics::merge(const ServiceMetrics &other)
     compile.merge(other.compile);
     workload.merge(other.workload);
     schedule.merge(other.schedule);
+    verify.merge(other.verify);
     total.merge(other.total);
     queue_wait.merge(other.queue_wait);
     windows.merge(other.windows);
@@ -481,6 +482,7 @@ ServiceMetrics::toTable() const
     addLatencyRow(lat, "compile", compile);
     addLatencyRow(lat, "workload", workload);
     addLatencyRow(lat, "schedule", schedule);
+    addLatencyRow(lat, "verify", verify);
     addLatencyRow(lat, "total", total);
     out += lat.toString();
 
@@ -681,6 +683,7 @@ ServiceMetrics::toJson() const
     jsonLatency(w, "compile", compile);
     jsonLatency(w, "workload", workload);
     jsonLatency(w, "schedule", schedule);
+    jsonLatency(w, "verify", verify);
     jsonLatency(w, "total", total);
     w.endObject();
     {

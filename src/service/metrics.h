@@ -287,6 +287,8 @@ struct ServiceMetrics
     StageLatency compile;
     StageLatency workload;
     StageLatency schedule;
+    /** The optional verify pass (requests with verify set). */
+    StageLatency verify;
     StageLatency total;
     /** Time jobs spent in the admission queue before a worker picked
      * them up (the bounded-queue/shedding tradeoff made visible). */

@@ -4,6 +4,7 @@
 #include <chrono>
 
 #include <new>
+#include <optional>
 
 #include "exact/exact_scheduler.h"
 #include "machines/machines.h"
@@ -318,9 +319,10 @@ MdesService::process(Job &job, ServiceMetrics &metrics,
     }
 
     uint64_t queue_wait_us = elapsedUs(job.enqueued);
-    uint64_t compile_us = 0, workload_us = 0, schedule_us = 0;
+    uint64_t compile_us = 0, workload_us = 0, schedule_us = 0,
+             verify_us = 0;
     bool timed_compile = false, timed_workload = false,
-         timed_schedule = false;
+         timed_schedule = false, timed_verify = false;
     // Transform effects from this request's own compile (cache misses
     // only; hits reuse an already-optimized artifact).
     PipelineStats pipeline_stats;
@@ -356,6 +358,8 @@ MdesService::process(Job &job, ServiceMetrics &metrics,
             metrics.workload.record(workload_us);
         if (timed_schedule)
             metrics.schedule.record(schedule_us);
+        if (timed_verify)
+            metrics.verify.record(verify_us);
         metrics.total.record(total_us);
         metrics.windows.record(windowNowS(), resp.error.code, total_us);
         metrics.ops_scheduled += resp.stats.ops_scheduled;
@@ -508,6 +512,15 @@ MdesService::process(Job &job, ServiceMetrics &metrics,
         // --- Schedule -------------------------------------------------
         // All state below (schedulers, checkers, RU maps, stats) is
         // created fresh per request: nothing mutable crosses jobs.
+        // One verifier serves the whole request - the portfolio's modulo
+        // candidates and the verify pass - built on first use.
+        std::optional<sched::Verifier> verifier;
+        auto verify = [&](const sched::Block &block,
+                          const sched::BlockSchedule &s) {
+            if (!verifier)
+                verifier.emplace(*resp.low);
+            return verifier->verify(block, s);
+        };
         t = Clock::now();
         switch (req.scheduler) {
         case SchedulerKind::List: {
@@ -546,6 +559,7 @@ MdesService::process(Job &job, ServiceMetrics &metrics,
                 req.scheduler == SchedulerKind::Portfolio;
             sched::ListScheduler list(*resp.low);
             sched::BackwardListScheduler backward(*resp.low);
+            sched::ModuloScheduler mod(*resp.low);
             exact::ExactScheduler search(*resp.low);
             exact::CancelToken token([&]() {
                 return job.cancelled.load(std::memory_order_relaxed) ||
@@ -578,7 +592,6 @@ MdesService::process(Job &job, ServiceMetrics &metrics,
                         // A modulo schedule's flat issue times are a
                         // candidate linear schedule; admit it only when
                         // replay proves it legal.
-                        sched::ModuloScheduler mod(*resp.low);
                         sched::ModuloSchedule ms =
                             mod.schedule(block, local);
                         if (ms.success && !ms.times.empty()) {
@@ -594,9 +607,7 @@ MdesService::process(Job &job, ServiceMetrics &metrics,
                                 block.instrs.size(), 0);
                             flat.length = hi - lo + 1;
                             if (flat.length < best.length &&
-                                sched::verifyScheduleEx(block, flat,
-                                                        *resp.low)
-                                    .ok()) {
+                                verify(block, flat).ok()) {
                                 best = std::move(flat);
                                 winner = SchedulerKind::Modulo;
                             }
@@ -692,14 +703,17 @@ MdesService::process(Job &job, ServiceMetrics &metrics,
 
         // --- Optional re-verification ---------------------------------
         if (req.verify && req.scheduler != SchedulerKind::Modulo) {
+            t = Clock::now();
             for (size_t b = 0; b < resp.schedules.size(); ++b) {
-                sched::VerifyResult v = sched::verifyScheduleEx(
-                    program.blocks[b], resp.schedules[b], *resp.low);
+                sched::VerifyResult v =
+                    verify(program.blocks[b], resp.schedules[b]);
                 if (!v.ok())
                     return fail(ErrorCode::ScheduleFailed,
                                 "block " + std::to_string(b) + ": " +
                                     v.message);
             }
+            verify_us = elapsedUs(t);
+            timed_verify = true;
         }
     };
 

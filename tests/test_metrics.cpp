@@ -3,7 +3,8 @@
  * ServiceMetrics unit tests: every ErrorCode has a printable name, the
  * JSON dump is well-formed and round-trips losslessly through the
  * support/json parser, StageLatency's power-of-two bucketing handles
- * both extremes of the input range, and the trace-section aggregates
+ * both extremes of the input range, the verify stage times exactly the
+ * requests that ran the verify pass, and the trace-section aggregates
  * (transform effects, conflict heat) merge and key correctly.
  */
 
@@ -13,6 +14,7 @@
 #include <cstdint>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -20,6 +22,7 @@
 #include "exp/runner.h"
 #include "machines/machines.h"
 #include "service/metrics.h"
+#include "service/service.h"
 #include "service/stats.h"
 #include "support/json.h"
 
@@ -167,6 +170,7 @@ populatedMetrics()
     m.compile.record(1500);
     m.workload.record(40);
     m.schedule.record(900);
+    m.verify.record(300);
     m.total.record(2500);
     m.ops_scheduled = 600;
     m.attempts = 750;
@@ -203,6 +207,8 @@ TEST(ServiceMetrics, JsonParsesAndRoundTripsLosslessly)
     EXPECT_EQ(v.find("cache")->find("disk")->find("hits")->number, 1.0);
     EXPECT_EQ(v.find("latency")->find("compile")->find("max_us")->number,
               1500.0);
+    EXPECT_EQ(v.find("latency")->find("verify")->find("total_us")->number,
+              300.0);
 
     const JsonValue *tr = v.find("trace");
     ASSERT_NE(tr, nullptr);
@@ -231,10 +237,46 @@ TEST(ServiceMetrics, MergeSumsEverySection)
     EXPECT_EQ(a.ok, 4u);
     EXPECT_EQ(a.errors[size_t(service::ErrorCode::CompileFailed)], 2u);
     EXPECT_EQ(a.compile.count, 2u);
+    EXPECT_EQ(a.verify.count, 2u);
+    EXPECT_EQ(a.verify.total_us, 600u);
     EXPECT_EQ(a.transform_effects.merged_options, 24u);
     EXPECT_EQ(a.attempts_per_op.total(), 6u);
     EXPECT_EQ(a.resource_conflicts["M.bus"], 22u);
     EXPECT_EQ(a.resource_conflicts["M.decode"], 1u);
+}
+
+TEST(ServiceMetrics, VerifyStageTimesOnlyTheVerifyPass)
+{
+    EXPECT_NE(populatedMetrics().toTable().find("verify"),
+              std::string::npos);
+
+    // The verify series counts requests that ran the verify pass: not
+    // unverified ones, and not the portfolio's internal candidate check.
+    service::ServiceConfig cfg;
+    cfg.num_workers = 1;
+    service::MdesService svc(cfg);
+    auto request = [](service::SchedulerKind kind, bool verify) {
+        service::ScheduleRequest req;
+        req.machine = "SuperSPARC";
+        req.synth_ops = 120;
+        req.scheduler = kind;
+        req.verify = verify;
+        req.exact_ms = 0;
+        req.exact_nodes = 500;
+        return req;
+    };
+    for (auto [kind, verify] :
+         {std::pair{service::SchedulerKind::List, true},
+          std::pair{service::SchedulerKind::List, false},
+          std::pair{service::SchedulerKind::Portfolio, false},
+          std::pair{service::SchedulerKind::Portfolio, true}}) {
+        auto r = svc.wait(svc.submit(request(kind, verify)));
+        ASSERT_TRUE(r.ok()) << r.error.message;
+    }
+    service::ServiceMetrics m = svc.metricsSnapshot();
+    EXPECT_EQ(m.schedule.count, 4u);
+    EXPECT_EQ(m.verify.count, 2u);
+    EXPECT_LE(m.verify.total_us, m.total.total_us);
 }
 
 TEST(ServiceMetrics, RecordShedIsTheSingleAuthority)

@@ -2,17 +2,25 @@
  * @file
  * Scheduler substrate tests: dependence-graph construction (RAW/WAR/WAW,
  * cascade relaxation, branch ordering, priorities), list scheduling
- * against the MDES, cascade selection, and schedule verification.
+ * against the MDES, cascade selection, and schedule verification - each
+ * fault class, and a reused Verifier in lockstep with one-shot
+ * verification across the paper machines' list, backward and exact
+ * schedules and their corruptions.
  */
+
+#include <array>
 
 #include <gtest/gtest.h>
 
+#include "exact/exact_scheduler.h"
 #include "hmdes/compile.h"
 #include "lmdes/low_mdes.h"
 #include "machines/machines.h"
+#include "sched/backward_scheduler.h"
 #include "sched/dep_graph.h"
 #include "sched/list_scheduler.h"
 #include "sched/verify.h"
+#include "workload/workload.h"
 
 namespace mdes {
 namespace {
@@ -311,6 +319,209 @@ TEST(Verify, RejectsUnscheduledAndSizeMismatch)
     BlockSchedule wrong;
     EXPECT_NE(sched::verifySchedule(b, wrong, low).find("size"),
               std::string::npos);
+}
+
+TEST(Verify, RejectsBadIssueOrder)
+{
+    LowMdes low = twoWide();
+    uint32_t ADD = low.findOpClass("ADD");
+    Block b;
+    b.instrs = {instr(ADD, {1}, {2}), instr(ADD, {3}, {4})};
+    BlockSchedule bad;
+    bad.cycles = {0, 0};
+    bad.used_cascade = {0, 0};
+    bad.length = 1;
+
+    bad.issue_order = {1, 1}; // repeats an instruction
+    sched::VerifyResult v = sched::verifyScheduleEx(b, bad, low);
+    EXPECT_EQ(v.fault, sched::VerifyFault::BadIssueOrder);
+    EXPECT_EQ(v.instr, 1u);
+    EXPECT_EQ(v.message, "issue order is not a permutation of the block");
+
+    bad.issue_order = {0, 2}; // names an instruction outside the block
+    v = sched::verifyScheduleEx(b, bad, low);
+    EXPECT_EQ(v.fault, sched::VerifyFault::BadIssueOrder);
+    EXPECT_EQ(v.instr, 2u);
+
+    bad.issue_order = {1, 0};
+    EXPECT_TRUE(sched::verifyScheduleEx(b, bad, low).ok());
+}
+
+TEST(Verify, RejectsMissingCascadeTree)
+{
+    LowMdes low = twoWide();
+    uint32_t ADD = low.findOpClass("ADD");
+    uint32_t LOAD = low.findOpClass("LOAD");
+    Block b;
+    b.instrs = {instr(ADD, {1}, {2}), instr(LOAD, {3}, {4})};
+    BlockSchedule bad;
+    bad.cycles = {0, 0};
+    bad.used_cascade = {1, 1}; // ADD has a cascade table, LOAD has none
+    bad.length = 1;
+    sched::VerifyResult v = sched::verifyScheduleEx(b, bad, low);
+    EXPECT_EQ(v.fault, sched::VerifyFault::MissingCascadeTree);
+    EXPECT_EQ(v.instr, 1u);
+    EXPECT_EQ(v.message,
+              "instruction 1 claims cascade but has no cascade tree");
+}
+
+// ------------------------------------------- Verifier reuse (lockstep)
+
+constexpr std::array<sched::VerifyFault, 6> kFaults = {
+    sched::VerifyFault::SizeMismatch,
+    sched::VerifyFault::Unscheduled,
+    sched::VerifyFault::DependenceViolated,
+    sched::VerifyFault::BadIssueOrder,
+    sched::VerifyFault::MissingCascadeTree,
+    sched::VerifyFault::ResourceConflict,
+};
+
+/**
+ * Corrupt the valid schedule @p s of @p block so that verification
+ * fails with @p fault; false when this block cannot show that fault. A
+ * resource conflict is placed mid-replay: instructions before it are
+ * already reserved in the RU map and later ones are never replayed.
+ */
+bool
+corrupt(BlockSchedule &s, sched::VerifyFault fault, const Block &block,
+        const LowMdes &low)
+{
+    using sched::VerifyFault;
+    const size_t n = block.instrs.size();
+    const bool ordered = n >= 3 && s.issue_order.size() == n;
+    switch (fault) {
+    case VerifyFault::None:
+        return false;
+    case VerifyFault::SizeMismatch:
+        s.used_cascade.push_back(0);
+        return true;
+    case VerifyFault::Unscheduled:
+        s.cycles[n / 2] = -1;
+        return true;
+    case VerifyFault::DependenceViolated: {
+        DepGraph g = DepGraph::build(block, low);
+        for (const sched::DepEdge &e : g.edges()) {
+            if (e.min_dist > 0 &&
+                !(e.cascade_relax && s.used_cascade[e.succ])) {
+                s.cycles[e.succ] = s.cycles[e.pred] + e.min_dist - 1;
+                return true;
+            }
+        }
+        return false;
+    }
+    case VerifyFault::BadIssueOrder:
+        if (!ordered)
+            return false;
+        s.issue_order[n - 1] = s.issue_order[0];
+        return true;
+    case VerifyFault::MissingCascadeTree:
+        for (size_t i = 0; i < n; ++i) {
+            const auto &cls = low.opClasses()[block.instrs[i].op_class];
+            if (cls.cascade_tree == kInvalidId) {
+                s.used_cascade[i] = 1;
+                return true;
+            }
+        }
+        return false;
+    case VerifyFault::ResourceConflict:
+        if (!ordered)
+            return false;
+        for (size_t at = 1; at + 1 < n; ++at) {
+            const uint32_t u = s.issue_order[at];
+            for (int32_t c = 0; c < s.length; ++c) {
+                BlockSchedule t = s;
+                t.cycles[u] = c;
+                sched::VerifyResult v =
+                    sched::verifyScheduleEx(block, t, low);
+                if (v.fault == VerifyFault::ResourceConflict &&
+                    v.instr == u) {
+                    s = std::move(t);
+                    return true;
+                }
+            }
+        }
+        return false;
+    }
+    return false;
+}
+
+/** Check @p s with the reused @p verifier and with a fresh one-shot
+ * verification; the verdicts must agree field for field. */
+sched::VerifyResult
+verifyInLockstep(sched::Verifier &verifier, const Block &block,
+                 const BlockSchedule &s, const LowMdes &low)
+{
+    sched::VerifyResult reused = verifier.verify(block, s);
+    sched::VerifyResult fresh = sched::verifyScheduleEx(block, s, low);
+    EXPECT_EQ(reused.fault, fresh.fault)
+        << sched::verifyFaultName(reused.fault) << " vs "
+        << sched::verifyFaultName(fresh.fault);
+    EXPECT_EQ(reused.instr, fresh.instr);
+    EXPECT_EQ(reused.message, fresh.message);
+    return reused;
+}
+
+TEST(Verifier, ReuseMatchesFreshVerificationOnPaperMachines)
+{
+    std::array<int, kFaults.size()> hits{};
+    size_t turn = 0;
+    for (const machines::MachineInfo *info : machines::all()) {
+        Mdes m = hmdes::compileOrThrow(info->source);
+        lmdes::LowerOptions lopts;
+        lopts.pack_bit_vector = true;
+        LowMdes low = LowMdes::lower(m, lopts);
+
+        sched::Verifier verifier(low);
+        ListScheduler list(low);
+        sched::BackwardListScheduler backward(low);
+        exact::ExactScheduler search(low);
+        workload::WorkloadSpec spec = info->workload;
+        spec.num_ops = 150;
+        for (uint64_t seed = 1; seed <= 3; ++seed) {
+            spec.seed = seed;
+            sched::Program program = workload::generate(spec, low);
+            for (const Block &block : program.blocks) {
+                SchedStats stats;
+                BlockSchedule ls = list.scheduleBlock(block, stats);
+                exact::ExactOptions eopts;
+                eopts.time_budget_us = 0; // node budget only: deterministic
+                eopts.max_nodes = 2000;
+                eopts.incumbent = &ls;
+                const BlockSchedule schedules[] = {
+                    ls, backward.scheduleBlock(block, stats),
+                    search.scheduleBlock(block, stats, eopts).schedule};
+                for (const BlockSchedule &s : schedules) {
+                    EXPECT_TRUE(
+                        verifyInLockstep(verifier, block, s, low).ok())
+                        << info->name;
+                    // Without an issue order the replay falls back to
+                    // (cycle, priority, index) order.
+                    BlockSchedule unordered = s;
+                    unordered.issue_order.clear();
+                    verifyInLockstep(verifier, block, unordered, low);
+
+                    // Interleave one corruption, rotating through the
+                    // fault classes this block can show.
+                    for (size_t k = 0; k < kFaults.size(); ++k) {
+                        const size_t f = turn++ % kFaults.size();
+                        BlockSchedule bad = s;
+                        if (!corrupt(bad, kFaults[f], block, low))
+                            continue;
+                        EXPECT_EQ(
+                            verifyInLockstep(verifier, block, bad, low)
+                                .fault,
+                            kFaults[f])
+                            << info->name << " "
+                            << sched::verifyFaultName(kFaults[f]);
+                        ++hits[f];
+                        break;
+                    }
+                }
+            }
+        }
+    }
+    for (size_t f = 0; f < kFaults.size(); ++f)
+        EXPECT_GT(hits[f], 0) << sched::verifyFaultName(kFaults[f]);
 }
 
 // -------------------------------------------------- SuperSPARC integration

@@ -626,9 +626,10 @@ cmdSchedule(const std::vector<std::string> &args)
         }
     }
 
+    sched::Verifier verifier(low);
     for (size_t b = 0; b < program.blocks.size(); ++b) {
-        sched::VerifyResult v = sched::verifyScheduleEx(
-            program.blocks[b], schedules[b], low);
+        sched::VerifyResult v =
+            verifier.verify(program.blocks[b], schedules[b]);
         if (!v.ok()) {
             std::fprintf(stderr, "block %zu: %s: %s\n", b,
                          sched::verifyFaultName(v.fault),
