@@ -2,9 +2,10 @@
  * @file
  * google-benchmark microbenchmarks of end-to-end list scheduling: wall
  * clock per scheduled operation across machines, representations, and
- * optimization stages. Demonstrates the paper's bottom line - the
- * fully optimized AND/OR representation makes exact constraint modeling
- * cheap enough for production compile times.
+ * optimization stages, walking each block forward (`schedule/...`) and
+ * backward (`schedule-backward/...`). Demonstrates the paper's bottom
+ * line - the fully optimized AND/OR representation makes exact
+ * constraint modeling cheap enough for production compile times.
  *
  * `--json <path>` additionally writes machine-readable results
  * (wall time, ops/sec, checks/op, and the schedule fingerprint) for CI
@@ -15,6 +16,7 @@
 
 #include "bench_util.h"
 #include "perf_json.h"
+#include "sched/backward_scheduler.h"
 #include "sched/list_scheduler.h"
 #include "workload/workload.h"
 
@@ -23,6 +25,7 @@ namespace {
 using namespace mdes;
 using namespace mdes::bench;
 
+template <class Scheduler>
 void
 schedulerThroughput(benchmark::State &state, const std::string &name,
                     const machines::MachineInfo &m, exp::Rep rep,
@@ -42,7 +45,7 @@ schedulerThroughput(benchmark::State &state, const std::string &name,
     perfjson::Stopwatch watch;
     for (auto _ : state) {
         watch.start();
-        sched::ListScheduler scheduler(built.low);
+        Scheduler scheduler(built.low);
         sched::SchedStats stats;
         auto schedules = scheduler.scheduleProgram(program, stats);
         watch.stop();
@@ -63,13 +66,14 @@ schedulerThroughput(benchmark::State &state, const std::string &name,
          checks_per_op, fingerprint});
 }
 
+template <class Scheduler>
 void
-registerAll()
+registerAll(const std::string &prefix)
 {
     for (const auto *m : machines::all()) {
         for (auto rep : {exp::Rep::OrTree, exp::Rep::AndOrTree}) {
             for (Stage stage : {Stage::Original, Stage::Full}) {
-                std::string name = "schedule/" + m->name + "/" +
+                std::string name = prefix + "/" + m->name + "/" +
                                    (rep == exp::Rep::OrTree ? "or"
                                                             : "andor") +
                                    "/" +
@@ -78,7 +82,8 @@ registerAll()
                 benchmark::RegisterBenchmark(
                     name.c_str(),
                     [name, m, rep, stage](benchmark::State &state) {
-                        schedulerThroughput(state, name, *m, rep, stage);
+                        schedulerThroughput<Scheduler>(state, name, *m,
+                                                       rep, stage);
                     });
             }
         }
@@ -91,7 +96,8 @@ int
 main(int argc, char **argv)
 {
     std::string json_path = perfjson::stripJsonFlag(argc, argv);
-    registerAll();
+    registerAll<sched::ListScheduler>("schedule");
+    registerAll<sched::BackwardListScheduler>("schedule-backward");
     benchmark::Initialize(&argc, argv);
     benchmark::RunSpecifiedBenchmarks();
     if (!json_path.empty() &&

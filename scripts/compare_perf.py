@@ -7,7 +7,9 @@ Each file is a BENCH_perf.json written by `bench_perf_checker --json`
 or `bench_perf_scheduler --json` (see bench/perf_json.h). The gate:
 
   - every benchmark in the baseline must be present in some current
-    file;
+    file, and every current result must have a baseline entry (a new
+    benchmark is gated from the change that adds it, never silently
+    skipped);
   - fingerprints must match bit-for-bit (the engines made identical
     scheduling decisions - wall-time wins must not change behavior);
     entries without a fingerprint (e.g. bench_store_coldstart's
@@ -59,7 +61,9 @@ def main(argv):
     for path in argv[2:]:
         current.update(load(path))
 
-    failures = []
+    failures = [f"{name}: no baseline entry (record one in the baseline "
+                "so the result is gated)"
+                for name in sorted(current.keys() - baseline.keys())]
     for name, base in sorted(baseline.items()):
         cur = current.get(name)
         if cur is None:

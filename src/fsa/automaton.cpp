@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "sched/dep_graph.h"
 #include "support/diagnostics.h"
 
 namespace mdes::fsa {
@@ -136,85 +135,27 @@ sched::BlockSchedule
 FsaListScheduler::scheduleBlock(const sched::Block &block,
                                 sched::SchedStats &stats)
 {
-    using sched::DepGraph;
-    const size_t n = block.instrs.size();
-    sched::BlockSchedule sched;
-    sched.cycles.assign(n, -1);
-    sched.used_cascade.assign(n, 0);
-    if (n == 0)
-        return sched;
-
-    DepGraph graph = DepGraph::build(block, low_);
-    std::vector<uint32_t> order(n);
-    for (uint32_t i = 0; i < n; ++i)
-        order[i] = i;
-    std::stable_sort(order.begin(), order.end(),
-                     [&](uint32_t a, uint32_t b) {
-                         return graph.priorities()[a] >
-                                graph.priorities()[b];
-                     });
-
-    std::vector<uint32_t> unscheduled_preds(n, 0);
-    for (const auto &e : graph.edges())
-        ++unscheduled_preds[e.succ];
-
-    size_t remaining = n;
-    int64_t cycle_bound = 64;
-    for (const auto &in : block.instrs)
-        cycle_bound += 2 + low_.opClasses()[in.op_class].latency;
-
+    // Fresh machine per block. The automaton advances once per elapsed
+    // cycle, as the loop's clock does: on demand before an attempt, and
+    // past the block's last cycle after it.
     uint32_t state = fsa_.initialState();
-    for (int32_t cycle = 0; remaining > 0; ++cycle) {
-        if (cycle > cycle_bound) {
-            throw MdesError(
-                "FSA list scheduler exceeded cycle bound; the machine "
-                "description cannot issue some operation");
-        }
-        for (uint32_t u : order) {
-            if (sched.cycles[u] >= 0 || unscheduled_preds[u] > 0)
-                continue;
-            const sched::Instr &in = block.instrs[u];
-            const lmdes::LowOpClass &cls = low_.opClasses()[in.op_class];
-
-            int32_t normal_ready = 0;
-            int32_t cascade_ready = 0;
-            for (uint32_t e : graph.predEdges()[u]) {
-                const sched::DepEdge &edge = graph.edges()[e];
-                int32_t at = sched.cycles[edge.pred] + edge.min_dist;
-                normal_ready = std::max(normal_ready, at);
-                cascade_ready =
-                    std::max(cascade_ready,
-                             edge.cascade_relax
-                                 ? sched.cycles[edge.pred]
-                                 : at);
-            }
-            bool can_cascade =
-                in.cascadable && cls.cascade_tree != kInvalidId;
-            if (cycle < (can_cascade ? cascade_ready : normal_ready))
-                continue;
-            bool use_cascade = can_cascade && cycle < normal_ready;
-            uint32_t tree = use_cascade ? cls.cascade_tree : cls.tree;
-
-            ++stats.checks.attempts;
-            ++stats.checks.resource_checks; // one automaton lookup
-            uint32_t next = fsa_.issue(state, tree);
-            if (next != SchedulerAutomaton::kFail) {
-                ++stats.checks.successes;
-                state = next;
-                sched.cycles[u] = cycle;
-                sched.used_cascade[u] = use_cascade ? 1 : 0;
-                sched.length = std::max(sched.length, cycle + 1);
-                sched.issue_order.push_back(u);
-                --remaining;
-                for (uint32_t e : graph.succEdges()[u])
-                    --unscheduled_preds[graph.edges()[e].succ];
-            }
-        }
+    int32_t now = 0;
+    auto reserve = [&](uint32_t tree, int32_t cycle) {
+        for (; now < cycle; ++now)
+            state = fsa_.advanceCycle(state);
+        ++stats.checks.attempts;
+        ++stats.checks.resource_checks; // one automaton lookup
+        uint32_t next = fsa_.issue(state, tree);
+        if (next == SchedulerAutomaton::kFail)
+            return false;
+        ++stats.checks.successes;
+        state = next;
+        return true;
+    };
+    sched::BlockSchedule sched =
+        loop_.run<SchedDirection::Forward>(block, stats, reserve);
+    for (; now < sched.length; ++now)
         state = fsa_.advanceCycle(state);
-    }
-
-    stats.ops_scheduled += n;
-    stats.total_schedule_length += uint64_t(sched.length);
     return sched;
 }
 

@@ -105,16 +105,17 @@ class SchedulerAutomaton
 };
 
 /**
- * The FSA-driven forward list scheduler: identical algorithm to
- * ListScheduler, but resource feasibility is a single automaton lookup
- * per attempt. Produces bit-identical schedules.
+ * The FSA-driven forward list scheduler: the list scheduler's own loop
+ * (sched::ListLoop), with resource feasibility a single automaton lookup
+ * per attempt instead of a reservation-table check. Produces
+ * bit-identical schedules.
  */
 class FsaListScheduler
 {
   public:
     explicit FsaListScheduler(const lmdes::LowMdes &low,
                               SchedulerAutomaton &automaton)
-        : low_(low), fsa_(automaton)
+        : fsa_(automaton), loop_(low)
     {
     }
 
@@ -126,8 +127,8 @@ class FsaListScheduler
                     sched::SchedStats &stats);
 
   private:
-    const lmdes::LowMdes &low_;
     SchedulerAutomaton &fsa_;
+    sched::ListLoop loop_;
 };
 
 } // namespace mdes::fsa

@@ -522,176 +522,189 @@ MdesService::process(Job &job, ServiceMetrics &metrics,
             return verifier->verify(block, s);
         };
         t = Clock::now();
-        switch (req.scheduler) {
-        case SchedulerKind::List: {
-            sched::ListScheduler scheduler(*resp.low);
-            resp.schedules =
-                scheduler.scheduleProgram(program, resp.stats);
-            break;
-        }
-        case SchedulerKind::Backward: {
-            sched::BackwardListScheduler scheduler(*resp.low);
-            resp.schedules =
-                scheduler.scheduleProgram(program, resp.stats);
-            break;
-        }
-        case SchedulerKind::Modulo: {
-            sched::ModuloScheduler scheduler(*resp.low);
-            for (const auto &block : program.blocks) {
-                resp.modulo.push_back(
-                    scheduler.schedule(block, resp.stats));
-                if (!resp.modulo.back().success)
-                    return fail(ErrorCode::ScheduleFailed,
-                                "modulo scheduling found no II");
+        try {
+            switch (req.scheduler) {
+            case SchedulerKind::List: {
+                sched::ListScheduler scheduler(*resp.low);
+                resp.schedules =
+                    scheduler.scheduleProgram(program, resp.stats);
+                break;
             }
-            break;
-        }
-        case SchedulerKind::Exact:
-        case SchedulerKind::Portfolio: {
-            // Exact mode: list incumbent + branch-and-bound per block.
-            // Portfolio mode: additionally race backward (and, on
-            // branch-free blocks, a verified flat modulo schedule) and
-            // keep the shortest result, so the response is never longer
-            // than plain list scheduling. The request deadline only
-            // truncates the searches - the response still carries the
-            // best schedules found.
-            const bool portfolio =
-                req.scheduler == SchedulerKind::Portfolio;
-            sched::ListScheduler list(*resp.low);
-            sched::BackwardListScheduler backward(*resp.low);
-            sched::ModuloScheduler mod(*resp.low);
-            exact::ExactScheduler search(*resp.low);
-            exact::CancelToken token([&]() {
-                return job.cancelled.load(std::memory_order_relaxed) ||
-                       Clock::now() > job.deadline;
-            });
-            for (const auto &block : program.blocks) {
-                TRACE_SPAN_F(block_span, "exact/block");
-                // Every backend runs with local stats: the response's
-                // ops_scheduled/total_schedule_length describe the kept
-                // schedules, checks describe all work spent.
-                sched::SchedStats local;
-                sched::BlockSchedule incumbent =
-                    list.scheduleBlock(block, local);
+            case SchedulerKind::Backward: {
+                sched::BackwardListScheduler scheduler(*resp.low);
+                resp.schedules =
+                    scheduler.scheduleProgram(program, resp.stats);
+                break;
+            }
+            case SchedulerKind::Modulo: {
+                sched::ModuloScheduler scheduler(*resp.low);
+                for (const auto &block : program.blocks) {
+                    resp.modulo.push_back(
+                        scheduler.schedule(block, resp.stats));
+                    if (!resp.modulo.back().success)
+                        return fail(ErrorCode::ScheduleFailed,
+                                    "modulo scheduling found no II");
+                }
+                break;
+            }
+            case SchedulerKind::Exact:
+            case SchedulerKind::Portfolio: {
+                // Exact mode: list incumbent + branch-and-bound per block.
+                // Portfolio mode: additionally race backward (and, on
+                // branch-free blocks, a verified flat modulo schedule) and
+                // keep the shortest result, so the response is never longer
+                // than plain list scheduling. The request deadline only
+                // truncates the searches - the response still carries the
+                // best schedules found.
+                const bool portfolio =
+                    req.scheduler == SchedulerKind::Portfolio;
+                sched::ListScheduler list(*resp.low);
+                sched::BackwardListScheduler backward(*resp.low);
+                sched::ModuloScheduler mod(*resp.low);
+                exact::ExactScheduler search(*resp.low);
+                exact::CancelToken token([&]() {
+                    return job.cancelled.load(std::memory_order_relaxed) ||
+                           Clock::now() > job.deadline;
+                });
+                for (const auto &block : program.blocks) {
+                    TRACE_SPAN_F(block_span, "exact/block");
+                    // Every backend runs with local stats: the response's
+                    // ops_scheduled/total_schedule_length describe the kept
+                    // schedules, checks describe all work spent.
+                    sched::SchedStats local;
+                    sched::BlockSchedule incumbent =
+                        list.scheduleBlock(block, local);
 
-                SchedulerKind winner = SchedulerKind::List;
-                sched::BlockSchedule best = incumbent;
+                    SchedulerKind winner = SchedulerKind::List;
+                    sched::BlockSchedule best = incumbent;
 
-                if (portfolio) {
-                    sched::BlockSchedule b =
-                        backward.scheduleBlock(block, local);
-                    if (b.length < best.length) {
-                        best = std::move(b);
-                        winner = SchedulerKind::Backward;
-                    }
-                    bool branch_free = !block.instrs.empty();
-                    for (const auto &in : block.instrs)
-                        if (in.is_branch)
-                            branch_free = false;
-                    if (branch_free) {
-                        // A modulo schedule's flat issue times are a
-                        // candidate linear schedule; admit it only when
-                        // replay proves it legal.
-                        sched::ModuloSchedule ms =
-                            mod.schedule(block, local);
-                        if (ms.success && !ms.times.empty()) {
-                            sched::BlockSchedule flat;
-                            flat.cycles = ms.times;
-                            int32_t lo = *std::min_element(
-                                flat.cycles.begin(), flat.cycles.end());
-                            int32_t hi = *std::max_element(
-                                flat.cycles.begin(), flat.cycles.end());
-                            for (int32_t &c : flat.cycles)
-                                c -= lo;
-                            flat.used_cascade.assign(
-                                block.instrs.size(), 0);
-                            flat.length = hi - lo + 1;
-                            if (flat.length < best.length &&
-                                verify(block, flat).ok()) {
-                                best = std::move(flat);
-                                winner = SchedulerKind::Modulo;
+                    if (portfolio) {
+                        sched::BlockSchedule b =
+                            backward.scheduleBlock(block, local);
+                        if (b.length < best.length) {
+                            best = std::move(b);
+                            winner = SchedulerKind::Backward;
+                        }
+                        bool branch_free = !block.instrs.empty();
+                        for (const auto &in : block.instrs)
+                            if (in.is_branch)
+                                branch_free = false;
+                        if (branch_free) {
+                            // A modulo schedule's flat issue times are a
+                            // candidate linear schedule; admit it only when
+                            // replay proves it legal.
+                            sched::ModuloSchedule ms =
+                                mod.schedule(block, local);
+                            if (ms.success && !ms.times.empty()) {
+                                sched::BlockSchedule flat;
+                                flat.cycles = ms.times;
+                                int32_t lo = *std::min_element(
+                                    flat.cycles.begin(), flat.cycles.end());
+                                int32_t hi = *std::max_element(
+                                    flat.cycles.begin(), flat.cycles.end());
+                                for (int32_t &c : flat.cycles)
+                                    c -= lo;
+                                flat.used_cascade.assign(
+                                    block.instrs.size(), 0);
+                                flat.length = hi - lo + 1;
+                                if (flat.length < best.length &&
+                                    verify(block, flat).ok()) {
+                                    best = std::move(flat);
+                                    winner = SchedulerKind::Modulo;
+                                }
                             }
                         }
                     }
-                }
 
-                exact::ExactOptions eopts;
-                if (req.exact_nodes)
-                    eopts.max_nodes = req.exact_nodes;
-                eopts.time_budget_us =
-                    req.exact_ms > 0 ? req.exact_ms * 1000 : 0;
-                if (job.deadline != Clock::time_point::max()) {
-                    int64_t remain =
-                        std::chrono::duration_cast<
-                            std::chrono::microseconds>(job.deadline -
-                                                       Clock::now())
-                            .count();
-                    if (remain < 1)
-                        remain = 1;
+                    exact::ExactOptions eopts;
+                    if (req.exact_nodes)
+                        eopts.max_nodes = req.exact_nodes;
                     eopts.time_budget_us =
-                        eopts.time_budget_us > 0
-                            ? std::min(eopts.time_budget_us, remain)
-                            : remain;
-                }
-                eopts.cancel = token;
-                eopts.incumbent = &incumbent;
-                exact::ExactResult er =
-                    search.scheduleBlock(block, local, eopts);
-                if (er.schedule.length < best.length) {
-                    best = er.schedule;
-                    winner = SchedulerKind::Exact;
-                }
-                resp.stats.checks.merge(local.checks);
-                resp.stats.attempts_per_op.merge(local.attempts_per_op);
-                if (job.cancelled.load(std::memory_order_relaxed))
-                    return fail(ErrorCode::Cancelled,
-                                "request cancelled");
-
-                BlockOutcome out;
-                out.winner = winner;
-                out.length = best.length;
-                out.lower_bound = std::min(er.lower_bound, best.length);
-                out.proven_optimal = best.length <= er.lower_bound;
-                out.budget_exhausted = er.budget_exhausted;
-                out.nodes = er.nodes;
-
-                auto &tot = resp.exact;
-                ++tot.blocks;
-                tot.proven_optimal += out.proven_optimal ? 1 : 0;
-                tot.budget_exhausted += out.budget_exhausted ? 1 : 0;
-                tot.nodes += er.nodes;
-                tot.bound_prunes += er.bound_prunes;
-                tot.dominance_prunes += er.dominance_prunes;
-                tot.probes += er.probes;
-                tot.gap_cycles +=
-                    uint64_t(out.length - out.lower_bound);
-                if (portfolio) {
-                    switch (winner) {
-                    case SchedulerKind::Backward: ++tot.wins_backward; break;
-                    case SchedulerKind::Modulo: ++tot.wins_modulo; break;
-                    case SchedulerKind::Exact: ++tot.wins_exact; break;
-                    default: ++tot.wins_list; break;
+                        req.exact_ms > 0 ? req.exact_ms * 1000 : 0;
+                    if (job.deadline != Clock::time_point::max()) {
+                        int64_t remain =
+                            std::chrono::duration_cast<
+                                std::chrono::microseconds>(job.deadline -
+                                                           Clock::now())
+                                .count();
+                        if (remain < 1)
+                            remain = 1;
+                        eopts.time_budget_us =
+                            eopts.time_budget_us > 0
+                                ? std::min(eopts.time_budget_us, remain)
+                                : remain;
                     }
-                }
+                    eopts.cancel = token;
+                    eopts.incumbent = &incumbent;
+                    exact::ExactResult er =
+                        search.scheduleBlock(block, local, eopts);
+                    if (er.schedule.length < best.length) {
+                        best = er.schedule;
+                        winner = SchedulerKind::Exact;
+                    }
+                    resp.stats.checks.merge(local.checks);
+                    resp.stats.attempts_per_op.merge(local.attempts_per_op);
+                    if (job.cancelled.load(std::memory_order_relaxed))
+                        return fail(ErrorCode::Cancelled,
+                                    "request cancelled");
 
-                if (block_span.active()) {
-                    block_span.label("winner",
-                                     schedulerKindName(winner));
-                    block_span.counter("length", uint64_t(out.length));
-                    block_span.counter("lower_bound",
-                                       uint64_t(out.lower_bound));
-                    block_span.counter(
-                        "gap", uint64_t(out.length - out.lower_bound));
-                    block_span.counter("nodes", er.nodes);
-                }
+                    BlockOutcome out;
+                    out.winner = winner;
+                    out.length = best.length;
+                    out.lower_bound = std::min(er.lower_bound, best.length);
+                    out.proven_optimal = best.length <= er.lower_bound;
+                    out.budget_exhausted = er.budget_exhausted;
+                    out.nodes = er.nodes;
 
-                resp.stats.ops_scheduled += block.instrs.size();
-                resp.stats.total_schedule_length += uint64_t(best.length);
-                resp.outcomes.push_back(out);
-                resp.schedules.push_back(std::move(best));
+                    auto &tot = resp.exact;
+                    ++tot.blocks;
+                    tot.proven_optimal += out.proven_optimal ? 1 : 0;
+                    tot.budget_exhausted += out.budget_exhausted ? 1 : 0;
+                    tot.nodes += er.nodes;
+                    tot.bound_prunes += er.bound_prunes;
+                    tot.dominance_prunes += er.dominance_prunes;
+                    tot.probes += er.probes;
+                    tot.gap_cycles +=
+                        uint64_t(out.length - out.lower_bound);
+                    if (portfolio) {
+                        switch (winner) {
+                        case SchedulerKind::Backward:
+                            ++tot.wins_backward;
+                            break;
+                        case SchedulerKind::Modulo:
+                            ++tot.wins_modulo;
+                            break;
+                        case SchedulerKind::Exact:
+                            ++tot.wins_exact;
+                            break;
+                        default:
+                            ++tot.wins_list;
+                            break;
+                        }
+                    }
+
+                    if (block_span.active()) {
+                        block_span.label("winner",
+                                         schedulerKindName(winner));
+                        block_span.counter("length", uint64_t(out.length));
+                        block_span.counter("lower_bound",
+                                           uint64_t(out.lower_bound));
+                        block_span.counter(
+                            "gap", uint64_t(out.length - out.lower_bound));
+                        block_span.counter("nodes", er.nodes);
+                    }
+
+                    resp.stats.ops_scheduled += block.instrs.size();
+                    resp.stats.total_schedule_length += uint64_t(best.length);
+                    resp.outcomes.push_back(out);
+                    resp.schedules.push_back(std::move(best));
+                }
+                break;
             }
-            break;
-        }
+            }
+        } catch (const MdesError &e) {
+            // The description can never issue some operation.
+            return fail(ErrorCode::ScheduleFailed, e.what());
         }
         schedule_us = elapsedUs(t);
         timed_schedule = true;

@@ -2,20 +2,30 @@
  * @file
  * Scheduler substrate tests: dependence-graph construction (RAW/WAR/WAW,
  * cascade relaxation, branch ordering, priorities), list scheduling
- * against the MDES, cascade selection, and schedule verification - each
- * fault class, and a reused Verifier in lockstep with one-shot
- * verification across the paper machines' list, backward and exact
- * schedules and their corruptions.
+ * against the MDES, cascade selection, the list-scheduling loop in
+ * lockstep with a naive reference scheduler (both directions, random
+ * and paper machines) and its cycle-bound failure, and schedule
+ * verification - each fault class, and a reused Verifier in lockstep
+ * with one-shot verification across the paper machines' list, backward
+ * and exact schedules and their corruptions.
  */
 
+#include <algorithm>
 #include <array>
+#include <numeric>
+#include <ostream>
 
 #include <gtest/gtest.h>
 
+#include "core/expand.h"
+#include "core/transforms.h"
 #include "exact/exact_scheduler.h"
+#include "fsa/automaton.h"
 #include "hmdes/compile.h"
 #include "lmdes/low_mdes.h"
 #include "machines/machines.h"
+#include "random_mdes.h"
+#include "rumap/checker.h"
 #include "sched/backward_scheduler.h"
 #include "sched/dep_graph.h"
 #include "sched/list_scheduler.h"
@@ -257,6 +267,291 @@ TEST(Scheduler, EmptyBlock)
     BlockSchedule sched = s.scheduleBlock({}, stats);
     EXPECT_EQ(sched.length, 0);
     EXPECT_EQ(stats.ops_scheduled, 0u);
+}
+
+// ------------------------------------- List loop vs. a reference oracle
+
+/** One scheduling attempt as the resource model saw it. */
+struct Attempt
+{
+    uint32_t tree = 0;
+    int32_t cycle = 0;
+    bool fit = false;
+
+    bool operator==(const Attempt &) const = default;
+};
+
+std::ostream &
+operator<<(std::ostream &os, const Attempt &a)
+{
+    return os << "{tree " << a.tree << ", cycle " << a.cycle
+              << (a.fit ? ", fit}" : ", conflict}");
+}
+
+/**
+ * Naive reference list scheduler, written from the definition rather
+ * than from ListLoop. Walk time t runs 0, 1, 2, ...; forward it is cycle
+ * t, backward cycle -t. Every time step it scans all unplaced operations
+ * in (priority desc, index asc) order and, from the block's edge list
+ * alone, decides readiness (every operation the walk must place first
+ * is placed) and the earliest legal time. Forward, the priority is the
+ * critical-path height and a cascadable operation with a cascade table
+ * may issue before its full RAW latency on that table; backward, the
+ * priority is the depth from the block entry and nothing cascades. Its
+ * own checker and RU map decide fits; every attempt is logged.
+ * Backward cycles are finally shifted so the earliest issue is cycle 0.
+ */
+BlockSchedule
+referenceSchedule(const Block &block, const LowMdes &low,
+                  SchedDirection dir, std::vector<Attempt> &log)
+{
+    const bool forward = dir == SchedDirection::Forward;
+    const size_t n = block.instrs.size();
+    BlockSchedule s;
+    if (n == 0)
+        return s;
+    const std::vector<sched::DepEdge> edges =
+        DepGraph::build(block, low).edges();
+    // The end of an edge the walk places first, and the other end.
+    auto first = [&](const sched::DepEdge &e) {
+        return forward ? e.pred : e.succ;
+    };
+    auto then = [&](const sched::DepEdge &e) {
+        return forward ? e.succ : e.pred;
+    };
+
+    // Height: max(own latency, distance + successor's height). Depth:
+    // max(0, predecessor's depth + distance). Relax to a fixed point.
+    std::vector<int32_t> prio(n, 0);
+    for (size_t u = 0; forward && u < n; ++u)
+        prio[u] = low.opClasses()[block.instrs[u].op_class].latency;
+    for (bool changed = true; changed;) {
+        changed = false;
+        for (const sched::DepEdge &e : edges) {
+            const int32_t via = prio[then(e)] + e.min_dist;
+            if (via > prio[first(e)]) {
+                prio[first(e)] = via;
+                changed = true;
+            }
+        }
+    }
+    std::vector<uint32_t> order(n);
+    std::iota(order.begin(), order.end(), 0u);
+    std::stable_sort(order.begin(), order.end(),
+                     [&](uint32_t a, uint32_t b) {
+                         return prio[a] > prio[b];
+                     });
+
+    rumap::Checker checker(low);
+    rumap::RuMap ru;
+    rumap::CheckStats stats;
+    std::vector<int32_t> time(n, 0);
+    std::vector<bool> placed(n, false);
+    s.cycles.assign(n, 0);
+    s.used_cascade.assign(n, 0);
+    for (int32_t t = 0, left = int32_t(n); left > 0; ++t) {
+        if (t > 100000) {
+            ADD_FAILURE() << "reference scheduler found no schedule";
+            return s;
+        }
+        for (uint32_t u : order) {
+            if (placed[u])
+                continue;
+            bool ready = true;
+            int32_t earliest = 0;
+            int32_t cascade_earliest = 0;
+            for (const sched::DepEdge &e : edges) {
+                if (then(e) != u)
+                    continue;
+                if (!placed[first(e)]) {
+                    ready = false;
+                    break;
+                }
+                const int32_t at = time[first(e)];
+                earliest = std::max(earliest, at + e.min_dist);
+                cascade_earliest = std::max(
+                    cascade_earliest, e.cascade_relax ? at : at + e.min_dist);
+            }
+            if (!ready)
+                continue;
+            const Instr &in = block.instrs[u];
+            const auto &cls = low.opClasses()[in.op_class];
+            const bool cascade = forward && in.cascadable &&
+                                 cls.cascade_tree != kInvalidId &&
+                                 cascade_earliest <= t && t < earliest;
+            if (t < earliest && !cascade)
+                continue;
+            const uint32_t tree = cascade ? cls.cascade_tree : cls.tree;
+            const int32_t cycle = forward ? t : -t;
+            const bool fit = checker.tryReserve(tree, cycle, ru, stats);
+            log.push_back({tree, cycle, fit});
+            if (!fit)
+                continue;
+            placed[u] = true;
+            time[u] = t;
+            s.cycles[u] = cycle;
+            s.used_cascade[u] = cascade ? 1 : 0;
+            s.issue_order.push_back(u);
+            --left;
+        }
+    }
+    const int32_t shift =
+        forward ? 0 : *std::min_element(s.cycles.begin(), s.cycles.end());
+    for (int32_t &c : s.cycles)
+        c -= shift;
+    s.length = *std::max_element(s.cycles.begin(), s.cycles.end()) + 1;
+    return s;
+}
+
+/**
+ * Schedule every block of @p program with the production ListLoop,
+ * whose resource model is a checker that records each attempt, and with
+ * the reference scheduler; the attempt logs and every BlockSchedule
+ * field must agree. The ListScheduler for @p dir must agree too.
+ * @return the number of attempts compared.
+ */
+size_t
+expectLoopMatchesReference(const LowMdes &low,
+                           const sched::Program &program,
+                           SchedDirection dir)
+{
+    sched::ListLoop loop(low);
+    rumap::Checker checker(low);
+    rumap::RuMap ru;
+    ListScheduler forward(low);
+    sched::BackwardListScheduler backward(low);
+    ListScheduler &scheduler =
+        dir == SchedDirection::Forward ? forward : backward;
+    SchedStats stats;
+    size_t compared = 0;
+    for (size_t b = 0; b < program.blocks.size(); ++b) {
+        SCOPED_TRACE("block " + std::to_string(b));
+        const Block &block = program.blocks[b];
+        std::vector<Attempt> got;
+        ru.clear();
+        auto reserve = [&](uint32_t tree, int32_t cycle) {
+            bool fit = checker.tryReserve(tree, cycle, ru, stats.checks);
+            got.push_back({tree, cycle, fit});
+            return fit;
+        };
+        BlockSchedule s =
+            dir == SchedDirection::Forward
+                ? loop.run<SchedDirection::Forward>(block, stats, reserve)
+                : loop.run<SchedDirection::Backward>(block, stats,
+                                                     reserve);
+        std::vector<Attempt> want;
+        BlockSchedule ref = referenceSchedule(block, low, dir, want);
+        EXPECT_EQ(got, want);
+        EXPECT_EQ(s.cycles, ref.cycles);
+        EXPECT_EQ(s.used_cascade, ref.used_cascade);
+        EXPECT_EQ(s.length, ref.length);
+        EXPECT_EQ(s.issue_order, ref.issue_order);
+        EXPECT_EQ(scheduler.scheduleBlock(block, stats), ref);
+        if (::testing::Test::HasFailure())
+            return compared;
+        compared += got.size();
+    }
+    return compared;
+}
+
+/** Lower @p base for every {forward, backward} x {OR, AND/OR} x
+ * {no transforms, all (tuned to the walk direction)} configuration and
+ * run the lockstep check on @p program in each. @return the number of
+ * attempts compared. */
+size_t
+expectLoopMatchesReferenceEverywhere(const Mdes &base,
+                                     const sched::Program &program)
+{
+    size_t compared = 0;
+    for (SchedDirection dir :
+         {SchedDirection::Forward, SchedDirection::Backward}) {
+        for (bool or_form : {false, true}) {
+            for (bool optimized : {false, true}) {
+                SCOPED_TRACE(
+                    std::string(dir == SchedDirection::Forward
+                                    ? "forward"
+                                    : "backward") +
+                    (or_form ? " OR" : " AND/OR") +
+                    (optimized ? " all()" : " none()"));
+                Mdes model = or_form ? expandToOrForm(base) : base;
+                PipelineConfig config = optimized ? PipelineConfig::all()
+                                                  : PipelineConfig::none();
+                config.direction = dir;
+                runPipeline(model, config);
+                lmdes::LowerOptions lopts;
+                lopts.pack_bit_vector = optimized;
+                LowMdes low = LowMdes::lower(model, lopts);
+                compared += expectLoopMatchesReference(low, program, dir);
+            }
+        }
+    }
+    return compared;
+}
+
+TEST(ListLoop, MatchesReferenceOnRandomMachines)
+{
+    Rng rng(0x0AC1E);
+    size_t compared = 0;
+    for (int trial = 0; trial < 12; ++trial) {
+        SCOPED_TRACE("trial " + std::to_string(trial));
+        Mdes base = mdes::testing::randomMdes(rng);
+        auto spec = mdes::testing::randomWorkloadSpec(
+            base, 0x5EED + uint64_t(trial), 200);
+        sched::Program program =
+            workload::generate(spec, LowMdes::lower(base, {}));
+        compared += expectLoopMatchesReferenceEverywhere(base, program);
+    }
+    EXPECT_GT(compared, 10000u);
+}
+
+TEST(ListLoop, MatchesReferenceOnPaperMachines)
+{
+    size_t compared = 0;
+    for (const machines::MachineInfo *info : machines::all()) {
+        SCOPED_TRACE(info->name);
+        Mdes base = hmdes::compileOrThrow(info->source);
+        workload::WorkloadSpec spec = info->workload;
+        spec.num_ops = 300;
+        // Cascadable operations stay in the backward runs, as the
+        // service leaves them: the backward walk must ignore them.
+        sched::Program program =
+            workload::generate(spec, LowMdes::lower(base, {}));
+        compared += expectLoopMatchesReferenceEverywhere(base, program);
+    }
+    EXPECT_GT(compared, 10000u);
+}
+
+TEST(ListLoop, ThrowsWhenAnOperationCanNeverIssue)
+{
+    // Both OR subtrees need the single R instance at time 0, so STUCK
+    // fits no cycle: every walk runs into its cycle bound.
+    static const char *src = R"(
+machine "stuck" {
+    resource R[1];
+    ortree A { option { use R[0] at 0; } }
+    ortree B { option { use R[0] at 0; } }
+    table Both = and(A, B);
+    operation STUCK { table Both; latency 1; }
+}
+)";
+    LowMdes low = LowMdes::lower(hmdes::compileOrThrow(src), {});
+    Block b;
+    b.instrs = {instr(low.findOpClass("STUCK"), {1}, {2})};
+    auto expectCycleBound = [&](auto &&scheduler) {
+        SchedStats stats;
+        try {
+            scheduler.scheduleBlock(b, stats);
+            ADD_FAILURE() << "scheduled an operation that cannot issue";
+        } catch (const MdesError &e) {
+            EXPECT_NE(std::string(e.what()).find("exceeded cycle bound"),
+                      std::string::npos)
+                << e.what();
+        }
+    };
+    expectCycleBound(ListScheduler(low));
+    expectCycleBound(sched::BackwardListScheduler(low));
+    fsa::SchedulerAutomaton automaton(low);
+    expectCycleBound(fsa::FsaListScheduler(low, automaton));
 }
 
 // ----------------------------------------------------------------- Verify

@@ -199,6 +199,46 @@ TEST(Service, TypedErrors)
     EXPECT_FALSE(again.cache_hit);
 }
 
+TEST(Service, UnissuableOperationIsScheduleFailed)
+{
+    // STUCK's two OR subtrees both need the single R instance at time
+    // 0, so no cycle can ever issue it; ADD runs on its own resource.
+    static const char *src = R"(
+machine "stuck" {
+    resource R[1];
+    resource S[1];
+    ortree A { option { use R[0] at 0; } }
+    ortree B { option { use R[0] at 0; } }
+    ortree OnS { option { use S[0] at 0; } }
+    table Both = and(A, B);
+    table One = OnS;
+    operation STUCK { table Both; latency 1; }
+    operation ADD { table One; latency 1; }
+}
+)";
+    service::MdesService svc({.num_workers = 1});
+    for (auto kind :
+         {service::SchedulerKind::List, service::SchedulerKind::Backward,
+          service::SchedulerKind::Exact,
+          service::SchedulerKind::Portfolio}) {
+        SCOPED_TRACE(service::schedulerKindName(kind));
+        service::ScheduleRequest req;
+        req.source = src;
+        req.scheduler = kind;
+        req.sasm = "block\n    ADD r1 <- r2\n    STUCK r3 <- r1\nend\n";
+        auto stuck = svc.wait(svc.submit(req));
+        EXPECT_EQ(stuck.error.code, service::ErrorCode::ScheduleFailed);
+        EXPECT_NE(stuck.error.message.find("exceeded cycle bound"),
+                  std::string::npos)
+            << stuck.error.message;
+
+        // The description itself is fine for operations that can issue.
+        req.sasm = "block\n    ADD r1 <- r2\n    ADD r3 <- r1\nend\n";
+        auto add_only = svc.wait(svc.submit(req));
+        EXPECT_TRUE(add_only.ok()) << add_only.error.message;
+    }
+}
+
 TEST(Service, DeadlineExceededWhileQueued)
 {
     // One worker, blocked by a large request: the deadline of the

@@ -104,6 +104,8 @@ usage()
         "  mdesc schedule <machine-name | file.hmdes> <file.sasm>\n"
         "                [--mode list|backward|exact|portfolio]\n"
         "                [--exact-ms N]\n"
+        "                (portfolio: list, backward, exact; batch's\n"
+        "                portfolio also races a modulo candidate)\n"
         "  mdesc batch <file.req | --stdin> [--workers N] [--json]\n"
         "              [--mode list|backward|modulo|exact|portfolio]\n"
         "              [--store <dir>] [--store-max-bytes N]\n"
