@@ -39,24 +39,41 @@ static_assert((kRingSlots & (kRingSlots - 1)) == 0,
               "ring size must be a power of two");
 
 /**
- * Ticks -> microseconds calibration. The origin pair is pinned when
- * the first ring registers (long before anything is gathered in
- * practice); the rate is re-derived at each gather from the elapsed
- * span since then, so it improves as the process ages. Conversion only
- * has to be *monotone* for ordering to hold; absolute accuracy
- * converges within milliseconds of process start.
+ * Ticks -> microseconds: an origin pair and the tick rate measured from
+ * it to a later pair. Conversion only has to be *monotone* for ordering
+ * to hold; absolute accuracy converges within milliseconds of the
+ * origin.
  */
-struct TickOrigin
+struct TickClock
 {
     uint64_t ticks = 0;
     uint64_t us = 0;
+    /** Ticks per microsecond. */
+    double rate = 1;
+
+    static TickClock
+    between(uint64_t ticks0, uint64_t us0, uint64_t ticks1, uint64_t us1)
+    {
+        const uint64_t dus = us1 > us0 ? us1 - us0 : 1;
+        const uint64_t dticks = ticks1 > ticks0 ? ticks1 - ticks0 : dus;
+        return {ticks0, us0, double(dticks) / double(dus)};
+    }
+
+    /** Stamps before the origin clamp to it. */
+    uint64_t
+    toUs(uint64_t t) const
+    {
+        return t <= ticks ? us : us + uint64_t(double(t - ticks) / rate);
+    }
 };
 
-const TickOrigin &
+/** The live origin, pinned when the first ring registers (long before
+ * anything could be gathered). */
+const TickClock &
 tickOrigin()
 {
-    static const TickOrigin origin = [] {
-        TickOrigin o;
+    static const TickClock origin = [] {
+        TickClock o;
         o.us = trace::nowUs();
         o.ticks = nowTicks();
         return o;
@@ -64,32 +81,96 @@ tickOrigin()
     return origin;
 }
 
-/** Ticks per microsecond, measured from the origin to now. */
-double
-ticksPerUs()
+/** The live clock; its rate is re-derived at each gather from the
+ * origin to now, so it improves as the process ages. */
+TickClock
+liveClock()
 {
-    const TickOrigin &o = tickOrigin();
+    const TickClock &o = tickOrigin();
     const uint64_t now_us = trace::nowUs();
-    const uint64_t now_ticks = nowTicks();
-    const uint64_t dus = now_us > o.us ? now_us - o.us : 1;
-    const uint64_t dticks =
-        now_ticks > o.ticks ? now_ticks - o.ticks : dus;
-    return double(dticks) / double(dus);
+    return TickClock::between(o.ticks, o.us, nowTicks(), now_us);
 }
 
-/** Convert an event timestamp; pre-origin stamps clamp to the origin. */
-uint64_t
-ticksToUs(uint64_t ticks, double rate)
+/**
+ * One ring record. A span's record holds its name, trace id, start and
+ * duration, whose top bit marks a traced span. Each of its args is one
+ * record just before it: the key, the counter (or the label text's
+ * address), and a mark in place of the start that no real timestamp
+ * can reach.
+ */
+struct Record
 {
-    const TickOrigin &o = tickOrigin();
-    if (ticks <= o.ticks)
-        return o.us;
-    return o.us + uint64_t(double(ticks - o.ticks) / rate);
+    const char *name;
+    uint64_t trace_id;
+    uint64_t ts_ticks;
+    uint64_t dur_ticks;
+};
+
+inline constexpr uint64_t kCounterMark = ~uint64_t(0);
+inline constexpr uint64_t kLabelMark = ~uint64_t(0) - 1;
+inline constexpr uint64_t kTraced = uint64_t(1) << 63;
+
+/** Records a trace keeps per thread (64 MiB); laps past it are dropped
+ * and counted. */
+inline constexpr size_t kKeptRecords = size_t(1) << 21;
+
+bool
+isTracedSpan(const Record &r)
+{
+    return r.ts_ticks < kLabelMark && (r.dur_ticks & kTraced) != 0;
+}
+
+/**
+ * Append the spans among one ring's @p records (in push order) that
+ * @p keep accepts to @p out, each with the args recorded just before
+ * it; labels only when @p labels is set.
+ */
+template <class Keep>
+void
+decode(const std::vector<Record> &records, uint32_t tid,
+       const TickClock &clock, bool labels, Keep &&keep,
+       std::vector<Event> &out)
+{
+    std::vector<Arg> args;
+    for (const Record &r : records) {
+        if (r.ts_ticks == kCounterMark) {
+            args.push_back({r.name, r.trace_id, nullptr});
+        } else if (r.ts_ticks == kLabelMark) {
+            if (labels)
+                args.push_back({r.name, 0,
+                                reinterpret_cast<const char *>(
+                                    uintptr_t(r.trace_id))});
+        } else {
+            if (r.name != nullptr && keep(r)) {
+                Event e;
+                e.name = r.name;
+                e.trace_id = r.trace_id;
+                e.ts_us = clock.toUs(r.ts_ticks);
+                // Convert the end, not the duration: truncating both
+                // could end a child 1 us after the parent it ends with.
+                e.dur_us = clock.toUs(r.ts_ticks + (r.dur_ticks & ~kTraced)) -
+                           e.ts_us;
+                e.tid = tid;
+                e.args = std::move(args);
+                out.push_back(std::move(e));
+            }
+            args.clear();
+        }
+    }
+}
+
+void
+sortByStart(std::vector<Event> &events)
+{
+    std::stable_sort(events.begin(), events.end(),
+                     [](const Event &a, const Event &b) {
+                         return a.ts_us < b.ts_us;
+                     });
 }
 
 /** One ring slot. All fields are atomics so a concurrent reader is a
  * well-defined (if possibly torn) read; torn slots are discarded by the
- * head re-check in snapshotInto(). */
+ * head re-check in snapshot(). */
 struct Slot
 {
     std::atomic<const char *> name{nullptr};
@@ -97,6 +178,7 @@ struct Slot
     std::atomic<uint64_t> ts_ticks{0};
     std::atomic<uint64_t> dur_ticks{0};
 };
+static_assert(sizeof(Slot) == 32, "an untraced span fills one 32-byte slot");
 
 struct Ring
 {
@@ -106,45 +188,89 @@ struct Ring
     uint32_t tid = 0;
     std::array<Slot, kRingSlots> slots;
 
+    /** Set by the owner when it records a traced span, cleared when it
+     * keeps a lap. Only the owner touches it. */
+    bool unkept = false;
+    /** A trace's records, moved here by the owner before it overwrites
+     * them. Guarded by kept_mu, which only the owner (once a lap),
+     * startKeeping() and keptSpans() take. */
+    std::mutex kept_mu;
+    std::vector<Record> kept;
+    /** Ring index the kept records reach. */
+    uint64_t kept_upto = 0;
+    /** Traced spans lost to kKeptRecords. */
+    uint64_t dropped = 0;
+
     void
     push(const char *name, uint64_t trace_id, uint64_t ts_ticks,
          uint64_t dur_ticks)
     {
         const uint64_t h = head.load(std::memory_order_relaxed);
+        // Pairs with the fence in snapshot(): a reader that sees any
+        // store below also sees head >= h, so it knows the slot's
+        // previous event is gone.
+        std::atomic_thread_fence(std::memory_order_release);
         Slot &s = slots[h & (kRingSlots - 1)];
         s.name.store(name, std::memory_order_relaxed);
         s.trace_id.store(trace_id, std::memory_order_relaxed);
         s.ts_ticks.store(ts_ticks, std::memory_order_relaxed);
         s.dur_ticks.store(dur_ticks, std::memory_order_relaxed);
+        // The next push starts overwriting this lap: keep it first if
+        // it holds traced records, and before publishing, so a reader
+        // finds each record either kept or in the live window.
+        if (((h + 1) & (kRingSlots - 1)) == 0 && unkept) [[unlikely]]
+            keepLap(h + 1);
         // Publish: a reader that observes head > h sees slot h's
         // fields (or a later overwrite it will discard).
         head.store(h + 1, std::memory_order_release);
     }
 
-    /** Append this ring's non-lapped events for @p trace_id (or all
-     * when trace_id == 0) to @p out, converting ticks to microseconds
-     * at @p rate ticks/us. */
+    /** Owner only, at the end of a lap (@p end is a multiple of
+     * kRingSlots): keep events [kept_upto, end), or count their traced
+     * spans as dropped past the cap. */
+    __attribute__((noinline)) void
+    keepLap(uint64_t end)
+    {
+        std::lock_guard<std::mutex> lock(kept_mu);
+        std::vector<Record> lap;
+        copy(std::max(kept_upto, end - kRingSlots), end, lap);
+        if (kept.size() + lap.size() <= kKeptRecords) {
+            kept.insert(kept.end(), lap.begin(), lap.end());
+        } else {
+            dropped += uint64_t(
+                std::count_if(lap.begin(), lap.end(), isTracedSpan));
+            // Args at the end of the kept records belong to a span
+            // in this lap.
+            while (!kept.empty() && kept.back().ts_ticks >= kLabelMark)
+                kept.pop_back();
+        }
+        kept_upto = end;
+        unkept = false;
+    }
+
+    /** Append the records of events [from, to) to @p out, unchecked. */
     void
-    snapshotInto(uint64_t trace_id, double rate,
-                 std::vector<Event> &out) const
+    copy(uint64_t from, uint64_t to, std::vector<Record> &out) const
+    {
+        for (uint64_t i = from; i < to; ++i) {
+            const Slot &s = slots[i & (kRingSlots - 1)];
+            out.push_back({s.name.load(std::memory_order_relaxed),
+                           s.trace_id.load(std::memory_order_relaxed),
+                           s.ts_ticks.load(std::memory_order_relaxed),
+                           s.dur_ticks.load(std::memory_order_relaxed)});
+        }
+    }
+
+    /** Append the records of events [from, head) to @p out, minus any
+     * the writer may have torn while they were copied. */
+    void
+    snapshot(uint64_t from, std::vector<Record> &out) const
     {
         const uint64_t h1 = head.load(std::memory_order_acquire);
-        const uint64_t lo = h1 > kRingSlots ? h1 - kRingSlots : 0;
-        std::vector<Event> copied;
-        copied.reserve(size_t(h1 - lo));
-        for (uint64_t i = lo; i < h1; ++i) {
-            const Slot &s = slots[i & (kRingSlots - 1)];
-            Event e;
-            e.name = s.name.load(std::memory_order_relaxed);
-            e.trace_id = s.trace_id.load(std::memory_order_relaxed);
-            e.ts_us = ticksToUs(
-                s.ts_ticks.load(std::memory_order_relaxed), rate);
-            e.dur_us = uint64_t(
-                double(s.dur_ticks.load(std::memory_order_relaxed)) /
-                rate);
-            e.tid = tid;
-            copied.push_back(e);
-        }
+        const uint64_t lo = std::min(
+            h1, std::max(from, h1 > kRingSlots ? h1 - kRingSlots : 0));
+        const size_t base = out.size();
+        copy(lo, h1, out);
         // Anything the writer lapped while we copied may be torn:
         // keep only indices still inside the window at h2. push()
         // stores slot fields *before* publishing head = h2 + 1, so
@@ -152,18 +278,13 @@ struct Ring
         // h2 - kRingSlots from the previous lap) may already be
         // mid-overwrite - discard that one too (the window is
         // effectively kRingSlots - 1 events deep).
+        std::atomic_thread_fence(std::memory_order_acquire);
         const uint64_t h2 = head.load(std::memory_order_acquire);
         const uint64_t lo2 =
             h2 + 1 > kRingSlots ? h2 + 1 - kRingSlots : 0;
-        for (uint64_t i = lo; i < h1; ++i) {
-            if (i < lo2)
-                continue;
-            const Event &e = copied[size_t(i - lo)];
-            if (e.name == nullptr)
-                continue;
-            if (trace_id == 0 || e.trace_id == trace_id)
-                out.push_back(e);
-        }
+        if (lo2 > lo)
+            out.erase(out.begin() + ptrdiff_t(base),
+                      out.begin() + ptrdiff_t(base + std::min(lo2, h1) - lo));
     }
 };
 
@@ -192,64 +313,56 @@ publishCrashRing(Ring *ring)
     g_crash_ring_count.store(idx + 1, std::memory_order_release);
 }
 
-/** Ring registry: one ring per thread, registered once, never removed
- * (same lifetime contract as trace::Collector's buffers). */
-class Registry
+/** Ring registry: one ring per thread, registered once, never removed,
+ * so a gather never races a thread exit. */
+struct Registry
 {
-  public:
+    std::mutex mu;
+    std::vector<std::unique_ptr<Ring>> rings;
+
     static Registry &
     instance()
     {
         static Registry registry;
         return registry;
     }
-
-    Ring &
-    registerLocalRing()
-    {
-        // Pin the tick calibration origin at first registration, long
-        // before anything could be gathered.
-        (void)tickOrigin();
-        auto owned = std::make_unique<Ring>();
-        owned->tid = trace::threadId();
-        Ring *raw = owned.get();
-        std::lock_guard<std::mutex> lock(mu_);
-        rings_.push_back(std::move(owned));
-        publishCrashRing(raw);
-        return *raw;
-    }
-
-    std::vector<Event>
-    eventsForTrace(uint64_t trace_id) const
-    {
-        std::vector<Event> out;
-        const double rate = ticksPerUs();
-        {
-            std::lock_guard<std::mutex> lock(mu_);
-            for (const auto &ring : rings_)
-                ring->snapshotInto(trace_id, rate, out);
-        }
-        std::sort(out.begin(), out.end(),
-                  [](const Event &a, const Event &b) {
-                      return a.ts_us < b.ts_us;
-                  });
-        return out;
-    }
-
-    uint64_t
-    recordedCount() const
-    {
-        uint64_t n = 0;
-        std::lock_guard<std::mutex> lock(mu_);
-        for (const auto &ring : rings_)
-            n += ring->head.load(std::memory_order_relaxed);
-        return n;
-    }
-
-  private:
-    mutable std::mutex mu_;
-    std::vector<std::unique_ptr<Ring>> rings_;
 };
+
+Ring &
+registerLocalRing()
+{
+    // Pin the tick calibration origin at first registration, long
+    // before anything could be gathered.
+    (void)tickOrigin();
+    auto owned = std::make_unique<Ring>();
+    owned->tid = trace::threadId();
+    Ring *raw = owned.get();
+    Registry &registry = Registry::instance();
+    std::lock_guard<std::mutex> lock(registry.mu);
+    registry.rings.push_back(std::move(owned));
+    publishCrashRing(raw);
+    return *raw;
+}
+
+/** The spans @p keep accepts among the records @p read takes from each
+ * ring, across all threads, ordered by start. */
+template <class Read, class Keep>
+std::vector<Event>
+gather(Read &&read, Keep &&keep)
+{
+    std::vector<Event> out;
+    const TickClock clock = liveClock();
+    std::vector<Record> records;
+    Registry &registry = Registry::instance();
+    std::lock_guard<std::mutex> lock(registry.mu);
+    for (const auto &ring : registry.rings) {
+        records.clear();
+        read(*ring, records);
+        decode(records, ring->tid, clock, true, keep, out);
+    }
+    sortByStart(out);
+    return out;
+}
 
 /** Disk spool: serialized under one mutex (spooling is the rare tail
  * path; contention here is a non-goal). */
@@ -345,8 +458,7 @@ class Spool
     std::string
     write(uint64_t trace_id, const char *reason)
     {
-        std::vector<Event> events =
-            Registry::instance().eventsForTrace(trace_id);
+        std::vector<Event> events = eventsForTrace(trace_id);
         std::lock_guard<std::mutex> lock(mu_);
         if (!armed_)
             return "";
@@ -426,10 +538,6 @@ class Spool
     SpoolStats stats_;
 };
 
-} // namespace
-
-namespace {
-
 /** The calling thread's ring, as a plain TLS pointer so the record
  * hot path is one TLS load and a branch - no static-init guard. */
 thread_local Ring *t_ring = nullptr;
@@ -456,44 +564,95 @@ nowTicks()
 
 void
 record(const char *name, uint64_t trace_id, uint64_t ts_ticks,
-       uint64_t dur_ticks)
+       uint64_t dur_ticks, bool traced, const Arg *args, size_t nargs)
 {
     Ring *ring = t_ring;
     if (ring == nullptr)
-        t_ring = ring = &Registry::instance().registerLocalRing();
-    ring->push(name, trace_id, ts_ticks, dur_ticks);
+        t_ring = ring = &registerLocalRing();
+    if (!traced) {
+        ring->push(name, trace_id, ts_ticks, dur_ticks);
+        return;
+    }
+    // Set before the args and again after the span: either push may
+    // end a lap, and the lap after it must be kept too.
+    ring->unkept = true;
+    for (size_t i = 0; i < nargs; ++i) {
+        const Arg &a = args[i];
+        if (a.text != nullptr)
+            ring->push(a.key, uint64_t(uintptr_t(a.text)), kLabelMark, 0);
+        else
+            ring->push(a.key, a.value, kCounterMark, 0);
+    }
+    ring->push(name, trace_id, ts_ticks, dur_ticks | kTraced);
+    ring->unkept = true;
 }
 
 std::vector<Event>
 eventsForTrace(uint64_t trace_id)
 {
-    return Registry::instance().eventsForTrace(trace_id);
+    auto read = [](const Ring &ring, std::vector<Record> &out) {
+        ring.snapshot(0, out);
+    };
+    return gather(read,
+                  [&](const Record &r) { return r.trace_id == trace_id; });
 }
 
 uint64_t
 recordedCount()
 {
-    return Registry::instance().recordedCount();
+    uint64_t n = 0;
+    Registry &registry = Registry::instance();
+    std::lock_guard<std::mutex> lock(registry.mu);
+    for (const auto &ring : registry.rings)
+        n += ring->head.load(std::memory_order_relaxed);
+    return n;
+}
+
+void
+startKeeping()
+{
+    Registry &registry = Registry::instance();
+    std::lock_guard<std::mutex> lock(registry.mu);
+    for (const auto &ring : registry.rings) {
+        std::lock_guard<std::mutex> kept_lock(ring->kept_mu);
+        ring->kept.clear();
+        ring->kept_upto = ring->head.load(std::memory_order_acquire);
+        ring->dropped = 0;
+    }
+}
+
+std::vector<Event>
+keptSpans(uint64_t *dropped)
+{
+    auto read = [&](Ring &ring, std::vector<Record> &out) {
+        std::lock_guard<std::mutex> lock(ring.kept_mu);
+        out = ring.kept;
+        ring.snapshot(ring.kept_upto, out);
+        if (dropped != nullptr)
+            *dropped += ring.dropped;
+    };
+    return gather(read, isTracedSpan);
 }
 
 std::string
 toChromeJson(const std::vector<Event> &events, uint64_t trace_id,
-             const char *reason)
+             const char *reason, uint64_t dropped)
 {
     JsonWriter w;
     w.beginObject();
     w.key("displayTimeUnit").value("ms");
     w.key("otherData").beginObject();
-    w.key("tool").value("mdes::flightrec");
+    w.key("tool").value("mdes::trace");
     w.key("trace_id").value(trace_id);
     w.key("reason").value(reason != nullptr ? reason : "unknown");
-    w.key("events").value(uint64_t(events.size()));
+    w.key("spans").value(uint64_t(events.size()));
+    w.key("dropped").value(dropped);
     w.endObject();
     w.key("traceEvents").beginArray();
     for (const Event &e : events) {
         w.beginObject();
         w.key("name").value(e.name);
-        w.key("cat").value("flightrec");
+        w.key("cat").value("mdes");
         w.key("ph").value("X");
         w.key("pid").value(uint64_t(1));
         w.key("tid").value(uint64_t(e.tid));
@@ -502,6 +661,13 @@ toChromeJson(const std::vector<Event> &events, uint64_t trace_id,
         w.key("args").beginObject();
         if (e.trace_id != 0)
             w.key("trace_id").value(e.trace_id);
+        for (const Arg &a : e.args) {
+            w.key(a.key);
+            if (a.text != nullptr)
+                w.value(a.text);
+            else
+                w.value(a.value);
+        }
         w.endObject();
         w.endObject();
     }
@@ -689,8 +855,9 @@ crashCaptureHandler(int sig, siginfo_t *info, void *)
                 const char *name =
                     s.name.load(std::memory_order_relaxed);
                 if (name != nullptr) {
-                    // Span names are string literals in this process;
-                    // copy by hand (strncpy is not on the safe list).
+                    // Span names and arg keys are string literals in
+                    // this process; copy by hand (strncpy is not on the
+                    // safe list).
                     size_t k = 0;
                     while (k < sizeof(rec.name) - 1 && name[k] != '\0') {
                         rec.name[k] = name[k];
@@ -732,7 +899,7 @@ armCrashCapture(const std::string &dir)
     // Pre-initialize every static the handler touches while it is
     // still legal to take locks: the tick origin pair and the
     // trace-clock epoch inside trace::nowUs().
-    const TickOrigin &origin = tickOrigin();
+    const TickClock &origin = tickOrigin();
     g_crash_origin_ticks = origin.ticks;
     g_crash_origin_us = origin.us;
 
@@ -782,15 +949,11 @@ decodeCrashCapture(const std::string &path, CrashInfo *info)
                         std::to_string(h.version));
 
     // Tick rate from the two calibration points the handler recorded.
-    const uint64_t dus =
-        h.crash_us > h.origin_us ? h.crash_us - h.origin_us : 1;
-    const uint64_t dticks = h.crash_ticks > h.origin_ticks
-                                ? h.crash_ticks - h.origin_ticks
-                                : dus;
-    const double rate = double(dticks) / double(dus);
-
-    std::deque<std::string> names; // stable storage behind Event.name
+    const TickClock clock = TickClock::between(h.origin_ticks, h.origin_us,
+                                               h.crash_ticks, h.crash_us);
+    std::deque<std::string> names; // stable storage behind Record.name
     std::vector<Event> events;
+    std::vector<Record> records;
     size_t off = sizeof h;
     for (uint32_t r = 0; r < h.ring_count; ++r) {
         if (off + sizeof(CrashRingHeader) > raw.size())
@@ -802,6 +965,7 @@ decodeCrashCapture(const std::string &path, CrashInfo *info)
         if (rh.nrec > kRingSlots)
             throw MdesError("flightrec: implausible ring length in '" +
                             path + "'");
+        records.clear();
         for (uint32_t i = 0; i < rh.nrec; ++i) {
             if (off + sizeof(CrashRecord) > raw.size())
                 throw MdesError("flightrec: truncated record in '" +
@@ -810,27 +974,17 @@ decodeCrashCapture(const std::string &path, CrashInfo *info)
             std::memcpy(&rec, raw.data() + off, sizeof rec);
             off += sizeof rec;
             rec.name[sizeof(rec.name) - 1] = '\0';
-            if (rec.name[0] == '\0')
-                continue; // never-written or torn slot
-            Event e;
-            names.emplace_back(rec.name);
-            e.name = names.back().c_str();
-            e.trace_id = rec.trace_id;
-            e.ts_us = rec.ts_ticks <= h.origin_ticks
-                          ? h.origin_us
-                          : h.origin_us +
-                                uint64_t(double(rec.ts_ticks -
-                                                h.origin_ticks) /
-                                         rate);
-            e.dur_us = uint64_t(double(rec.dur_ticks) / rate);
-            e.tid = rh.tid;
-            events.push_back(e);
+            // An empty name is a never-written or torn slot.
+            const char *name = nullptr;
+            if (rec.name[0] != '\0')
+                name = names.emplace_back(rec.name).c_str();
+            records.push_back(
+                {name, rec.trace_id, rec.ts_ticks, rec.dur_ticks});
         }
+        decode(records, rh.tid, clock, false,
+               [](const Record &) { return true; }, events);
     }
-    std::sort(events.begin(), events.end(),
-              [](const Event &a, const Event &b) {
-                  return a.ts_us < b.ts_us;
-              });
+    sortByStart(events);
 
     if (info != nullptr) {
         info->signo = int(h.signo);

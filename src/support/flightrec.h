@@ -3,25 +3,31 @@
 
 /**
  * @file
- * mdes::flightrec - the always-on flight recorder behind mdes::trace.
+ * mdes::flightrec - the span recorder behind mdes::trace.
  *
- * Full tracing (--trace) buffers every span until exported; that is the
- * right tool for a planned investigation and the wrong one for a
- * production tier, where the interesting request is the one nobody was
- * watching. The flight recorder fills that gap: every thread keeps a
- * small fixed-size ring of the most recent span events, recorded
- * unconditionally (even with tracing off) at a cost of a few relaxed
- * atomic stores per span. The ring remembers the last ~4096 spans per
- * thread and silently overwrites older ones.
+ * Every thread keeps a small fixed-size ring of its most recent span
+ * events, recorded by trace::ScopedSpan even with tracing off, at a
+ * cost of a few relaxed atomic stores per span. The ring remembers the
+ * last ~4096 events per thread and silently overwrites older ones. It
+ * is the only place a span is recorded:
  *
- * Tail-based capture: when a request ends badly - typed error, breaker
- * trip, deadline blown, or latency beyond a configurable threshold -
- * the service asks the recorder to *spool* that trace id: every ring
- * event carrying the id is gathered across threads and written to a
- * bounded on-disk directory as a standalone Chrome trace-event JSON
- * file. The directory is a size-capped FIFO - oldest spool files are
- * deleted first and the total never exceeds the configured byte cap -
- * so a misbehaving fleet cannot fill a disk.
+ *  - Traces. While trace::setEnabled(true) runs a trace, spans carry
+ *    their counters and labels as arg records in the ring, and each
+ *    thread moves a lap of its ring aside before overwriting it, so
+ *    trace::spans() loses nothing (up to a per-thread cap it reports
+ *    as "dropped").
+ *  - Tail-based capture. When a request ends badly - typed error,
+ *    breaker trip, deadline blown, or latency beyond a configurable
+ *    threshold - the service asks the recorder to *spool* that trace
+ *    id: every ring event carrying the id is gathered across threads
+ *    and written to a bounded on-disk directory as a standalone Chrome
+ *    trace-event JSON file. The directory is a size-capped FIFO -
+ *    oldest spool files are deleted first and the total never exceeds
+ *    the configured byte cap - so a misbehaving fleet cannot fill a
+ *    disk.
+ *  - Crash capture. A fatal-signal handler dumps the raw rings.
+ *
+ * One exporter, toChromeJson(), writes all three.
  *
  * Concurrency: each ring is written only by its owning thread (relaxed
  * stores into atomic slot fields, release store of the head counter);
@@ -29,11 +35,8 @@
  * head and discards any slot the writer may have lapped during the
  * copy. Torn events are therefore discarded, never reported, and the
  * scheme is clean under ThreadSanitizer without any lock on the record
- * path.
- *
- * Compiling with -DMDES_FLIGHTREC_ENABLED=0 removes the record hook
- * from ScopedSpan entirely; at runtime setEnabled(false) reduces it to
- * one relaxed load.
+ * path. setEnabled(false) reduces an untraced span to two relaxed
+ * loads.
  */
 
 #include <atomic>
@@ -43,14 +46,14 @@
 
 namespace mdes::flightrec {
 
-#ifndef MDES_FLIGHTREC_ENABLED
-#define MDES_FLIGHTREC_ENABLED 1
-#endif
-
 /** Slots per thread ring (power of two; ~128KiB per thread). */
 inline constexpr size_t kRingSlots = 4096;
 
-/** Global runtime switch. On by default. */
+/** Counters and labels one traced span can carry; more are ignored. */
+inline constexpr size_t kMaxArgs = 8;
+
+/** Global runtime switch for untraced spans. On by default; a running
+ * trace records whatever it says. */
 extern std::atomic<bool> g_flightrec_enabled;
 
 /** True when ring recording is active (relaxed load; hot-path safe). */
@@ -73,12 +76,29 @@ void setEnabled(bool on);
  */
 uint64_t nowTicks();
 
-/** Append one event to the calling thread's ring (wait-free).
- * Timestamps are nowTicks() values; eventsForTrace() converts. */
-void record(const char *name, uint64_t trace_id, uint64_t ts_ticks,
-            uint64_t dur_ticks);
+/** One span arg: a counter, or a label. Label text must outlive the
+ * ring (ScopedSpan interns it). Trivial, so an unused arg array costs
+ * nothing to construct. */
+struct Arg
+{
+    const char *key;
+    /** The counter's value (0 for a label). */
+    uint64_t value;
+    /** The label's text, or nullptr for a counter. */
+    const char *text;
+};
 
-/** One event copied out of a ring. */
+/**
+ * Append one span to the calling thread's ring (wait-free). A span
+ * that started while a trace ran is @p traced: its @p nargs args go
+ * first, one record each, and trace::spans() returns it. Timestamps
+ * are nowTicks() values; readers convert.
+ */
+void record(const char *name, uint64_t trace_id, uint64_t ts_ticks,
+            uint64_t dur_ticks, bool traced = false,
+            const Arg *args = nullptr, size_t nargs = 0);
+
+/** One span copied out of a ring, on trace::nowUs()'s axis. */
 struct Event
 {
     const char *name = "";
@@ -86,11 +106,11 @@ struct Event
     uint64_t ts_us = 0;
     uint64_t dur_us = 0;
     uint32_t tid = 0;
+    std::vector<Arg> args;
 };
 
 /** Every ring event stamped with @p trace_id, across all threads,
- * ordered by timestamp and converted from ticks to microseconds on
- * trace::nowUs()'s axis. Best-effort: events the writers lapped during
+ * ordered by timestamp. Best-effort: events the writers lapped during
  * the copy are omitted, and events stamped before the recorder's
  * first use clamp to the calibration origin. */
 std::vector<Event> eventsForTrace(uint64_t trace_id);
@@ -98,9 +118,25 @@ std::vector<Event> eventsForTrace(uint64_t trace_id);
 /** Total events ever pushed across all rings (monotone; for tests). */
 uint64_t recordedCount();
 
-/** Render events as a standalone Chrome trace-event JSON document. */
+// ---- Trace keeping (trace::setEnabled and trace::spans) -----------
+//
+// A thread that records a traced span copies each lap of its ring
+// aside before overwriting it, until every traced record is kept.
+
+/** Drop the kept records of every ring; keep each from its head on. */
+void startKeeping();
+
+/** Every traced span kept or still in a ring since startKeeping(),
+ * ordered by timestamp. Adds the spans the per-thread cap lost to
+ * @p dropped when given. */
+std::vector<Event> keptSpans(uint64_t *dropped);
+
+/** Render events as a standalone Chrome trace-event JSON document
+ * ("ph":"X" complete events with their args; ts/dur in microseconds).
+ * @p dropped reports spans the capture lost. */
 std::string toChromeJson(const std::vector<Event> &events,
-                         uint64_t trace_id, const char *reason);
+                         uint64_t trace_id, const char *reason,
+                         uint64_t dropped = 0);
 
 /** Disk spool configuration. Unarmed by default: the library never
  * writes to disk unless a tool arms a directory. */
@@ -189,8 +225,9 @@ bool crashCaptureArmed();
 
 /**
  * Decode a .mdcr capture into a standalone Chrome trace-event JSON
- * document (the spool-file shape). Fills @p info when non-null.
- * Throws MdesError on unreadable or malformed input.
+ * document (the spool-file shape). Counters survive; labels are
+ * dropped, since their text lived in the dead process. Fills @p info
+ * when non-null. Throws MdesError on unreadable or malformed input.
  */
 std::string decodeCrashCapture(const std::string &path,
                                CrashInfo *info = nullptr);

@@ -1,9 +1,9 @@
 #include "support/trace.h"
 
 #include <chrono>
-
-#include "support/flightrec.h"
-#include "support/json.h"
+#include <mutex>
+#include <string>
+#include <unordered_set>
 
 namespace mdes::trace {
 
@@ -25,6 +25,17 @@ std::atomic<uint32_t> g_next_thread_id{1};
 
 thread_local uint64_t t_trace_id = 0;
 
+/** A stable copy of @p text: ring events outlive the span that wrote
+ * them, so labels live as long as the process. */
+const char *
+intern(std::string_view text)
+{
+    static std::mutex mu;
+    static std::unordered_set<std::string> strings;
+    std::lock_guard<std::mutex> lock(mu);
+    return strings.emplace(text).first->c_str();
+}
+
 } // namespace
 
 void
@@ -33,7 +44,15 @@ setEnabled(bool on)
     // Pin the clock origin before the first span so timestamps are
     // small positive offsets.
     origin();
+    if (on)
+        flightrec::startKeeping();
     g_trace_enabled.store(on, std::memory_order_relaxed);
+}
+
+std::vector<flightrec::Event>
+spans(uint64_t *dropped)
+{
+    return flightrec::keptSpans(dropped);
 }
 
 uint64_t
@@ -68,171 +87,26 @@ IdScope::~IdScope()
     t_trace_id = prev_;
 }
 
-Collector &
-Collector::instance()
-{
-    static Collector collector;
-    return collector;
-}
-
-Collector::ThreadBuffer &
-Collector::localBuffer()
-{
-    // One buffer per (thread, process lifetime): registered under the
-    // collector lock once, then reached lock-free through the cached
-    // pointer. Buffers are never removed, so a snapshot from another
-    // thread can never race a thread exiting.
-    thread_local ThreadBuffer *buffer = [this] {
-        auto owned = std::make_unique<ThreadBuffer>();
-        ThreadBuffer *raw = owned.get();
-        std::lock_guard<std::mutex> lock(mu_);
-        buffers_.push_back(std::move(owned));
-        return raw;
-    }();
-    return *buffer;
-}
-
-void
-Collector::record(Span &&span)
-{
-    ThreadBuffer &buffer = localBuffer();
-    std::lock_guard<std::mutex> lock(buffer.mu);
-    if (buffer.spans.size() >=
-        thread_capacity_.load(std::memory_order_relaxed)) {
-        ++buffer.dropped;
-        return;
-    }
-    buffer.spans.push_back(std::move(span));
-}
-
-std::vector<Span>
-Collector::snapshot() const
-{
-    std::vector<Span> all;
-    std::lock_guard<std::mutex> lock(mu_);
-    for (const auto &buffer : buffers_) {
-        std::lock_guard<std::mutex> buffer_lock(buffer->mu);
-        all.insert(all.end(), buffer->spans.begin(),
-                   buffer->spans.end());
-    }
-    return all;
-}
-
-size_t
-Collector::spanCount() const
-{
-    size_t n = 0;
-    std::lock_guard<std::mutex> lock(mu_);
-    for (const auto &buffer : buffers_) {
-        std::lock_guard<std::mutex> buffer_lock(buffer->mu);
-        n += buffer->spans.size();
-    }
-    return n;
-}
-
-uint64_t
-Collector::droppedCount() const
-{
-    uint64_t n = 0;
-    std::lock_guard<std::mutex> lock(mu_);
-    for (const auto &buffer : buffers_) {
-        std::lock_guard<std::mutex> buffer_lock(buffer->mu);
-        n += buffer->dropped;
-    }
-    return n;
-}
-
-void
-Collector::clear()
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    for (const auto &buffer : buffers_) {
-        std::lock_guard<std::mutex> buffer_lock(buffer->mu);
-        buffer->spans.clear();
-        buffer->dropped = 0;
-    }
-}
-
-void
-Collector::setThreadCapacity(size_t spans)
-{
-    thread_capacity_.store(spans, std::memory_order_relaxed);
-}
-
-std::string
-Collector::toChromeJson() const
-{
-    std::vector<Span> spans = snapshot();
-    JsonWriter w;
-    w.beginObject();
-    w.key("displayTimeUnit").value("ms");
-    w.key("otherData").beginObject();
-    w.key("tool").value("mdes::trace");
-    w.key("spans").value(uint64_t(spans.size()));
-    w.key("dropped").value(droppedCount());
-    w.endObject();
-    w.key("traceEvents").beginArray();
-    for (const Span &s : spans) {
-        w.beginObject();
-        w.key("name").value(s.name);
-        w.key("cat").value("mdes");
-        w.key("ph").value("X");
-        w.key("pid").value(uint64_t(1));
-        w.key("tid").value(uint64_t(s.tid));
-        w.key("ts").value(s.ts_us);
-        w.key("dur").value(s.dur_us);
-        w.key("args").beginObject();
-        if (s.trace_id != 0)
-            w.key("trace_id").value(s.trace_id);
-        for (const auto &[key, value] : s.counters)
-            w.key(key).value(value);
-        for (const auto &[key, value] : s.labels)
-            w.key(key).value(value);
-        w.endObject();
-        w.endObject();
-    }
-    w.endArray();
-    w.endObject();
-    return w.str();
-}
-
 ScopedSpan::ScopedSpan(const char *name)
     : name_(name), active_(enabled()),
-#if MDES_FLIGHTREC_ENABLED
-      recorded_(flightrec::enabled())
-#else
-      recorded_(false)
-#endif
+      recorded_(active_ || flightrec::enabled()),
+      start_ticks_(recorded_ ? flightrec::nowTicks() : 0)
 {
-    if (active_)
-        start_us_ = nowUs();
-#if MDES_FLIGHTREC_ENABLED
-    if (recorded_)
-        start_ticks_ = flightrec::nowTicks();
-#endif
 }
 
 ScopedSpan::~ScopedSpan()
 {
-    if (!active_ && !recorded_)
-        return;
-#if MDES_FLIGHTREC_ENABLED
     if (recorded_)
         flightrec::record(name_, t_trace_id, start_ticks_,
-                          flightrec::nowTicks() - start_ticks_);
-#endif
-    if (!active_)
-        return;
-    const uint64_t end_us = nowUs();
-    Span span;
-    span.name = name_;
-    span.trace_id = t_trace_id;
-    span.ts_us = start_us_;
-    span.dur_us = end_us - start_us_;
-    span.tid = threadId();
-    span.counters = std::move(counters_);
-    span.labels = std::move(labels_);
-    Collector::instance().record(std::move(span));
+                          flightrec::nowTicks() - start_ticks_, active_,
+                          args_, nargs_);
+}
+
+void
+ScopedSpan::label(const char *key, std::string_view text)
+{
+    if (active_ && nargs_ < flightrec::kMaxArgs)
+        args_[nargs_++] = {key, 0, intern(text)};
 }
 
 } // namespace mdes::trace

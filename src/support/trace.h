@@ -11,50 +11,55 @@
  * those quantities observable *per request* instead of per offline
  * benchmark run:
  *
- *  - Spans: RAII-timed regions (TRACE_SPAN) with monotonic microsecond
- *    timestamps and attached counters, recorded into per-thread buffers
- *    (each buffer has its own mutex, taken only by its owning thread
- *    while recording and by the exporter during a snapshot - never
- *    contended on the hot path).
+ *  - Spans: RAII-timed regions (TRACE_SPAN) recorded into the calling
+ *    thread's flight-recorder ring (support/flightrec.h), the only span
+ *    sink. While a trace runs they also carry counters and labels.
  *  - Trace ids: a thread-local current id (IdScope) stamps every span
  *    recorded while a request is being processed, so one slow request is
  *    attributable across cache, store, compile, and scheduler tiers.
- *  - Export: the Chrome trace-event JSON format ("ph":"X" complete
- *    events), loadable in chrome://tracing or Perfetto.
+ *  - Traces: setEnabled(true) starts one, spans() returns it, and
+ *    flightrec::toChromeJson() exports it in the Chrome trace-event JSON
+ *    format ("ph":"X" complete events), loadable in chrome://tracing or
+ *    Perfetto.
  *
- * Overhead budget (asserted by bench_trace_overhead): with tracing
- * compiled in but disabled, a span costs one relaxed atomic load and a
- * branch; the schedulers' probe hooks test a plain flag or null pointer.
- * The scheduler hot loop must stay within 1% of its untraced cost.
- * Compiling with -DMDES_TRACE_ENABLED=0 removes the macros entirely.
+ * Overhead budget (asserted by bench_trace_overhead): with no trace
+ * running, a span costs two relaxed atomic loads, two TSC reads and one
+ * ring slot; the schedulers' probe hooks test a plain flag. The
+ * scheduler hot loop must stay within 1% of its cost before any trace
+ * ran, and within 1% of its cost with the recorder off.
  */
 
 #include <atomic>
 #include <cstdint>
-#include <memory>
-#include <mutex>
-#include <string>
-#include <utility>
+#include <string_view>
 #include <vector>
 
-namespace mdes::trace {
+#include "support/flightrec.h"
 
-#ifndef MDES_TRACE_ENABLED
-#define MDES_TRACE_ENABLED 1
-#endif
+namespace mdes::trace {
 
 /** Global runtime switch. Off by default; flipped by setEnabled(). */
 extern std::atomic<bool> g_trace_enabled;
 
-/** True when span collection is active (relaxed load; hot-path safe). */
+/** True while a trace runs (relaxed load; hot-path safe). */
 inline bool
 enabled()
 {
     return g_trace_enabled.load(std::memory_order_relaxed);
 }
 
-/** Turn span collection on or off process-wide. */
+/** Start (true) or stop (false) a trace. Starting drops the previous
+ * trace. While one runs, spans carry their counters and labels and the
+ * schedulers' probe hooks fill. */
 void setEnabled(bool on);
+
+/**
+ * Every span that started while the last trace ran (up to now, while
+ * it still runs), across all threads, ordered by start. Spans still
+ * open are not included. Adds the spans lost to the per-thread cap to
+ * @p dropped when given.
+ */
+std::vector<flightrec::Event> spans(uint64_t *dropped = nullptr);
 
 /** Monotonic microseconds since the process's first trace query. */
 uint64_t nowUs();
@@ -82,76 +87,10 @@ class IdScope
     uint64_t prev_;
 };
 
-/** One completed timed region. */
-struct Span
-{
-    /** Static string (all call sites pass literals). */
-    const char *name = "";
-    uint64_t trace_id = 0;
-    uint64_t ts_us = 0;
-    uint64_t dur_us = 0;
-    uint32_t tid = 0;
-    /** Numeric args ("effect deltas": options removed, conflicts, ...). */
-    std::vector<std::pair<const char *, uint64_t>> counters;
-    /** String args (machine name, scheduler kind, ...). */
-    std::vector<std::pair<const char *, std::string>> labels;
-};
-
 /**
- * The process-wide span sink. Threads register a buffer on first record;
- * buffers outlive their threads so a snapshot never races a detach.
- */
-class Collector
-{
-  public:
-    static Collector &instance();
-
-    /** Append one finished span to the calling thread's buffer. */
-    void record(Span &&span);
-
-    /** Copy of every buffered span, in per-thread recording order. */
-    std::vector<Span> snapshot() const;
-
-    /** Spans currently buffered across all threads. */
-    size_t spanCount() const;
-
-    /** Spans discarded because a thread buffer hit its cap. */
-    uint64_t droppedCount() const;
-
-    /** Drop all buffered spans (counters and registrations survive). */
-    void clear();
-
-    /**
-     * Render every buffered span as a Chrome trace-event JSON document
-     * ({"traceEvents":[...]}, "ph":"X" complete events, ts/dur in
-     * microseconds). Load the result in chrome://tracing or Perfetto.
-     */
-    std::string toChromeJson() const;
-
-    /** Per-thread span cap (drop-newest beyond it; default 1<<20). */
-    void setThreadCapacity(size_t spans);
-
-  private:
-    Collector() = default;
-
-    struct ThreadBuffer
-    {
-        mutable std::mutex mu;
-        std::vector<Span> spans;
-        uint64_t dropped = 0;
-    };
-
-    ThreadBuffer &localBuffer();
-
-    mutable std::mutex mu_;
-    std::vector<std::unique_ptr<ThreadBuffer>> buffers_;
-    std::atomic<size_t> thread_capacity_{size_t(1) << 20};
-};
-
-/**
- * RAII span: times its scope and records into the Collector on
- * destruction. Inert (a single relaxed load in the constructor) while
- * tracing is disabled.
+ * RAII span: stamps nowTicks() at entry and pushes one ring event at
+ * exit, after one record per arg. Inert while neither a trace nor the
+ * recorder is on.
  */
 class ScopedSpan
 {
@@ -162,53 +101,36 @@ class ScopedSpan
     ScopedSpan(const ScopedSpan &) = delete;
     ScopedSpan &operator=(const ScopedSpan &) = delete;
 
-    /** True when this span is live (tracing was enabled at entry). */
+    /** True when this span is traced (a trace ran at entry). */
     bool active() const { return active_; }
 
     /** Attach a numeric arg (shown under "args" in the trace viewer). */
     void
     counter(const char *key, uint64_t value)
     {
-        if (active_)
-            counters_.emplace_back(key, value);
+        if (active_ && nargs_ < flightrec::kMaxArgs)
+            args_[nargs_++] = {key, value, nullptr};
     }
 
     /** Attach a string arg. */
-    void
-    label(const char *key, std::string value)
-    {
-        if (active_)
-            labels_.emplace_back(key, std::move(value));
-    }
+    void label(const char *key, std::string_view text);
 
   private:
     const char *name_;
-    uint64_t start_us_ = 0;
-    /** flightrec::nowTicks() at entry (recorder path only; cheaper
-     * than a clock_gettime pair per span). */
-    uint64_t start_ticks_ = 0;
     bool active_;
-    /** True when the flight recorder ring wants this span too (set
-     * independently of active_, so tail capture works with --trace
-     * off). */
+    /** True when the ring takes this span: traced, or the recorder is
+     * on (tail capture works with tracing off). */
     bool recorded_;
-    std::vector<std::pair<const char *, uint64_t>> counters_;
-    std::vector<std::pair<const char *, std::string>> labels_;
-};
-
-/** Drop-in stand-in when tracing is compiled out. */
-struct NullSpan
-{
-    explicit NullSpan(const char *) {}
-    static constexpr bool active() { return false; }
-    void counter(const char *, uint64_t) {}
-    void label(const char *, std::string) {}
+    uint8_t nargs_ = 0;
+    uint64_t start_ticks_;
+    /** Only the first nargs_ are set; the rest stays uninitialised, so
+     * an untraced span never touches it. */
+    flightrec::Arg args_[flightrec::kMaxArgs];
 };
 
 #define MDES_TRACE_CAT2(a, b) a##b
 #define MDES_TRACE_CAT(a, b) MDES_TRACE_CAT2(a, b)
 
-#if MDES_TRACE_ENABLED
 /** Time the enclosing scope as an anonymous span. */
 #define TRACE_SPAN(name_literal)                                          \
     ::mdes::trace::ScopedSpan MDES_TRACE_CAT(mdes_trace_span_,            \
@@ -216,10 +138,6 @@ struct NullSpan
 /** Time the enclosing scope as span @p var (counters can be attached). */
 #define TRACE_SPAN_F(var, name_literal)                                   \
     ::mdes::trace::ScopedSpan var(name_literal)
-#else
-#define TRACE_SPAN(name_literal) ((void)0)
-#define TRACE_SPAN_F(var, name_literal) ::mdes::trace::NullSpan var(name_literal)
-#endif
 
 } // namespace mdes::trace
 

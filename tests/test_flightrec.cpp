@@ -1,9 +1,11 @@
 /**
  * @file
  * Flight recorder tests: the always-on ring captures spans with full
- * tracing off, tail-based spooling writes a parseable Chrome trace for
- * a request that ended badly, and the spool directory is a size-capped
- * FIFO that never exceeds its byte budget.
+ * tracing off, gathered children never end after their parent,
+ * tail-based spooling writes a parseable Chrome trace for a request
+ * that ended badly, the spool directory is a size-capped FIFO that
+ * never exceeds its byte budget, and a crash capture decodes with its
+ * counters kept and its labels dropped.
  */
 
 #include <signal.h>
@@ -111,6 +113,40 @@ TEST(FlightRecorder, EventsComeBackInTimestampOrder)
     EXPECT_STREQ(events[2].name, "late");
 }
 
+TEST(FlightRecorder, ChildrenNeverEndAfterTheirParent)
+{
+    // Each child starts inside its parent and ends on the parent's end
+    // tick. Converting start and duration to microseconds separately
+    // truncates twice and can end the child 1 us late; converting the
+    // end tick cannot.
+    const uint64_t id = kIdBase + 7;
+    const uint64_t base = flightrec::nowTicks();
+    constexpr uint64_t kPairs = 2000;
+    for (uint64_t i = 0; i < kPairs; ++i) {
+        const uint64_t ts = base + i * 10'000'019;
+        const uint64_t dur = 1'000'003 + (i * 7'919) % 5'000'000;
+        const uint64_t lag = 1 + (i * 104'729) % (dur - 1);
+        flightrec::record("parent", id, ts, dur);
+        flightrec::record("child", id, ts + lag, dur - lag);
+    }
+    std::vector<flightrec::Event> events = flightrec::eventsForTrace(id);
+    ASSERT_EQ(events.size(), 2 * kPairs);
+    size_t late = 0;
+    for (size_t i = 0; i < events.size(); i += 2) {
+        const flightrec::Event &a = events[i];
+        const flightrec::Event &b = events[i + 1];
+        const bool a_parent = std::string(a.name) == "parent";
+        const flightrec::Event &parent = a_parent ? a : b;
+        const flightrec::Event &child = a_parent ? b : a;
+        ASSERT_STREQ(parent.name, "parent");
+        ASSERT_STREQ(child.name, "child");
+        EXPECT_GE(child.ts_us, parent.ts_us);
+        if (child.ts_us + child.dur_us > parent.ts_us + parent.dur_us)
+            ++late;
+    }
+    EXPECT_EQ(late, 0u) << "children ending after their parent";
+}
+
 TEST(FlightRecorder, RingWindowExcludesTheSlotUnderOverwrite)
 {
     // push() stores slot fields before publishing the new head, so a
@@ -175,6 +211,7 @@ TEST(FlightRecorder, ChromeJsonIsParseableAndSelfDescribing)
     ASSERT_NE(other, nullptr);
     EXPECT_EQ(other->find("reason")->string, "deadline-exceeded");
     EXPECT_EQ(jsonU64(*other->find("trace_id")), id);
+    EXPECT_EQ(jsonU64(*other->find("dropped")), 0u);
 }
 
 TEST(FlightRecorder, DeadlineExceededRequestSpoolsItsTrace)
@@ -329,6 +366,51 @@ TEST(CrashCapture, SegfaultLeavesADecodableCapture)
     // last spans.
     EXPECT_NO_THROW(parseJson(json));
     EXPECT_NE(json.find("crash-test-span"), std::string::npos);
+    fs::remove_all(dir);
+}
+
+TEST(CrashCapture, TracedCrashKeepsCountersAndDropsLabels)
+{
+    const std::string dir = freshDir("crash_traced");
+    pid_t pid = fork();
+    ASSERT_GE(pid, 0);
+    if (pid == 0) {
+        // Child: crash while a trace runs, right after a traced span
+        // with one counter and one label.
+        if (!flightrec::armCrashCapture(dir))
+            _exit(3);
+        trace::setEnabled(true);
+        {
+            TRACE_SPAN_F(span, "crash-traced-span");
+            span.counter("widgets", 7);
+            span.label("machine", "TestMachine");
+        }
+        raise(SIGSEGV);
+        _exit(4);
+    }
+    int status = 0;
+    ASSERT_EQ(waitpid(pid, &status, 0), pid);
+    ASSERT_TRUE(WIFSIGNALED(status)) << "status " << status;
+
+    std::string path;
+    for (const auto &entry : fs::directory_iterator(dir))
+        if (entry.path().extension() == ".mdcr")
+            path = entry.path().string();
+    ASSERT_FALSE(path.empty()) << "no .mdcr capture in " << dir;
+
+    // The label's text lived in the dead process: the decoder keeps
+    // the counter and drops the label.
+    JsonValue v = parseJson(flightrec::decodeCrashCapture(path));
+    const JsonValue *span = nullptr;
+    for (const JsonValue &e : v.find("traceEvents")->array)
+        if (e.find("name")->string == "crash-traced-span")
+            span = &e;
+    ASSERT_NE(span, nullptr) << "capture lacks the traced span";
+    const JsonValue *args = span->find("args");
+    ASSERT_NE(args, nullptr);
+    ASSERT_NE(args->find("widgets"), nullptr);
+    EXPECT_EQ(jsonU64(*args->find("widgets")), 7u);
+    EXPECT_EQ(args->find("machine"), nullptr);
     fs::remove_all(dir);
 }
 

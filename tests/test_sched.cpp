@@ -13,6 +13,7 @@
 #include <algorithm>
 #include <array>
 #include <numeric>
+#include <optional>
 #include <ostream>
 
 #include <gtest/gtest.h>
@@ -289,10 +290,70 @@ operator<<(std::ostream &os, const Attempt &a)
 }
 
 /**
+ * The block's dependence edges, derived pair by pair from the
+ * definitions and sharing no code with DepGraph. For each earlier
+ * operation p and later operation c:
+ *  - RAW: c reads a register whose last writer before c is p, at
+ *    flowLatency(p, c); relaxable when c is cascadable and that is 1;
+ *  - WAW: c writes a register whose last writer before c is p, at 1;
+ *  - WAR: c writes a register p reads with no write to it from p up to
+ *    c, at 0;
+ *  - control: c is the block's terminating branch, at 0.
+ * The strongest of these is the edge (relaxable only if every
+ * strongest one is); an operation never depends on itself.
+ */
+std::vector<sched::DepEdge>
+referenceEdges(const Block &block, const LowMdes &low)
+{
+    const auto &ins = block.instrs;
+    auto has = [](const std::vector<int32_t> &regs, int32_t r) {
+        return std::find(regs.begin(), regs.end(), r) != regs.end();
+    };
+    // Whether an operation in [from, to) writes r.
+    auto written = [&](size_t from, size_t to, int32_t r) {
+        for (size_t i = from; i < to; ++i) {
+            if (has(ins[i].dsts, r))
+                return true;
+        }
+        return false;
+    };
+    std::vector<sched::DepEdge> edges;
+    for (uint32_t c = 0; c < ins.size(); ++c) {
+        for (uint32_t p = 0; p < c; ++p) {
+            std::optional<sched::DepEdge> edge;
+            auto add = [&](int32_t dist, bool relax) {
+                if (!edge || dist > edge->min_dist)
+                    edge = sched::DepEdge{p, c, dist, relax};
+                else if (dist == edge->min_dist)
+                    edge->cascade_relax = edge->cascade_relax && relax;
+            };
+            for (int32_t r : ins[c].srcs) {
+                if (has(ins[p].dsts, r) && !written(p + 1, c, r)) {
+                    const int32_t lat =
+                        low.flowLatency(ins[p].op_class, ins[c].op_class);
+                    add(lat, ins[c].cascadable && lat == 1);
+                }
+            }
+            for (int32_t r : ins[c].dsts) {
+                if (has(ins[p].dsts, r) && !written(p + 1, c, r))
+                    add(1, false);
+                if (has(ins[p].srcs, r) && !written(p, c, r))
+                    add(0, false);
+            }
+            if (c + 1 == ins.size() && ins[c].is_branch)
+                add(0, false);
+            if (edge)
+                edges.push_back(*edge);
+        }
+    }
+    return edges;
+}
+
+/**
  * Naive reference list scheduler, written from the definition rather
  * than from ListLoop. Walk time t runs 0, 1, 2, ...; forward it is cycle
  * t, backward cycle -t. Every time step it scans all unplaced operations
- * in (priority desc, index asc) order and, from the block's edge list
+ * in (priority desc, index asc) order and, from referenceEdges()
  * alone, decides readiness (every operation the walk must place first
  * is placed) and the earliest legal time. Forward, the priority is the
  * critical-path height and a cascadable operation with a cascade table
@@ -310,8 +371,7 @@ referenceSchedule(const Block &block, const LowMdes &low,
     BlockSchedule s;
     if (n == 0)
         return s;
-    const std::vector<sched::DepEdge> edges =
-        DepGraph::build(block, low).edges();
+    const std::vector<sched::DepEdge> edges = referenceEdges(block, low);
     // The end of an edge the walk places first, and the other end.
     auto first = [&](const sched::DepEdge &e) {
         return forward ? e.pred : e.succ;

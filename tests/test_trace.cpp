@@ -1,10 +1,11 @@
 /**
  * @file
- * mdes::trace tests: the disabled path records nothing, enabled spans
- * carry ids/counters/labels, the collector survives concurrent
- * recording and snapshotting, the Chrome export is well-formed JSON,
- * and the scheduler probe hooks populate attempts-per-op and the
- * conflict heat table only while tracing is on.
+ * mdes::trace tests: spans recorded with no trace running stay out of
+ * the next trace, traced spans carry ids/counters/labels, a trace
+ * survives concurrent recording and reading and keeps every span of a
+ * run that laps the rings several times, the Chrome export is
+ * well-formed JSON, and the scheduler probe hooks populate
+ * attempts-per-op and the conflict heat table only while tracing is on.
  */
 
 #include <set>
@@ -16,6 +17,7 @@
 #include "exp/runner.h"
 #include "machines/machines.h"
 #include "service/service.h"
+#include "support/flightrec.h"
 #include "support/json.h"
 #include "support/trace.h"
 
@@ -34,9 +36,9 @@ machineNamed(const std::string &name)
 }
 
 /**
- * The collector is process-global and other tests in this binary use
- * it too: every test starts from a clean, disabled state and restores
- * it on the way out.
+ * Traces are process-global and other tests in this binary use them
+ * too: every test starts from an empty, finished trace and stops any
+ * trace on the way out.
  */
 class TraceTest : public ::testing::Test
 {
@@ -44,18 +46,27 @@ class TraceTest : public ::testing::Test
     void
     SetUp() override
     {
+        trace::setEnabled(true);
         trace::setEnabled(false);
-        trace::Collector::instance().clear();
     }
 
     void
     TearDown() override
     {
         trace::setEnabled(false);
-        trace::Collector::instance().clear();
-        trace::Collector::instance().setThreadCapacity(size_t(1) << 20);
     }
 };
+
+const flightrec::Event *
+spanNamed(const std::vector<flightrec::Event> &spans, const char *name)
+{
+    for (const flightrec::Event &s : spans) {
+        if (std::string(s.name) == name)
+            return &s;
+    }
+    ADD_FAILURE() << "no span named " << name;
+    return nullptr;
+}
 
 TEST_F(TraceTest, DisabledSpansRecordNothing)
 {
@@ -68,7 +79,7 @@ TEST_F(TraceTest, DisabledSpansRecordNothing)
         span.counter("ignored", 1);
         span.label("ignored", "x");
     }
-    EXPECT_EQ(trace::Collector::instance().spanCount(), 0u);
+    EXPECT_TRUE(trace::spans().empty());
 }
 
 TEST_F(TraceTest, SpanCarriesIdCountersAndLabels)
@@ -83,19 +94,18 @@ TEST_F(TraceTest, SpanCarriesIdCountersAndLabels)
     }
     trace::setEnabled(false);
 
-    std::vector<trace::Span> spans =
-        trace::Collector::instance().snapshot();
+    std::vector<flightrec::Event> spans = trace::spans();
     ASSERT_EQ(spans.size(), 1u);
-    const trace::Span &s = spans[0];
+    const flightrec::Event &s = spans[0];
     EXPECT_STREQ(s.name, "test/work");
     EXPECT_EQ(s.trace_id, 42u);
     EXPECT_EQ(s.tid, trace::threadId());
-    ASSERT_EQ(s.counters.size(), 1u);
-    EXPECT_STREQ(s.counters[0].first, "widgets");
-    EXPECT_EQ(s.counters[0].second, 7u);
-    ASSERT_EQ(s.labels.size(), 1u);
-    EXPECT_STREQ(s.labels[0].first, "machine");
-    EXPECT_EQ(s.labels[0].second, "TestMachine");
+    ASSERT_EQ(s.args.size(), 2u);
+    EXPECT_STREQ(s.args[0].key, "widgets");
+    EXPECT_EQ(s.args[0].value, 7u);
+    EXPECT_EQ(s.args[0].text, nullptr);
+    EXPECT_STREQ(s.args[1].key, "machine");
+    EXPECT_STREQ(s.args[1].text, "TestMachine");
     EXPECT_LE(s.ts_us + s.dur_us, trace::nowUs());
 }
 
@@ -108,16 +118,13 @@ TEST_F(TraceTest, NestedSpansTimestampsAreConsistent)
     }
     trace::setEnabled(false);
 
-    std::vector<trace::Span> spans =
-        trace::Collector::instance().snapshot();
+    std::vector<flightrec::Event> spans = trace::spans();
     ASSERT_EQ(spans.size(), 2u);
-    // Spans record at destruction: the inner one lands first.
-    const trace::Span &inner = spans[0];
-    const trace::Span &outer = spans[1];
-    EXPECT_STREQ(inner.name, "test/inner");
-    EXPECT_STREQ(outer.name, "test/outer");
-    EXPECT_GE(inner.ts_us, outer.ts_us);
-    EXPECT_LE(inner.ts_us + inner.dur_us, outer.ts_us + outer.dur_us);
+    const flightrec::Event *inner = spanNamed(spans, "test/inner");
+    const flightrec::Event *outer = spanNamed(spans, "test/outer");
+    ASSERT_TRUE(inner && outer);
+    EXPECT_GE(inner->ts_us, outer->ts_us);
+    EXPECT_LE(inner->ts_us + inner->dur_us, outer->ts_us + outer->dur_us);
 }
 
 TEST_F(TraceTest, IdScopeRestoresPreviousId)
@@ -137,8 +144,10 @@ TEST_F(TraceTest, IdScopeRestoresPreviousId)
 
 TEST_F(TraceTest, ConcurrentRecordingAndSnapshots)
 {
+    // Two ring records per span: each thread laps its ring twice
+    // while the reads below race its lap keeping.
     constexpr int kThreads = 8;
-    constexpr int kSpansPerThread = 250;
+    constexpr int kSpansPerThread = int(flightrec::kRingSlots);
 
     trace::setEnabled(true);
     std::vector<std::thread> threads;
@@ -146,44 +155,62 @@ TEST_F(TraceTest, ConcurrentRecordingAndSnapshots)
         threads.emplace_back([t] {
             trace::IdScope id(uint64_t(t) + 1);
             for (int i = 0; i < kSpansPerThread; ++i) {
-                TRACE_SPAN("test/mt");
+                TRACE_SPAN_F(span, "test/mt");
+                span.counter("i", uint64_t(i));
             }
         });
     }
-    // Snapshots race the recorders by design; they must stay safe.
+    // Reads race the recorders by design; they must stay safe.
     for (int i = 0; i < 10; ++i)
-        (void)trace::Collector::instance().snapshot();
+        (void)trace::spans();
     for (auto &th : threads)
         th.join();
     trace::setEnabled(false);
 
-    std::vector<trace::Span> spans =
-        trace::Collector::instance().snapshot();
+    std::vector<flightrec::Event> spans = trace::spans();
     ASSERT_EQ(spans.size(), size_t(kThreads) * kSpansPerThread);
     std::set<uint64_t> ids;
     std::set<uint32_t> tids;
-    for (const trace::Span &s : spans) {
+    for (const flightrec::Event &s : spans) {
         EXPECT_STREQ(s.name, "test/mt");
+        EXPECT_EQ(s.args.size(), 1u);
         ids.insert(s.trace_id);
         tids.insert(s.tid);
     }
-    // Each recording thread kept its own id and buffer.
+    // Each recording thread kept its own id and ring.
     EXPECT_EQ(ids.size(), size_t(kThreads));
     EXPECT_EQ(tids.size(), size_t(kThreads));
 }
 
-TEST_F(TraceTest, ThreadCapacityDropsOverflow)
+TEST_F(TraceTest, TraceSeveralLapsLongKeepsEverySpanAndItsArgs)
 {
-    trace::Collector &collector = trace::Collector::instance();
-    const uint64_t dropped_before = collector.droppedCount();
-    collector.setThreadCapacity(4);
+    // Three ring records per span (two args and the span itself), so
+    // this trace laps the ring more than five times.
+    const size_t kSpans = 2 * flightrec::kRingSlots;
     trace::setEnabled(true);
-    for (int i = 0; i < 10; ++i) {
-        TRACE_SPAN("test/cap");
+    for (size_t i = 0; i < kSpans; ++i) {
+        TRACE_SPAN_F(span, "test/lap");
+        span.counter("i", i);
+        span.label("parity", i % 2 ? "odd" : "even");
     }
     trace::setEnabled(false);
-    EXPECT_EQ(collector.spanCount(), 4u);
-    EXPECT_EQ(collector.droppedCount() - dropped_before, 6u);
+
+    uint64_t dropped = 0;
+    std::vector<flightrec::Event> spans = trace::spans(&dropped);
+    EXPECT_EQ(dropped, 0u);
+    ASSERT_EQ(spans.size(), kSpans);
+    std::vector<bool> seen(kSpans, false);
+    for (const flightrec::Event &s : spans) {
+        EXPECT_STREQ(s.name, "test/lap");
+        ASSERT_EQ(s.args.size(), 2u);
+        EXPECT_STREQ(s.args[0].key, "i");
+        const uint64_t i = s.args[0].value;
+        ASSERT_LT(i, kSpans);
+        EXPECT_FALSE(seen[i]) << "span " << i << " twice";
+        seen[i] = true;
+        EXPECT_STREQ(s.args[1].key, "parity");
+        EXPECT_STREQ(s.args[1].text, i % 2 ? "odd" : "even");
+    }
 }
 
 TEST_F(TraceTest, ChromeExportIsWellFormedJson)
@@ -198,8 +225,9 @@ TEST_F(TraceTest, ChromeExportIsWellFormedJson)
     trace::setEnabled(false);
 
     JsonValue doc =
-        parseJson(trace::Collector::instance().toChromeJson());
+        parseJson(flightrec::toChromeJson(trace::spans(), 0, "trace"));
     ASSERT_EQ(doc.kind, JsonValue::Kind::Object);
+    EXPECT_EQ(doc.find("otherData")->find("dropped")->number, 0.0);
     const JsonValue *events = doc.find("traceEvents");
     ASSERT_NE(events, nullptr);
     ASSERT_EQ(events->kind, JsonValue::Kind::Array);
@@ -281,11 +309,10 @@ TEST_F(TraceTest, ServiceRequestProducesEndToEndSpans)
     }
     trace::setEnabled(false);
 
-    std::vector<trace::Span> spans =
-        trace::Collector::instance().snapshot();
+    std::vector<flightrec::Event> spans = trace::spans();
     std::set<std::string> names;
     uint64_t request_id = 0;
-    for (const trace::Span &s : spans) {
+    for (const flightrec::Event &s : spans) {
         names.insert(s.name);
         if (std::string(s.name) == "request")
             request_id = s.trace_id;
@@ -299,7 +326,7 @@ TEST_F(TraceTest, ServiceRequestProducesEndToEndSpans)
     // The request span carries the job's trace id, and every span the
     // worker recorded while processing it is stamped with the same id.
     EXPECT_NE(request_id, 0u);
-    for (const trace::Span &s : spans) {
+    for (const flightrec::Event &s : spans) {
         if (std::string(s.name) == "compile/hmdes" ||
             std::string(s.name) == "sched/block") {
             EXPECT_EQ(s.trace_id, request_id) << s.name;

@@ -162,8 +162,8 @@ looksLikeLmdes(const std::string &data)
 }
 
 /**
- * --trace support: enables span collection for the command's lifetime
- * and writes the Chrome trace-event JSON on scope exit, so every return
+ * --trace support: runs a trace for the command's lifetime and writes
+ * its spans as Chrome trace-event JSON on scope exit, so every return
  * path (including the store-hit early exit) produces a trace file.
  */
 class TraceFile
@@ -186,10 +186,11 @@ class TraceFile
                          path_.c_str());
             return;
         }
-        out << trace::Collector::instance().toChromeJson() << "\n";
+        uint64_t dropped = 0;
+        const std::vector<flightrec::Event> spans = trace::spans(&dropped);
+        out << flightrec::toChromeJson(spans, 0, "trace", dropped) << "\n";
         std::fprintf(stderr, "wrote trace %s (%zu spans)\n",
-                     path_.c_str(),
-                     trace::Collector::instance().spanCount());
+                     path_.c_str(), spans.size());
     }
 
     TraceFile(const TraceFile &) = delete;
