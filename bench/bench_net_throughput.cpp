@@ -95,11 +95,8 @@ main(int argc, char **argv)
 
     std::vector<service::ScheduleRequest> mix = sustainedMix();
     std::vector<std::string> lines;
-    std::vector<uint64_t> routes;
-    for (const service::ScheduleRequest &r : mix) {
+    for (const service::ScheduleRequest &r : mix)
         lines.push_back(service::renderRequestLine(r));
-        routes.push_back(net::routeKey(r));
-    }
 
     // In-process ground truth (and the gate's behavior fingerprint).
     std::vector<uint64_t> want;
@@ -133,7 +130,7 @@ main(int argc, char **argv)
     {
         net::BlockingClient warm("127.0.0.1", server.port());
         for (size_t i = 0; i < lines.size(); ++i)
-            warm.request(lines[i], 0, routes[i]);
+            warm.request(lines[i]);
     }
 
     std::atomic<uint64_t> mismatches{0}, failures{0};
@@ -150,8 +147,7 @@ main(int argc, char **argv)
                 for (unsigned round = 0; round < kRoundsPerClient;
                      ++round) {
                     for (size_t i = 0; i < lines.size(); ++i) {
-                        net::NetResponse r =
-                            client.request(lines[i], 0, routes[i]);
+                        net::NetResponse r = client.request(lines[i]);
                         if (!r.ok())
                             ++failures;
                         else if (r.fingerprint != want[i])

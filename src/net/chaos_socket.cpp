@@ -31,7 +31,6 @@ chaosSocketDriver()
 
         for (const ScheduleRequest &req : mix) {
             std::string line = service::renderRequestLine(req);
-            uint64_t route = routeKey(req);
             Outcome o;
             bool answered = false;
             // One connection per request is the churn; a transport
@@ -41,7 +40,7 @@ chaosSocketDriver()
                 BlockingClient client("127.0.0.1", port);
                 if (!client.connected())
                     continue;
-                NetResponse resp = client.request(line, 0, route);
+                NetResponse resp = client.request(line);
                 if (!resp.transport_ok)
                     continue;
                 answered = true;

@@ -56,10 +56,12 @@ struct NetResponse
 NetResponse parseResponseJson(const std::string &body);
 
 /**
- * Shard-routing hint for @p req: the artifactKey of its compiled
- * description when the client can compute it (built-in machine), else
- * 0 ("any shard"). Requests for the same description always land on
- * the same shard, so each shard's memory cache stays hot.
+ * The frame header's route value for @p req: the artifactKey of its
+ * compiled description when the client can compute it (built-in
+ * machine), else 0. The server ignores it - any shard serves any key
+ * from the shared store - so no caller in this repository sets it
+ * except the end-to-end benchmark (perfbench/), which is kept working
+ * unchanged.
  */
 uint64_t routeKey(const service::ScheduleRequest &req);
 
@@ -81,7 +83,8 @@ class BlockingClient
     /**
      * Send one request line (request_parse.h grammar) and block for
      * its response. @p deadline_ms rides in the frame header (JSON
-     * mode: the "deadline_ms" field); @p route is the shard hint.
+     * mode: the "deadline_ms" field); @p route fills the header's
+     * route field, which the server ignores (see routeKey()).
      */
     NetResponse request(const std::string &line, uint32_t deadline_ms = 0,
                         uint64_t route = 0);
@@ -92,24 +95,26 @@ class BlockingClient
     /**
      * Fetch the live stats document (service/stats.h schema). Binary
      * mode sends a Stat frame; JSON mode sends {"op":"stats"}. Against
-     * a sharded server the binary form returns the parent's merged
-     * fleet view - and the parent closes the connection after
-     * answering, so poll with a fresh client per refresh. Returns ""
-     * on transport failure.
+     * a sharded server, a Stat frame that opens a connection returns
+     * the parent's merged fleet view - and the parent closes the
+     * connection after answering, so poll with a fresh client per
+     * refresh. Later on a connection, or in JSON mode, the shard that
+     * accepted it answers with its own view. Returns "" on transport
+     * failure.
      */
     std::string stats();
 
     /**
      * Fetch the health document (DESIGN.md §15). Binary mode sends a
      * Health frame; JSON mode sends {"op":"health"}. A single server
-     * (or a shard child via a routed JSON connection) answers
-     * {"health":"ready"|"draining"}; a sharded parent intercepts the
-     * binary form and answers its supervision view ("ready",
-     * "draining", or "degraded" plus fleet counters, closing the
-     * connection after answering like stats() does). Against a single
-     * server the connection stays usable, so a drain flip is
-     * observable by polling one long-lived connection. Returns "" on
-     * transport failure.
+     * (or the shard that accepted the connection) answers
+     * {"health":"ready"|"draining"}; a Health frame that opens a
+     * connection to a sharded server goes to the parent, which answers
+     * its supervision view ("ready", "draining", or "degraded" plus
+     * fleet counters, closing the connection after answering like
+     * stats() does). Against a single server the connection stays
+     * usable, so a drain flip is observable by polling one long-lived
+     * connection. Returns "" on transport failure.
      */
     std::string health();
 

@@ -267,13 +267,12 @@ sendOne(uint16_t port, const ScheduleRequest &req, uint64_t expected_fp,
         std::vector<std::string> *violations)
 {
     std::string line = service::renderRequestLine(req);
-    uint64_t route = routeKey(req);
     NetResponse resp;
     bool answered = false;
     for (unsigned attempt = 0; attempt < kRequestRetries; ++attempt) {
         BlockingClient client(kHost, port);
         if (client.connected()) {
-            resp = client.request(line, 0, route);
+            resp = client.request(line);
             if (resp.transport_ok &&
                 resp.code != ErrorCode::Overloaded) {
                 answered = true;
@@ -434,7 +433,6 @@ checkDrain(FleetProc &fleet, const ScheduleRequest &req,
         Frame f;
         f.type = FrameType::Request;
         f.id = k + 1;
-        f.route = routeKey(req);
         f.payload = line;
         std::string wire = encodeFrame(f);
         size_t off = 0;

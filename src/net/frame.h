@@ -16,7 +16,7 @@
  *          8     4  payload_len (u32, capped at kMaxPayload)
  *         12     4  deadline_ms (u32; 0 = no deadline)
  *         16     8  id (u64; echoed verbatim in the response)
- *         24     8  route (u64 artifactKey shard hint; 0 = any shard)
+ *         24     8  route (u64; ignored by the server, see routeKey())
  *
  * A Request payload is one request line in the batch grammar
  * (request_parse.h); Response/Error payloads are a JSON object - the
@@ -56,13 +56,16 @@ enum class FrameType : uint8_t {
     Ping = 4,
     Pong = 5,
     /** Live stats poll (stats.h); answered with a Response frame whose
-     * payload is the stats JSON document. In --shards mode the parent
-     * answers these itself with the merged fleet view. */
+     * payload is the stats JSON document. In --shards mode a
+     * payload-less Stat that opens a connection is passed to the
+     * parent, which answers with the merged fleet view and closes. */
     Stat = 6,
     /** Load-balancer health probe; answered with a Response frame
      * whose payload is {"health":"ready"|"draining"|"degraded",...}.
-     * In --shards mode the parent answers from its supervision state
-     * (DESIGN.md §15). Equivalent to the JSON {"op":"health"} op. */
+     * In --shards mode a payload-less Health that opens a connection
+     * is passed to the parent, which answers from its supervision
+     * state (DESIGN.md §15). Equivalent to the JSON {"op":"health"}
+     * op. */
     Health = 7,
 };
 
@@ -77,7 +80,8 @@ struct Frame
     uint32_t deadline_ms = 0;
     /** Client-chosen correlation id, echoed in the response. */
     uint64_t id = 0;
-    /** artifactKey shard-routing hint (0 = any shard). */
+    /** Wire-format header field, ignored by the server (kept for
+     * compatibility; see routeKey()). */
     uint64_t route = 0;
     std::string payload;
 };

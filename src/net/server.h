@@ -27,26 +27,28 @@
  * typed Overloaded responses the client sees immediately. Nothing
  * stalls silently and nothing is dropped without an error frame.
  *
- * Shard mode (DESIGN.md §12): `mdesc serve --shards N` forks N workers
- * sharing one on-disk artifact store. The parent owns only the listen
- * socket and a tiny routing loop: it peeks (MSG_PEEK) at a new
- * connection's first bytes, extracts the binary header's route field
- * (the client's artifactKey hint), and passes the socket fd to shard
- * `route % N` over a SOCK_SEQPACKET pair via SCM_RIGHTS - the bytes
- * were never consumed, so the child reads the stream from the start.
- * JSON connections and route=0 round-robin. SIGTERM to the parent
- * closes the pairs; children treat feed EOF as graceful shutdown.
+ * Shard mode (DESIGN.md §12): `mdesc serve --shards N` binds the listen
+ * socket, then forks N shards sharing it and one on-disk artifact
+ * store. Every shard accepts client connections itself; the parent
+ * never touches a client byte. Each shard keeps one SOCK_SEQPACKET
+ * feed channel to the parent. Down it go stat polls, heartbeats and
+ * drain commands; up it come their replies and the one kind of
+ * connection a shard cannot answer alone: one that opens with a
+ * payload-less Stat or Health frame asks for the fleet view, so the
+ * shard passes its socket up via SCM_RIGHTS and the parent answers it.
  *
- * Supervision plane (DESIGN.md §15): the shard parent reaps children
- * on SIGCHLD and restarts crashed shards with exponential crash-loop
- * backoff, quarantining a slot that crashes rapidly. A watchdog
- * heartbeats every shard over its feed channel and SIGKILLs one that
- * goes silent past a deadline (accounted as "wedged", distinct from
- * crashes). SIGTERM triggers a graceful drain instead of an abrupt
- * close: the listen socket stops accepting, in-flight requests finish
- * under a deadline, and new requests are shed with a typed Draining
- * response. Fatal signals dump the flight-recorder rings to a crash
- * capture decodable offline by `mdesc flight decode`.
+ * Supervision plane (DESIGN.md §15): the shard parent is one thread
+ * running one epoll loop. It reaps children on SIGCHLD and restarts
+ * crashed shards with exponential crash-loop backoff, quarantining a
+ * slot that crashes rapidly (and exiting once every slot is
+ * quarantined). A watchdog heartbeats every shard over its feed
+ * channel and SIGKILLs one that goes silent past a deadline (accounted
+ * as "wedged", distinct from crashes). SIGTERM triggers a graceful
+ * drain instead of an abrupt close: the listen socket stops accepting
+ * once the backlog is taken, in-flight requests finish under a
+ * deadline, and new requests are shed with a typed Draining response.
+ * Fatal signals dump the flight-recorder rings to a crash capture
+ * decodable offline by `mdesc flight decode`.
  */
 
 #include <cstdint>
@@ -74,11 +76,15 @@ struct ServerConfig
     size_t write_high_water = 256 * 1024;
 
     /** Pre-bound listening socket to adopt instead of binding
-     * host:port (-1 = bind). The server takes ownership. */
+     * host:port (-1 = bind); a fleet's shards all adopt the socket the
+     * parent bound. The server takes ownership of its copy, and a
+     * drain accepts what is in the backlog before closing it. */
     int inherit_listen_fd = -1;
-    /** Shard-child mode: SOCK_SEQPACKET fd receiving connection fds
-     * via SCM_RIGHTS instead of accepting (-1 = accept normally).
-     * EOF on this fd triggers graceful shutdown. */
+    /** Shard-child mode: the SOCK_SEQPACKET channel to the shard
+     * parent (-1 = none). It carries the parent's stat polls,
+     * heartbeats and drain commands, and this shard's replies and
+     * escalated fleet STAT/HEALTH connections. EOF on this fd
+     * triggers graceful shutdown. */
     int conn_feed_fd = -1;
 };
 
@@ -119,13 +125,14 @@ class Server
     bool stopping() const;
 
     /**
-     * Flip into draining mode (DESIGN.md §15): stop accepting new
-     * connections, shed every subsequently-arriving request with a
-     * typed Draining response, let in-flight work finish, and exit the
-     * event loop once the last in-flight response has been written (or
-     * @p deadline_ms elapses, whichever is first — a stuck client must
-     * not hold the process hostage). Idempotent; callable from any
-     * thread (including a signal-watcher thread).
+     * Flip into draining mode (DESIGN.md §15): accept the connections
+     * already in the listen backlog, then stop accepting; shed every
+     * subsequently-arriving request with a typed Draining response,
+     * let in-flight work finish, and exit the event loop once the last
+     * in-flight response has been written (or @p deadline_ms elapses,
+     * whichever is first — a stuck client must not hold the process
+     * hostage). Idempotent; callable from any thread (including a
+     * signal-watcher thread), and before start().
      */
     void beginDrain(uint64_t deadline_ms);
 
@@ -186,7 +193,8 @@ struct ServeOptions
      * escalates the backoff; surviving longer resets the streak. */
     uint64_t rapid_crash_window_ms = 3000;
     /** Rapid crashes in a row before the slot is quarantined (no
-     * further restarts; fleet health turns "degraded"). */
+     * further restarts; fleet health turns "degraded"; once every slot
+     * is quarantined the parent exits 1). */
     uint32_t quarantine_after = 5;
     /** Watchdog heartbeat period (parent → shard 'h' probes). */
     uint64_t heartbeat_interval_ms = 500;
@@ -200,7 +208,7 @@ struct ServeOptions
 
 /**
  * Run a server until SIGINT/SIGTERM, then shut down cleanly and dump
- * metrics; dispatches to the fork-per-shard acceptor when
+ * metrics; dispatches to the fork-per-shard supervisor when
  * opts.shards > 1. Returns a process exit code.
  */
 int runServe(const ServeOptions &opts);

@@ -6,7 +6,7 @@
  * mdes::io - EINTR-safe syscall wrappers for the serving stack.
  *
  * The supervision plane (DESIGN.md §15) leans on signals: SIGCHLD
- * announces shard deaths to the routing loop, signalfd carries
+ * announces shard deaths to the supervisor loop, signalfd carries
  * termination, and the watchdog escalates to SIGKILL. Every blocking
  * syscall on the serving path can therefore return -1/EINTR at any
  * moment, and one forgotten retry turns a routine child exit into a

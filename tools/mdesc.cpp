@@ -1006,7 +1006,8 @@ cmdChaos(const std::vector<std::string> &args)
  * `mdesc serve`: the socket serving tier. Listens until SIGINT/SIGTERM
  * and answers requests over the mdes::net protocol (binary frames or
  * JSON lines, auto-detected per connection); --shards forks N workers
- * sharing one on-disk store behind a routing acceptor.
+ * that share the listen socket and one on-disk store, each accepting
+ * its own connections, under a one-thread supervisor.
  */
 int
 cmdServe(const std::vector<std::string> &args)
@@ -1219,9 +1220,7 @@ cmdNetbatch(const std::vector<std::string> &args)
     int failures = 0;
     std::vector<net::NetResponse> responses;
     for (size_t i = 0; i < parsed.requests.size(); ++i) {
-        uint64_t route = net::routeKey(parsed.requests[i]);
-        net::NetResponse r =
-            client.request(parsed.lines[i], deadline_ms, route);
+        net::NetResponse r = client.request(parsed.lines[i], deadline_ms);
         responses.push_back(r);
         if (!r.transport_ok) {
             ++failures;
