@@ -49,10 +49,6 @@ main()
             workload::WorkloadSpec spec = info->workload;
             spec.num_ops = 40000;
             sched::Program program = workload::generate(spec, low);
-            for (auto &block : program.blocks) {
-                for (auto &in : block.instrs)
-                    in.cascadable = false; // no cascading backward
-            }
             sched::BackwardListScheduler scheduler(low);
             sched::SchedStats stats;
             scheds[pass] = scheduler.scheduleProgram(program, stats);

@@ -27,15 +27,21 @@ using namespace mdes;
 
 namespace {
 
-sched::Instr
-op(const lmdes::LowMdes &low, const char *opcode,
-   std::vector<int32_t> srcs, std::vector<int32_t> dsts)
+/** One operation of a hammock side. */
+struct Op
 {
-    sched::Instr in;
-    in.op_class = low.findOpClass(opcode);
-    in.srcs = std::move(srcs);
-    in.dsts = std::move(dsts);
-    return in;
+    const char *opcode;
+    std::vector<int32_t> srcs;
+    std::vector<int32_t> dsts;
+};
+
+/** Append @p ops to @p builder's open block. */
+void
+append(sched::ProgramBuilder &builder, const lmdes::LowMdes &low,
+       const std::vector<Op> &ops)
+{
+    for (const Op &op : ops)
+        builder.add(low.findOpClass(op.opcode), op.srcs, op.dsts);
 }
 
 int32_t
@@ -71,24 +77,30 @@ main()
     lmdes::LowMdes low = lmdes::LowMdes::lower(model, lopts);
 
     // A memory-heavy hammock: both sides load, combine, and store.
-    sched::Block then_side;
-    then_side.instrs = {
-        op(low, "LD", {1}, {10}),
-        op(low, "ADD_I", {10}, {11}),
-        op(low, "ST", {11, 3}, {}),
+    const std::vector<Op> then_ops = {
+        {"LD", {1}, {10}},
+        {"ADD_I", {10}, {11}},
+        {"ST", {11, 3}, {}},
     };
-    sched::Block else_side;
-    else_side.instrs = {
-        op(low, "LD", {2}, {12}),
-        op(low, "SUB_I", {12}, {13}),
-        op(low, "ST", {13, 3}, {}),
+    const std::vector<Op> else_ops = {
+        {"LD", {2}, {12}},
+        {"SUB_I", {12}, {13}},
+        {"ST", {13, 3}, {}},
     };
 
-    // The if-converted body executes both sides predicated.
-    sched::Block merged;
-    merged.instrs = then_side.instrs;
-    for (const auto &in : else_side.instrs)
-        merged.instrs.push_back(in);
+    // One block per side, then the if-converted body, which executes
+    // both sides predicated.
+    sched::ProgramBuilder builder;
+    append(builder, low, then_ops);
+    builder.endBlock();
+    append(builder, low, else_ops);
+    builder.endBlock();
+    append(builder, low, then_ops);
+    append(builder, low, else_ops);
+    sched::Program program = builder.finish();
+    const sched::Block &then_side = program.blocks[0];
+    const sched::Block &else_side = program.blocks[1];
+    const sched::Block &merged = program.blocks[2];
 
     std::printf("If-conversion analysis on the %s (1 memory unit):\n\n",
                 low.machineName().c_str());

@@ -24,20 +24,17 @@ using namespace mdes;
 
 namespace {
 
-sched::Instr
-op(const lmdes::LowMdes &low, const char *opcode,
-   std::vector<int32_t> srcs, std::vector<int32_t> dsts,
-   bool cascadable = false, bool is_branch = false)
+/** Append one @p opcode operation to @p builder's open block. */
+void
+op(sched::ProgramBuilder &builder, const lmdes::LowMdes &low,
+   const char *opcode, const std::vector<int32_t> &srcs,
+   const std::vector<int32_t> &dsts, bool cascadable = false,
+   bool is_branch = false)
 {
-    sched::Instr in;
-    in.op_class = low.findOpClass(opcode);
-    if (in.op_class == kInvalidId)
+    uint32_t op_class = low.findOpClass(opcode);
+    if (op_class == kInvalidId)
         throw MdesError(std::string("unknown opcode ") + opcode);
-    in.srcs = std::move(srcs);
-    in.dsts = std::move(dsts);
-    in.cascadable = cascadable;
-    in.is_branch = is_branch;
-    return in;
+    builder.add(op_class, srcs, dsts, cascadable, is_branch);
 }
 
 } // namespace
@@ -70,15 +67,16 @@ main()
     //      r6 = r2 << 3          (SLL_I, independent)
     //      store r5 -> [r2]      (ST)
     //      branch                (BPCC)
-    sched::Block block;
-    block.instrs = {
-        op(low, "LD", {1}, {3}),
-        op(low, "ADD_I", {3}, {4}, true),
-        op(low, "ADD_I", {4}, {5}, true),
-        op(low, "SLL_I", {2}, {6}),
-        op(low, "ST", {5, 2}, {}),
-        op(low, "BPCC", {5}, {}, false, true),
-    };
+    //    A program owns its operations; the block is a view of them.
+    sched::ProgramBuilder builder;
+    op(builder, low, "LD", {1}, {3});
+    op(builder, low, "ADD_I", {3}, {4}, true);
+    op(builder, low, "ADD_I", {4}, {5}, true);
+    op(builder, low, "SLL_I", {2}, {6});
+    op(builder, low, "ST", {5, 2}, {});
+    op(builder, low, "BPCC", {5}, {}, false, true);
+    sched::Program program = builder.finish();
+    const sched::Block &block = program.blocks[0];
 
     // 5. Schedule and validate.
     sched::ListScheduler scheduler(low);

@@ -63,15 +63,13 @@ machine "Blackbird-VLIW" {
 }
 )MDES";
 
-sched::Instr
-op(const lmdes::LowMdes &low, const char *opcode,
-   std::vector<int32_t> srcs, std::vector<int32_t> dsts)
+/** Append one @p opcode operation to @p builder's open block. */
+void
+op(sched::ProgramBuilder &builder, const lmdes::LowMdes &low,
+   const char *opcode, const std::vector<int32_t> &srcs,
+   const std::vector<int32_t> &dsts)
 {
-    sched::Instr in;
-    in.op_class = low.findOpClass(opcode);
-    in.srcs = std::move(srcs);
-    in.dsts = std::move(dsts);
-    return in;
+    builder.add(low.findOpClass(opcode), srcs, dsts);
 }
 
 } // namespace
@@ -100,18 +98,18 @@ main()
                     .c_str());
 
     // Schedule a block that exercises both clusters and the copy bus.
-    sched::Block block;
-    block.instrs = {
-        op(low, "LOAD", {1}, {10}),
-        op(low, "MUL_A", {10, 2}, {11}),
-        op(low, "ADD_A", {11, 3}, {12}),
-        op(low, "XCOPY", {12}, {20}),
-        op(low, "MUL_B", {20, 4}, {21}),
-        op(low, "ADD_B", {21, 5}, {22}),
-        op(low, "MUL_A", {2, 3}, {13}),  // independent work for cluster A
-        op(low, "ADD_B", {6, 7}, {23}),  // independent work for cluster B
-        op(low, "STORE", {22, 8}, {}),
-    };
+    sched::ProgramBuilder builder;
+    op(builder, low, "LOAD", {1}, {10});
+    op(builder, low, "MUL_A", {10, 2}, {11});
+    op(builder, low, "ADD_A", {11, 3}, {12});
+    op(builder, low, "XCOPY", {12}, {20});
+    op(builder, low, "MUL_B", {20, 4}, {21});
+    op(builder, low, "ADD_B", {21, 5}, {22});
+    op(builder, low, "MUL_A", {2, 3}, {13}); // independent work for cluster A
+    op(builder, low, "ADD_B", {6, 7}, {23}); // independent work for cluster B
+    op(builder, low, "STORE", {22, 8}, {});
+    sched::Program program = builder.finish();
+    const sched::Block &block = program.blocks[0];
     sched::ListScheduler scheduler(low);
     sched::SchedStats stats;
     sched::BlockSchedule sched = scheduler.scheduleBlock(block, stats);

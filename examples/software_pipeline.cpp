@@ -23,15 +23,13 @@ using namespace mdes;
 
 namespace {
 
-sched::Instr
-op(const lmdes::LowMdes &low, const char *opcode,
-   std::vector<int32_t> srcs, std::vector<int32_t> dsts)
+/** Append one @p opcode operation to @p builder's open block. */
+void
+op(sched::ProgramBuilder &builder, const lmdes::LowMdes &low,
+   const char *opcode, const std::vector<int32_t> &srcs,
+   const std::vector<int32_t> &dsts)
 {
-    sched::Instr in;
-    in.op_class = low.findOpClass(opcode);
-    in.srcs = std::move(srcs);
-    in.dsts = std::move(dsts);
-    return in;
+    builder.add(low.findOpClass(opcode), srcs, dsts);
 }
 
 } // namespace
@@ -55,15 +53,15 @@ main()
     // List scheduling must ride the 7-cycle dependence chain every
     // iteration; modulo scheduling overlaps iterations down to the
     // memory unit's resource bound.
-    sched::Block body;
-    body.instrs = {
-        op(low, "LD", {1}, {10}),
-        op(low, "FMUL", {10, 5}, {12}),
-        op(low, "FADD", {12, 6}, {13}),
-        op(low, "ST", {13, 4}, {}),
-        op(low, "ADD_I", {1}, {1}),
-        op(low, "ADD_I", {4}, {4}),
-    };
+    sched::ProgramBuilder builder;
+    op(builder, low, "LD", {1}, {10});
+    op(builder, low, "FMUL", {10, 5}, {12});
+    op(builder, low, "FADD", {12, 6}, {13});
+    op(builder, low, "ST", {13, 4}, {});
+    op(builder, low, "ADD_I", {1}, {1});
+    op(builder, low, "ADD_I", {4}, {4});
+    sched::Program program = builder.finish();
+    const sched::Block &body = program.blocks[0];
 
     sched::ModuloScheduler ms(low);
     sched::SchedStats modulo_stats;

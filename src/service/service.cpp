@@ -484,6 +484,11 @@ MdesService::process(Job &job, ServiceMetrics &metrics,
                 if (diags.hasErrors())
                     return fail(ErrorCode::BadWorkload, diags.toString());
             } else if (builtin) {
+                if (req.synth_ops > kMaxSynthOps)
+                    return fail(ErrorCode::BadRequest,
+                                "ops=" + std::to_string(req.synth_ops) +
+                                    " is above the limit of " +
+                                    std::to_string(kMaxSynthOps));
                 workload::WorkloadSpec spec = builtin->workload;
                 if (req.synth_ops != 0)
                     spec.num_ops = req.synth_ops;

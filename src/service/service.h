@@ -80,6 +80,11 @@ struct ServiceError
     explicit operator bool() const { return code != ErrorCode::Ok; }
 };
 
+/** Largest synthetic workload a request may ask for: about 5x the
+ * largest built-in stream (Pentium's 207,341 ops). More is a
+ * BadRequest. */
+inline constexpr size_t kMaxSynthOps = 1000000;
+
 /** One unit of service work. */
 struct ScheduleRequest
 {
@@ -93,7 +98,8 @@ struct ScheduleRequest
      * (built-in machines only, since the generator needs the machine's
      * class mix). */
     std::string sasm;
-    /** Synthetic workload size override (0 = machine default). */
+    /** Synthetic workload size override (0 = machine default); at
+     * most kMaxSynthOps. */
     size_t synth_ops = 0;
     /** Synthetic workload seed override (0 = machine default). */
     uint64_t seed = 0;

@@ -95,6 +95,17 @@ class Rng
         double total = 0;
         for (double w : weights)
             total += w;
+        return pickWeighted(weights, total);
+    }
+
+    /**
+     * pickWeighted() for callers that draw many times from one set of
+     * weights: @p total is their sum, added in index order from zero,
+     * so every draw matches the one-argument form bit for bit.
+     */
+    size_t
+    pickWeighted(const std::vector<double> &weights, double total)
+    {
         assert(total > 0);
         double r = uniform() * total;
         for (size_t i = 0; i < weights.size(); ++i) {

@@ -71,9 +71,13 @@ sched::Program
 parseSasm(std::string_view text, const lmdes::LowMdes &low,
           DiagnosticEngine &diags)
 {
-    sched::Program program;
-    sched::Block current;
+    sched::ProgramBuilder builder;
     bool in_block = false;
+    // The open block's last instruction is a branch.
+    bool after_branch = false;
+    // One instruction's operands. The text names the dsts first; they
+    // are staged so the pool can take srcs, then dsts.
+    std::vector<int32_t> srcs, dsts;
 
     std::istringstream stream{std::string(text)};
     std::string line;
@@ -95,7 +99,7 @@ parseSasm(std::string_view text, const lmdes::LowMdes &low,
                             "unexpected text after 'block'");
             }
             in_block = true;
-            current = {};
+            after_branch = false;
             continue;
         }
         if (words[0].text == "end") {
@@ -103,10 +107,9 @@ parseSasm(std::string_view text, const lmdes::LowMdes &low,
                 diags.error(loc, "'end' without 'block'");
                 continue;
             }
-            if (current.instrs.empty())
+            if (builder.openOps() == 0)
                 diags.error(loc, "empty block");
-            else
-                program.blocks.push_back(std::move(current));
+            builder.endBlock();
             in_block = false;
             continue;
         }
@@ -116,7 +119,6 @@ parseSasm(std::string_view text, const lmdes::LowMdes &low,
         }
 
         // OPCODE [dsts] '<-' [srcs] [!flags]
-        sched::Instr instr;
         uint32_t cls = low.findOpClass(words[0].text);
         if (cls == kInvalidId) {
             diags.error(loc, "unknown operation '" + words[0].text +
@@ -124,7 +126,10 @@ parseSasm(std::string_view text, const lmdes::LowMdes &low,
                                  "'");
             continue;
         }
-        instr.op_class = cls;
+        bool cascadable = false;
+        bool is_branch = false;
+        srcs.clear();
+        dsts.clear();
 
         size_t w = 1;
         bool seen_arrow = false;
@@ -146,12 +151,12 @@ parseSasm(std::string_view text, const lmdes::LowMdes &low,
                 continue;
             }
             if (word.text == "!cascade") {
-                instr.cascadable = true;
+                cascadable = true;
                 ++w;
                 continue;
             }
             if (word.text == "!branch") {
-                instr.is_branch = true;
+                is_branch = true;
                 ++w;
                 continue;
             }
@@ -164,7 +169,7 @@ parseSasm(std::string_view text, const lmdes::LowMdes &low,
                 bad = true;
                 break;
             }
-            (seen_arrow ? instr.srcs : instr.dsts).push_back(reg);
+            (seen_arrow ? srcs : dsts).push_back(reg);
             ++w;
         }
         if (bad)
@@ -173,33 +178,25 @@ parseSasm(std::string_view text, const lmdes::LowMdes &low,
             diags.error(loc, "instruction is missing '<-'");
             continue;
         }
-        if (instr.is_branch && !current.instrs.empty() &&
-            current.instrs.back().is_branch) {
+        if (is_branch && after_branch) {
             diags.error(loc, "block already has a branch");
             continue;
         }
-        if (instr.cascadable &&
+        if (after_branch)
+            diags.error(loc, "branch before the end of its block");
+        if (cascadable &&
             low.opClasses()[cls].cascade_tree == kInvalidId) {
             diags.warning(loc, "operation '" + words[0].text +
                                    "' has no cascade table; !cascade "
                                    "ignored");
-            instr.cascadable = false;
+            cascadable = false;
         }
-        current.instrs.push_back(std::move(instr));
+        builder.add(cls, srcs, dsts, cascadable, is_branch);
+        after_branch = is_branch;
     }
     if (in_block)
         diags.error({line_no, 1}, "unterminated block at end of file");
-
-    // A branch anywhere except last-in-block is malformed.
-    for (const auto &block : program.blocks) {
-        for (size_t i = 0; i + 1 < block.instrs.size(); ++i) {
-            if (block.instrs[i].is_branch) {
-                diags.error({0, 0},
-                            "branch before the end of its block");
-            }
-        }
-    }
-    return program;
+    return builder.finish();
 }
 
 sched::Program

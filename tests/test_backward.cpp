@@ -15,6 +15,7 @@
 #include "machines/machines.h"
 #include "sched/backward_scheduler.h"
 #include "sched/verify.h"
+#include "test_program.h"
 #include "workload/workload.h"
 
 namespace mdes {
@@ -24,8 +25,9 @@ using lmdes::LowMdes;
 using sched::BackwardListScheduler;
 using sched::Block;
 using sched::BlockSchedule;
-using sched::Instr;
 using sched::SchedStats;
+using testing::instr;
+using testing::oneBlock;
 
 LowMdes
 twoWide()
@@ -42,23 +44,15 @@ machine "two-wide" {
     return LowMdes::lower(hmdes::compileOrThrow(src), {});
 }
 
-Instr
-instr(uint32_t cls, std::vector<int32_t> srcs, std::vector<int32_t> dsts)
-{
-    Instr in;
-    in.op_class = cls;
-    in.srcs = std::move(srcs);
-    in.dsts = std::move(dsts);
-    return in;
-}
-
 TEST(Backward, PacksIndependentOps)
 {
     LowMdes low = twoWide();
     uint32_t ADD = low.findOpClass("ADD");
-    Block b;
+    std::vector<testing::Op> ops;
     for (int i = 0; i < 4; ++i)
-        b.instrs.push_back(instr(ADD, {10 + i}, {20 + i}));
+        ops.push_back(instr(ADD, {10 + i}, {20 + i}));
+    sched::Program prog = oneBlock(ops);
+    const Block &b = prog.blocks[0];
     BackwardListScheduler s(low);
     SchedStats stats;
     BlockSchedule sched = s.scheduleBlock(b, stats);
@@ -71,9 +65,12 @@ TEST(Backward, HonorsLatencyChains)
     LowMdes low = twoWide();
     uint32_t ADD = low.findOpClass("ADD");
     uint32_t LOAD = low.findOpClass("LOAD");
-    Block b;
-    b.instrs = {instr(LOAD, {1}, {2}), instr(ADD, {2}, {3}),
-                instr(ADD, {3}, {4})};
+    sched::Program prog = oneBlock({
+        instr(LOAD, {1}, {2}),
+        instr(ADD, {2}, {3}),
+        instr(ADD, {3}, {4}),
+    });
+    const Block &b = prog.blocks[0];
     BackwardListScheduler s(low);
     SchedStats stats;
     BlockSchedule sched = s.scheduleBlock(b, stats);
@@ -87,8 +84,8 @@ TEST(Backward, NormalizesToCycleZero)
 {
     LowMdes low = twoWide();
     uint32_t ADD = low.findOpClass("ADD");
-    Block b;
-    b.instrs = {instr(ADD, {1}, {2})};
+    sched::Program prog = oneBlock({instr(ADD, {1}, {2})});
+    const Block &b = prog.blocks[0];
     BackwardListScheduler s(low);
     SchedStats stats;
     BlockSchedule sched = s.scheduleBlock(b, stats);
@@ -119,11 +116,6 @@ TEST(Backward, AllMachinesScheduleLegally)
         workload::WorkloadSpec spec = info->workload;
         spec.num_ops = 4000;
         sched::Program program = workload::generate(spec, low);
-        // Backward scheduling ignores cascading.
-        for (auto &block : program.blocks) {
-            for (auto &in : block.instrs)
-                in.cascadable = false;
-        }
 
         BackwardListScheduler s(low);
         SchedStats stats;
@@ -168,10 +160,6 @@ TEST(Backward, DirectionTuningCharacterization)
             workload::WorkloadSpec spec = info->workload;
             spec.num_ops = 4000;
             sched::Program program = workload::generate(spec, low);
-            for (auto &block : program.blocks) {
-                for (auto &in : block.instrs)
-                    in.cascadable = false;
-            }
             BackwardListScheduler s(low);
             SchedStats stats;
             scheds[pass] = s.scheduleProgram(program, stats);

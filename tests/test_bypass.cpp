@@ -16,6 +16,7 @@
 #include "sched/list_scheduler.h"
 #include "sched/modulo_scheduler.h"
 #include "sched/verify.h"
+#include "test_program.h"
 
 namespace mdes {
 namespace {
@@ -57,17 +58,12 @@ TEST(Bypass, FlowLatencyLookup)
 TEST(Bypass, ShortensListSchedules)
 {
     LowMdes low = LowMdes::lower(hmdes::compileOrThrow(kFmacSource), {});
-    sched::Block b;
-    sched::Instr mul, add, st;
-    mul.op_class = low.findOpClass("FMUL");
-    mul.srcs = {1};
-    mul.dsts = {2};
-    add.op_class = low.findOpClass("FADD");
-    add.srcs = {2};
-    add.dsts = {3};
-    st.op_class = low.findOpClass("ST");
-    st.srcs = {3};
-    b.instrs = {mul, add, st};
+    sched::Program prog = testing::oneBlock({
+        testing::instr(low.findOpClass("FMUL"), {1}, {2}),
+        testing::instr(low.findOpClass("FADD"), {2}, {3}),
+        testing::instr(low.findOpClass("ST"), {3}, {}),
+    });
+    const sched::Block &b = prog.blocks[0];
 
     sched::ListScheduler s(low);
     sched::SchedStats stats;
@@ -83,15 +79,12 @@ TEST(Bypass, TightensModuloRecurrences)
     // acc = (acc * x) + y as an FMUL/FADD recurrence: without the
     // forwarding path RecMII = 3 + 3; with it, 1 + 3.
     LowMdes low = LowMdes::lower(hmdes::compileOrThrow(kFmacSource), {});
-    sched::Block body;
-    sched::Instr mul, add;
-    mul.op_class = low.findOpClass("FMUL");
-    mul.srcs = {1, 2};
-    mul.dsts = {3};
-    add.op_class = low.findOpClass("FADD");
-    add.srcs = {3, 4};
-    add.dsts = {1}; // closes the recurrence
-    body.instrs = {mul, add};
+    sched::Program prog = testing::oneBlock({
+        testing::instr(low.findOpClass("FMUL"), {1, 2}, {3}),
+        // Closes the recurrence.
+        testing::instr(low.findOpClass("FADD"), {3, 4}, {1}),
+    });
+    const sched::Block &body = prog.blocks[0];
 
     sched::ModuloScheduler ms(low);
     auto graph = sched::LoopDepGraph::build(body, low);

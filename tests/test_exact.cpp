@@ -25,6 +25,7 @@
 #include "sched/list_scheduler.h"
 #include "sched/verify.h"
 #include "service/service.h"
+#include "test_program.h"
 #include "workload/workload.h"
 
 namespace mdes {
@@ -35,6 +36,8 @@ using sched::Block;
 using sched::BlockSchedule;
 using sched::ListScheduler;
 using sched::SchedStats;
+using testing::instr;
+using testing::oneBlock;
 
 /** A 2-wide machine: 2 slots, ops take one slot; ADD cascades on S[1]. */
 LowMdes
@@ -54,19 +57,6 @@ machine "two-wide" {
 )";
     Mdes m = hmdes::compileOrThrow(src);
     return LowMdes::lower(m, {});
-}
-
-sched::Instr
-instr(uint32_t cls, std::vector<int32_t> srcs, std::vector<int32_t> dsts,
-      bool cascadable = false, bool is_branch = false)
-{
-    sched::Instr in;
-    in.op_class = cls;
-    in.srcs = std::move(srcs);
-    in.dsts = std::move(dsts);
-    in.cascadable = cascadable;
-    in.is_branch = is_branch;
-    return in;
 }
 
 LowMdes
@@ -249,26 +239,27 @@ TEST(ExactScheduler, MatchesBruteForceHandcrafted)
 
     {
         // Six independent ADDs on a 2-wide machine: optimum 3.
-        Block b;
+        std::vector<testing::Op> ops;
         for (int i = 0; i < 6; ++i)
-            b.instrs.push_back(instr(ADD, {1}, {10 + i}));
+            ops.push_back(instr(ADD, {1}, {10 + i}));
+        sched::Program prog = oneBlock(ops);
+        const Block &b = prog.blocks[0];
         expectMatchesBruteForce(low, b, "six independent adds");
     }
     {
         // A cascade chain: r2=r1+1; r3=r2+1 with the consumer
         // cascadable - both can issue in cycle 0.
-        Block b;
-        b.instrs = {
+        sched::Program prog = oneBlock({
             instr(ADD, {1}, {2}),
             instr(ADD, {2}, {3}, /*cascadable=*/true),
             instr(ADD, {3}, {4}, /*cascadable=*/true),
-        };
+        });
+        const Block &b = prog.blocks[0];
         expectMatchesBruteForce(low, b, "cascade chain");
     }
     {
         // Loads feeding adds plus independent filler, branch last.
-        Block b;
-        b.instrs = {
+        sched::Program prog = oneBlock({
             instr(LOAD, {1}, {2}),
             instr(LOAD, {1}, {3}),
             instr(ADD, {2}, {4}),
@@ -276,19 +267,20 @@ TEST(ExactScheduler, MatchesBruteForceHandcrafted)
             instr(ADD, {9}, {6}),
             instr(ADD, {9}, {7}),
             instr(BR, {4}, {}, false, /*is_branch=*/true),
-        };
+        });
+        const Block &b = prog.blocks[0];
         expectMatchesBruteForce(low, b, "loads, adds, branch");
     }
     {
         // WAW/WAR pressure: repeated writes to one register.
-        Block b;
-        b.instrs = {
+        sched::Program prog = oneBlock({
             instr(ADD, {1}, {2}),
             instr(ADD, {2}, {3}),
             instr(ADD, {9}, {2}),
             instr(ADD, {2}, {5}),
             instr(LOAD, {5}, {2}),
-        };
+        });
+        const Block &b = prog.blocks[0];
         expectMatchesBruteForce(low, b, "waw/war pressure");
     }
 }

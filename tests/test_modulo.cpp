@@ -14,6 +14,7 @@
 #include "machines/machines.h"
 #include "rumap/ru_map.h"
 #include "sched/modulo_scheduler.h"
+#include "test_program.h"
 #include "workload/workload.h"
 
 namespace mdes {
@@ -22,11 +23,12 @@ namespace {
 using lmdes::LowMdes;
 using rumap::RuMap;
 using sched::Block;
-using sched::Instr;
 using sched::LoopDepGraph;
 using sched::ModuloSchedule;
 using sched::ModuloScheduler;
 using sched::SchedStats;
+using testing::instr;
+using testing::oneBlock;
 
 // ----------------------------------------------------------- Modulo RuMap
 
@@ -81,23 +83,13 @@ machine "pipe" {
     return LowMdes::lower(hmdes::compileOrThrow(src), {});
 }
 
-Instr
-instr(uint32_t cls, std::vector<int32_t> srcs, std::vector<int32_t> dsts)
-{
-    Instr in;
-    in.op_class = cls;
-    in.srcs = std::move(srcs);
-    in.dsts = std::move(dsts);
-    return in;
-}
-
 TEST(LoopDepGraph, FindsLoopCarriedRaw)
 {
     LowMdes low = pipeMachine();
     uint32_t ADD = low.findOpClass("ADD");
-    Block body;
     // r1 = r1 + r2 : classic accumulator recurrence.
-    body.instrs = {instr(ADD, {1, 2}, {1})};
+    sched::Program prog = oneBlock({instr(ADD, {1, 2}, {1})});
+    const Block &body = prog.blocks[0];
     LoopDepGraph g = LoopDepGraph::build(body, low);
     bool carried_raw = false;
     for (const auto &e : g.edges())
@@ -109,9 +101,10 @@ TEST(LoopDepGraph, IndependentIterationsHaveNoCarriedRaw)
 {
     LowMdes low = pipeMachine();
     uint32_t ADD = low.findOpClass("ADD");
-    Block body;
     // Reads and writes touch disjoint registers per iteration.
-    body.instrs = {instr(ADD, {1, 2}, {3}), instr(ADD, {3, 4}, {5})};
+    sched::Program prog =
+        oneBlock({instr(ADD, {1, 2}, {3}), instr(ADD, {3, 4}, {5})});
+    const Block &body = prog.blocks[0];
     LoopDepGraph g = LoopDepGraph::build(body, low);
     for (const auto &e : g.edges()) {
         if (e.omega == 1)
@@ -126,10 +119,12 @@ TEST(ModuloScheduler, ResMiiBoundsBottleneckResource)
     LowMdes low = pipeMachine();
     uint32_t LOAD = low.findOpClass("LOAD");
     ModuloScheduler ms(low);
-    Block body;
     // Three loads per iteration through the single memory port.
+    std::vector<testing::Op> ops;
     for (int i = 0; i < 3; ++i)
-        body.instrs.push_back(instr(LOAD, {1}, {10 + i}));
+        ops.push_back(instr(LOAD, {1}, {10 + i}));
+    sched::Program prog = oneBlock(ops);
+    const Block &body = prog.blocks[0];
     EXPECT_GE(ms.resMii(body), 3);
 }
 
@@ -138,9 +133,9 @@ TEST(ModuloScheduler, RecMiiBoundsRecurrence)
     LowMdes low = pipeMachine();
     uint32_t MULT = low.findOpClass("MULT");
     ModuloScheduler ms(low);
-    Block body;
     // r1 = r1 * r2 with 3-cycle latency: RecMII = 3/1 = 3.
-    body.instrs = {instr(MULT, {1, 2}, {1})};
+    sched::Program prog = oneBlock({instr(MULT, {1, 2}, {1})});
+    const Block &body = prog.blocks[0];
     LoopDepGraph g = LoopDepGraph::build(body, low);
     EXPECT_EQ(ms.recMii(body, g), 3);
 }
@@ -150,8 +145,8 @@ TEST(ModuloScheduler, RecMiiOneForParallelLoops)
     LowMdes low = pipeMachine();
     uint32_t ADD = low.findOpClass("ADD");
     ModuloScheduler ms(low);
-    Block body;
-    body.instrs = {instr(ADD, {1, 2}, {3})};
+    sched::Program prog = oneBlock({instr(ADD, {1, 2}, {3})});
+    const Block &body = prog.blocks[0];
     LoopDepGraph g = LoopDepGraph::build(body, low);
     EXPECT_EQ(ms.recMii(body, g), 1);
 }
@@ -163,11 +158,14 @@ TEST(ModuloScheduler, AchievesMiiOnSimpleLoop)
     LowMdes low = pipeMachine();
     uint32_t ADD = low.findOpClass("ADD");
     uint32_t LOAD = low.findOpClass("LOAD");
-    Block body;
     // load; add; add : 2-wide machine, one memory port -> MII 2
     // (3 ops / 2 slots).
-    body.instrs = {instr(LOAD, {1}, {2}), instr(ADD, {2, 3}, {4}),
-                   instr(ADD, {4, 5}, {6})};
+    sched::Program prog = oneBlock({
+        instr(LOAD, {1}, {2}),
+        instr(ADD, {2, 3}, {4}),
+        instr(ADD, {4, 5}, {6}),
+    });
+    const Block &body = prog.blocks[0];
     ModuloScheduler ms(low);
     SchedStats stats;
     ModuloSchedule sched = ms.schedule(body, stats);
@@ -182,10 +180,13 @@ TEST(ModuloScheduler, RecurrenceLimitedLoop)
     LowMdes low = pipeMachine();
     uint32_t MULT = low.findOpClass("MULT");
     uint32_t ADD = low.findOpClass("ADD");
-    Block body;
     // acc = acc * x (3-cycle recurrence) + independent adds.
-    body.instrs = {instr(MULT, {1, 2}, {1}), instr(ADD, {3, 4}, {5}),
-                   instr(ADD, {5, 6}, {7})};
+    sched::Program prog = oneBlock({
+        instr(MULT, {1, 2}, {1}),
+        instr(ADD, {3, 4}, {5}),
+        instr(ADD, {5, 6}, {7}),
+    });
+    const Block &body = prog.blocks[0];
     ModuloScheduler ms(low);
     SchedStats stats;
     ModuloSchedule sched = ms.schedule(body, stats);

@@ -17,6 +17,7 @@
 #include "sched/list_scheduler.h"
 #include "sched/modulo_scheduler.h"
 #include "sched/pressure.h"
+#include "test_program.h"
 #include "workload/workload.h"
 
 namespace mdes {
@@ -31,24 +32,21 @@ sparc()
         hmdes::compileOrThrow(machines::superSparc().source), {});
 }
 
-sched::Instr
-op(const LowMdes &low, const char *opcode)
+/** A block of @p count copies of @p opcode, each reading r1 and
+ * writing r2. */
+sched::Program
+repeated(const LowMdes &low, const char *opcode, int count)
 {
-    sched::Instr in;
-    in.op_class = low.findOpClass(opcode);
-    in.srcs = {1};
-    in.dsts = {2};
-    return in;
+    return testing::oneBlock(std::vector<testing::Op>(
+        size_t(count), testing::instr(low.findOpClass(opcode), {1}, {2})));
 }
 
 TEST(Pressure, SingleInstanceBottleneck)
 {
     LowMdes low = sparc();
-    sched::Block b;
     // Three loads: the lone memory unit must serve all three.
-    for (int i = 0; i < 3; ++i)
-        b.instrs.push_back(op(low, "LD"));
-    auto p = sched::analyzePressure(b, low);
+    sched::Program prog = repeated(low, "LD", 3);
+    auto p = sched::analyzePressure(prog.blocks[0], low);
     EXPECT_EQ(p.resource_bound, 3);
     // The bottleneck demand is exactly 3 cycles on one instance.
     EXPECT_DOUBLE_EQ(p.demand[p.bottleneck], 3.0);
@@ -57,14 +55,12 @@ TEST(Pressure, SingleInstanceBottleneck)
 TEST(Pressure, MultiInstanceResourcesDivideDemand)
 {
     LowMdes low = sparc();
-    sched::Block b;
     // Four 1-src IALU ops: 2 IALUs, 2 write ports, 4 read ports,
     // 3 decoders -> every instance's guaranteed demand is 0 (the op can
     // always avoid any *specific* instance), so the bound comes only
     // from single-instance resources - of which IALU ops use none.
-    for (int i = 0; i < 4; ++i)
-        b.instrs.push_back(op(low, "ADD_I"));
-    auto p = sched::analyzePressure(b, low);
+    sched::Program prog = repeated(low, "ADD_I", 4);
+    auto p = sched::analyzePressure(prog.blocks[0], low);
     EXPECT_EQ(p.resource_bound, 0);
 }
 
@@ -137,9 +133,8 @@ TEST(Pressure, BoundSoundOnRandomMachines)
 TEST(Pressure, OversubscriptionPredicate)
 {
     LowMdes low = sparc();
-    sched::Block b;
-    b.instrs.push_back(op(low, "LD"));
-    b.instrs.push_back(op(low, "LD"));
+    sched::Program prog = repeated(low, "LD", 2);
+    const sched::Block &b = prog.blocks[0];
     uint32_t ld = low.findOpClass("LD");
     // Two loads fit a 2-cycle budget; speculating two more does not.
     EXPECT_FALSE(sched::wouldOversubscribe(b, low, ld, 0, 2));

@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "core/transforms.h"
 #include "hmdes/compile.h"
 #include "lmdes/low_mdes.h"
@@ -54,14 +56,14 @@ TEST(Sasm, ParsesKernel)
 
     const auto &add = program.blocks[0].instrs[2];
     EXPECT_EQ(low.opClasses()[add.op_class].name, "ADD_R");
-    EXPECT_EQ(add.dsts, (std::vector<int32_t>{12}));
-    EXPECT_EQ(add.srcs, (std::vector<int32_t>{10, 11}));
+    EXPECT_TRUE(std::ranges::equal(add.dsts, std::vector<int32_t>{12}));
+    EXPECT_TRUE(std::ranges::equal(add.srcs, std::vector<int32_t>{10, 11}));
     EXPECT_TRUE(add.cascadable);
     EXPECT_FALSE(add.is_branch);
 
     const auto &st = program.blocks[0].instrs[3];
     EXPECT_TRUE(st.dsts.empty());
-    EXPECT_EQ(st.srcs, (std::vector<int32_t>{12, 3}));
+    EXPECT_TRUE(std::ranges::equal(st.srcs, std::vector<int32_t>{12, 3}));
 
     EXPECT_TRUE(program.blocks[0].instrs.back().is_branch);
     // SETHI: no sources at all.
@@ -99,8 +101,8 @@ TEST(Sasm, RoundTripsThroughFormat)
             const auto &x = program.blocks[b].instrs[i];
             const auto &y = again.blocks[b].instrs[i];
             EXPECT_EQ(x.op_class, y.op_class);
-            EXPECT_EQ(x.srcs, y.srcs);
-            EXPECT_EQ(x.dsts, y.dsts);
+            EXPECT_TRUE(std::ranges::equal(x.srcs, y.srcs));
+            EXPECT_TRUE(std::ranges::equal(x.dsts, y.dsts));
             EXPECT_EQ(x.cascadable, y.cascadable);
             EXPECT_EQ(x.is_branch, y.is_branch);
         }
@@ -146,6 +148,9 @@ const BadSasm kBadSasm[] = {
     {"two_branches",
      "block\n  BA <- !branch\n  BA <- !branch\nend\n",
      "already has a branch"},
+    {"misplaced_branch",
+     "block\n  BA <- !branch\n  ADD_I r1 <- r2\nend\n",
+     "branch before the end of its block"},
 };
 
 std::string
@@ -173,11 +178,16 @@ TEST(Sasm, WarnsOnUselessCascadeFlag)
 TEST(Sasm, ErrorLocationsAreUseful)
 {
     auto low = sparc();
-    DiagnosticEngine diags;
-    workload::parseSasm("block\n  ADD_I r1 <- r2\n  FROB r1 <- r2\nend\n",
-                        low, diags);
-    ASSERT_FALSE(diags.diagnostics().empty());
-    EXPECT_EQ(diags.diagnostics()[0].loc.line, 3);
+    // Each input's first error is on its line 3: an unknown opcode, and
+    // the instruction that follows a misplaced branch.
+    for (const char *text :
+         {"block\n  ADD_I r1 <- r2\n  FROB r1 <- r2\nend\n",
+          "block\n  BA <- !branch\n  ADD_I r1 <- r2\nend\n"}) {
+        DiagnosticEngine diags;
+        workload::parseSasm(text, low, diags);
+        ASSERT_FALSE(diags.diagnostics().empty()) << text;
+        EXPECT_EQ(diags.diagnostics()[0].loc.line, 3) << text;
+    }
 }
 
 } // namespace

@@ -31,6 +31,7 @@
 #include "sched/dep_graph.h"
 #include "sched/list_scheduler.h"
 #include "sched/verify.h"
+#include "test_program.h"
 #include "workload/workload.h"
 
 namespace mdes {
@@ -43,6 +44,8 @@ using sched::DepGraph;
 using sched::Instr;
 using sched::ListScheduler;
 using sched::SchedStats;
+using testing::instr;
+using testing::oneBlock;
 
 /** A 2-wide machine: 2 slots, ops take one slot; ADD cascades on S[1]. */
 LowMdes
@@ -64,19 +67,6 @@ machine "two-wide" {
     return LowMdes::lower(m, {});
 }
 
-Instr
-instr(uint32_t cls, std::vector<int32_t> srcs, std::vector<int32_t> dsts,
-      bool cascadable = false, bool is_branch = false)
-{
-    Instr in;
-    in.op_class = cls;
-    in.srcs = std::move(srcs);
-    in.dsts = std::move(dsts);
-    in.cascadable = cascadable;
-    in.is_branch = is_branch;
-    return in;
-}
-
 // --------------------------------------------------------------- DepGraph
 
 TEST(DepGraph, RawWarWawEdges)
@@ -84,12 +74,12 @@ TEST(DepGraph, RawWarWawEdges)
     LowMdes low = twoWide();
     uint32_t ADD = low.findOpClass("ADD");
     uint32_t LOAD = low.findOpClass("LOAD");
-    Block b;
-    b.instrs = {
+    sched::Program prog = oneBlock({
         instr(LOAD, {1}, {2}), // 0: r2 = load r1
         instr(ADD, {2}, {3}),  // 1: r3 = r2 + ...   RAW 0->1 dist 3
         instr(ADD, {9}, {2}),  // 2: r2 = ...        WAW 0->2, WAR 1->2
-    };
+    });
+    const Block &b = prog.blocks[0];
     DepGraph g = DepGraph::build(b, low);
 
     bool raw = false, waw = false, war = false;
@@ -115,13 +105,13 @@ TEST(DepGraph, CascadeRelaxOnlyForSingleCycleProducers)
     LowMdes low = twoWide();
     uint32_t ADD = low.findOpClass("ADD");
     uint32_t LOAD = low.findOpClass("LOAD");
-    Block b;
-    b.instrs = {
+    sched::Program prog = oneBlock({
         instr(ADD, {1}, {2}),              // 0
         instr(ADD, {2}, {3}, true),        // 1: cascadable consumer
         instr(LOAD, {9}, {4}),             // 2
         instr(ADD, {4}, {5}, true),        // 3: load-fed: no relax
-    };
+    });
+    const Block &b = prog.blocks[0];
     DepGraph g = DepGraph::build(b, low);
     for (const auto &e : g.edges()) {
         if (e.pred == 0 && e.succ == 1)
@@ -135,9 +125,10 @@ TEST(DepGraph, NoSelfEdges)
 {
     LowMdes low = twoWide();
     uint32_t ADD = low.findOpClass("ADD");
-    Block b;
     // Reads and writes the same register, plus a double write.
-    b.instrs = {instr(ADD, {1}, {1}), instr(ADD, {2}, {3, 3})};
+    sched::Program prog =
+        oneBlock({instr(ADD, {1}, {1}), instr(ADD, {2}, {3, 3})});
+    const Block &b = prog.blocks[0];
     DepGraph g = DepGraph::build(b, low);
     for (const auto &e : g.edges())
         EXPECT_NE(e.pred, e.succ);
@@ -148,9 +139,12 @@ TEST(DepGraph, BranchOrderedLast)
     LowMdes low = twoWide();
     uint32_t ADD = low.findOpClass("ADD");
     uint32_t BR = low.findOpClass("BR");
-    Block b;
-    b.instrs = {instr(ADD, {1}, {2}), instr(ADD, {3}, {4}),
-                instr(BR, {}, {}, false, true)};
+    sched::Program prog = oneBlock({
+        instr(ADD, {1}, {2}),
+        instr(ADD, {3}, {4}),
+        instr(BR, {}, {}, false, true),
+    });
+    const Block &b = prog.blocks[0];
     DepGraph g = DepGraph::build(b, low);
     int edges_to_branch = 0;
     for (const auto &e : g.edges())
@@ -163,13 +157,13 @@ TEST(DepGraph, PrioritiesAreCriticalPath)
     LowMdes low = twoWide();
     uint32_t ADD = low.findOpClass("ADD");
     uint32_t LOAD = low.findOpClass("LOAD");
-    Block b;
-    b.instrs = {
+    sched::Program prog = oneBlock({
         instr(LOAD, {1}, {2}), // 0: feeds the chain, lat 3
         instr(ADD, {2}, {3}),  // 1
         instr(ADD, {3}, {4}),  // 2
         instr(ADD, {9}, {8}),  // 3: independent
-    };
+    });
+    const Block &b = prog.blocks[0];
     DepGraph g = DepGraph::build(b, low);
     // height(2) = 1, height(1) = 1 + 1, height(0) = 3 + 2.
     EXPECT_EQ(g.priorities()[0], 5);
@@ -184,9 +178,11 @@ TEST(Scheduler, PacksIndependentOpsByWidth)
 {
     LowMdes low = twoWide();
     uint32_t ADD = low.findOpClass("ADD");
-    Block b;
+    std::vector<testing::Op> ops;
     for (int i = 0; i < 4; ++i)
-        b.instrs.push_back(instr(ADD, {10 + i}, {20 + i}));
+        ops.push_back(instr(ADD, {10 + i}, {20 + i}));
+    sched::Program prog = oneBlock(ops);
+    const Block &b = prog.blocks[0];
     ListScheduler s(low);
     SchedStats stats;
     BlockSchedule sched = s.scheduleBlock(b, stats);
@@ -204,8 +200,9 @@ TEST(Scheduler, HonorsLatency)
     LowMdes low = twoWide();
     uint32_t ADD = low.findOpClass("ADD");
     uint32_t LOAD = low.findOpClass("LOAD");
-    Block b;
-    b.instrs = {instr(LOAD, {1}, {2}), instr(ADD, {2}, {3})};
+    sched::Program prog =
+        oneBlock({instr(LOAD, {1}, {2}), instr(ADD, {2}, {3})});
+    const Block &b = prog.blocks[0];
     ListScheduler s(low);
     SchedStats stats;
     BlockSchedule sched = s.scheduleBlock(b, stats);
@@ -217,8 +214,9 @@ TEST(Scheduler, CascadeExecutesSameCycle)
 {
     LowMdes low = twoWide();
     uint32_t ADD = low.findOpClass("ADD");
-    Block b;
-    b.instrs = {instr(ADD, {1}, {2}), instr(ADD, {2}, {3}, true)};
+    sched::Program prog =
+        oneBlock({instr(ADD, {1}, {2}), instr(ADD, {2}, {3}, true)});
+    const Block &b = prog.blocks[0];
     ListScheduler s(low);
     SchedStats stats;
     BlockSchedule sched = s.scheduleBlock(b, stats);
@@ -234,8 +232,9 @@ TEST(Scheduler, NonCascadableWaitsFullLatency)
 {
     LowMdes low = twoWide();
     uint32_t ADD = low.findOpClass("ADD");
-    Block b;
-    b.instrs = {instr(ADD, {1}, {2}), instr(ADD, {2}, {3}, false)};
+    sched::Program prog =
+        oneBlock({instr(ADD, {1}, {2}), instr(ADD, {2}, {3}, false)});
+    const Block &b = prog.blocks[0];
     ListScheduler s(low);
     SchedStats stats;
     BlockSchedule sched = s.scheduleBlock(b, stats);
@@ -247,9 +246,11 @@ TEST(Scheduler, CountsAttemptsPerTree)
 {
     LowMdes low = twoWide();
     uint32_t ADD = low.findOpClass("ADD");
-    Block b;
+    std::vector<testing::Op> ops;
     for (int i = 0; i < 3; ++i)
-        b.instrs.push_back(instr(ADD, {10 + i}, {20 + i}));
+        ops.push_back(instr(ADD, {10 + i}, {20 + i}));
+    sched::Program prog = oneBlock(ops);
+    const Block &b = prog.blocks[0];
     ListScheduler s(low);
     SchedStats stats;
     s.scheduleBlock(b, stats);
@@ -306,8 +307,8 @@ std::vector<sched::DepEdge>
 referenceEdges(const Block &block, const LowMdes &low)
 {
     const auto &ins = block.instrs;
-    auto has = [](const std::vector<int32_t> &regs, int32_t r) {
-        return std::find(regs.begin(), regs.end(), r) != regs.end();
+    auto has = [](std::span<const int32_t> regs, int32_t r) {
+        return std::ranges::find(regs, r) != regs.end();
     };
     // Whether an operation in [from, to) writes r.
     auto written = [&](size_t from, size_t to, int32_t r) {
@@ -595,8 +596,8 @@ machine "stuck" {
 }
 )";
     LowMdes low = LowMdes::lower(hmdes::compileOrThrow(src), {});
-    Block b;
-    b.instrs = {instr(low.findOpClass("STUCK"), {1}, {2})};
+    sched::Program prog = oneBlock({instr(low.findOpClass("STUCK"), {1}, {2})});
+    const Block &b = prog.blocks[0];
     auto expectCycleBound = [&](auto &&scheduler) {
         SchedStats stats;
         try {
@@ -621,9 +622,13 @@ TEST(Verify, AcceptsSchedulerOutput)
     LowMdes low = twoWide();
     uint32_t ADD = low.findOpClass("ADD");
     uint32_t LOAD = low.findOpClass("LOAD");
-    Block b;
-    b.instrs = {instr(LOAD, {1}, {2}), instr(ADD, {2}, {3}, true),
-                instr(ADD, {3}, {4}, true), instr(ADD, {9}, {5})};
+    sched::Program prog = oneBlock({
+        instr(LOAD, {1}, {2}),
+        instr(ADD, {2}, {3}, true),
+        instr(ADD, {3}, {4}, true),
+        instr(ADD, {9}, {5}),
+    });
+    const Block &b = prog.blocks[0];
     ListScheduler s(low);
     SchedStats stats;
     BlockSchedule sched = s.scheduleBlock(b, stats);
@@ -635,8 +640,9 @@ TEST(Verify, RejectsDependenceViolation)
     LowMdes low = twoWide();
     uint32_t ADD = low.findOpClass("ADD");
     uint32_t LOAD = low.findOpClass("LOAD");
-    Block b;
-    b.instrs = {instr(LOAD, {1}, {2}), instr(ADD, {2}, {3})};
+    sched::Program prog =
+        oneBlock({instr(LOAD, {1}, {2}), instr(ADD, {2}, {3})});
+    const Block &b = prog.blocks[0];
     BlockSchedule bad;
     bad.cycles = {0, 1}; // needs distance 3
     bad.used_cascade = {0, 0};
@@ -649,9 +655,12 @@ TEST(Verify, RejectsResourceOversubscription)
 {
     LowMdes low = twoWide();
     uint32_t ADD = low.findOpClass("ADD");
-    Block b;
-    b.instrs = {instr(ADD, {1}, {2}), instr(ADD, {3}, {4}),
-                instr(ADD, {5}, {6})};
+    sched::Program prog = oneBlock({
+        instr(ADD, {1}, {2}),
+        instr(ADD, {3}, {4}),
+        instr(ADD, {5}, {6}),
+    });
+    const Block &b = prog.blocks[0];
     BlockSchedule bad;
     bad.cycles = {0, 0, 0}; // 3 ops on a 2-wide machine
     bad.used_cascade = {0, 0, 0};
@@ -664,8 +673,8 @@ TEST(Verify, RejectsUnscheduledAndSizeMismatch)
 {
     LowMdes low = twoWide();
     uint32_t ADD = low.findOpClass("ADD");
-    Block b;
-    b.instrs = {instr(ADD, {1}, {2})};
+    sched::Program prog = oneBlock({instr(ADD, {1}, {2})});
+    const Block &b = prog.blocks[0];
     BlockSchedule bad;
     bad.cycles = {-1};
     bad.used_cascade = {0};
@@ -680,8 +689,9 @@ TEST(Verify, RejectsBadIssueOrder)
 {
     LowMdes low = twoWide();
     uint32_t ADD = low.findOpClass("ADD");
-    Block b;
-    b.instrs = {instr(ADD, {1}, {2}), instr(ADD, {3}, {4})};
+    sched::Program prog =
+        oneBlock({instr(ADD, {1}, {2}), instr(ADD, {3}, {4})});
+    const Block &b = prog.blocks[0];
     BlockSchedule bad;
     bad.cycles = {0, 0};
     bad.used_cascade = {0, 0};
@@ -707,8 +717,9 @@ TEST(Verify, RejectsMissingCascadeTree)
     LowMdes low = twoWide();
     uint32_t ADD = low.findOpClass("ADD");
     uint32_t LOAD = low.findOpClass("LOAD");
-    Block b;
-    b.instrs = {instr(ADD, {1}, {2}), instr(LOAD, {3}, {4})};
+    sched::Program prog =
+        oneBlock({instr(ADD, {1}, {2}), instr(LOAD, {3}, {4})});
+    const Block &b = prog.blocks[0];
     BlockSchedule bad;
     bad.cycles = {0, 0};
     bad.used_cascade = {1, 1}; // ADD has a cascade table, LOAD has none
@@ -887,9 +898,9 @@ TEST(Scheduler, SuperSparcCascadePairsIssueTogether)
     LowMdes low = LowMdes::lower(m, {});
     uint32_t ADD_I = low.findOpClass("ADD_I");
 
-    Block b;
-    b.instrs = {instr(ADD_I, {1}, {2}, true),
-                instr(ADD_I, {2}, {3}, true)};
+    sched::Program prog =
+        oneBlock({instr(ADD_I, {1}, {2}, true), instr(ADD_I, {2}, {3}, true)});
+    const Block &b = prog.blocks[0];
     ListScheduler s(low);
     SchedStats stats;
     BlockSchedule sched = s.scheduleBlock(b, stats);
@@ -904,9 +915,11 @@ TEST(Scheduler, SuperSparcIssueWidthIsThree)
     Mdes m = hmdes::compileOrThrow(machines::superSparc().source);
     LowMdes low = LowMdes::lower(m, {});
     uint32_t ADD_I = low.findOpClass("ADD_I");
-    Block b;
+    std::vector<testing::Op> ops;
     for (int i = 0; i < 6; ++i)
-        b.instrs.push_back(instr(ADD_I, {10 + i}, {20 + i}));
+        ops.push_back(instr(ADD_I, {10 + i}, {20 + i}));
+    sched::Program prog = oneBlock(ops);
+    const Block &b = prog.blocks[0];
     ListScheduler s(low);
     SchedStats stats;
     BlockSchedule sched = s.scheduleBlock(b, stats);

@@ -191,6 +191,11 @@ TEST(Service, TypedErrors)
     auto bad_workload = svc.wait(svc.submit(bad_sasm));
     EXPECT_EQ(bad_workload.error.code, service::ErrorCode::BadWorkload);
 
+    // A synthetic workload over the cap is refused, not built.
+    auto too_big = svc.wait(
+        svc.submit(syntheticRequest("PA7100", service::kMaxSynthOps + 1)));
+    EXPECT_EQ(too_big.error.code, service::ErrorCode::BadRequest);
+
     // A failed compile is not cached: the next identical request
     // re-attempts (and fails again) rather than hitting a poisoned
     // entry.

@@ -19,6 +19,7 @@
 #include "sched/list_scheduler.h"
 #include "sched/modulo_scheduler.h"
 #include "sched/verify.h"
+#include "test_program.h"
 #include "workload/workload.h"
 
 namespace mdes {
@@ -125,14 +126,12 @@ TEST(Wide, ModuloSchedulingWorks)
     runPipeline(m, PipelineConfig::all());
     LowMdes low = LowMdes::lower(m, {});
 
-    sched::Block body;
-    for (int i = 0; i < 4; ++i) {
-        sched::Instr in;
-        in.op_class = low.findOpClass("ADD");
-        in.srcs = {10 + i};
-        in.dsts = {20 + i};
-        body.instrs.push_back(in);
-    }
+    std::vector<testing::Op> ops;
+    for (int i = 0; i < 4; ++i)
+        ops.push_back(
+            testing::instr(low.findOpClass("ADD"), {10 + i}, {20 + i}));
+    sched::Program prog = testing::oneBlock(ops);
+    const sched::Block &body = prog.blocks[0];
     sched::ModuloScheduler ms(low);
     sched::SchedStats stats;
     auto sched = ms.schedule(body, stats);

@@ -1,16 +1,22 @@
 /**
  * @file
  * Workload-generator tests: determinism, mix fidelity, block structure,
- * register-operand shape, and error handling.
+ * register-operand shape, error handling, the pinned content of the
+ * generated streams, and a program's survival of moves.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
+#include <memory>
 
 #include "exp/runner.h"
 #include "hmdes/compile.h"
 #include "machines/machines.h"
+#include "sched/list_scheduler.h"
+#include "sched/verify.h"
+#include "workload/sasm.h"
 #include "workload/workload.h"
 
 namespace mdes {
@@ -36,8 +42,8 @@ TEST(Workload, DeterministicForSameSeed)
         for (size_t j = 0; j < a.blocks[i].instrs.size(); ++j) {
             EXPECT_EQ(a.blocks[i].instrs[j].op_class,
                       b.blocks[i].instrs[j].op_class);
-            EXPECT_EQ(a.blocks[i].instrs[j].srcs,
-                      b.blocks[i].instrs[j].srcs);
+            EXPECT_TRUE(std::ranges::equal(a.blocks[i].instrs[j].srcs,
+                                           b.blocks[i].instrs[j].srcs));
         }
     }
 }
@@ -200,6 +206,147 @@ TEST(Workload, CascadableFlagPropagates)
                 EXPECT_FALSE(in.cascadable);
         }
     }
+}
+
+/**
+ * FNV-1a over everything a scheduler reads from a program: the block
+ * boundaries, each op's class, its srcs and dsts in order, and both
+ * flags.
+ */
+uint64_t
+contentHash(const sched::Program &program)
+{
+    uint64_t h = 0xcbf29ce484222325ULL;
+    auto mix = [&h](uint64_t v) {
+        for (int i = 0; i < 8; ++i, v >>= 8) {
+            h ^= v & 0xff;
+            h *= 0x100000001b3ULL;
+        }
+    };
+    for (const sched::Block &block : program.blocks) {
+        mix(block.instrs.size());
+        for (const sched::Instr &in : block.instrs) {
+            mix(in.op_class);
+            mix(in.srcs.size());
+            for (int32_t r : in.srcs)
+                mix(uint32_t(r));
+            mix(in.dsts.size());
+            for (int32_t r : in.dsts)
+                mix(uint32_t(r));
+            mix(uint64_t(in.cascadable) | uint64_t(in.is_branch) << 1);
+        }
+    }
+    return h;
+}
+
+sched::Program
+roundTrip(const sched::Program &program, const lmdes::LowMdes &low)
+{
+    return workload::parseSasmOrThrow(workload::formatSasm(program, low),
+                                      low);
+}
+
+/** The expected content of both generators' streams. A change here
+ * changes every schedule fingerprint downstream. */
+struct PinnedStream
+{
+    const char *machine;
+    uint64_t seed;
+    uint64_t generate;
+    uint64_t loops;
+};
+
+const PinnedStream kPinned[] = {
+    {"PA7100", 1, 0xd8937c03f8abeb74ULL, 0x19e7b092ec1c3ad4ULL},
+    {"PA7100", 906, 0xfd089ced69f68348ULL, 0xe8e9ecedba2f8592ULL},
+    {"Pentium", 1, 0x3ca0cac71163e419ULL, 0x5e2dbab02244e11eULL},
+    {"Pentium", 906, 0x6de066007e6e6d3aULL, 0xe7f28528a8a28373ULL},
+    {"SuperSPARC", 1, 0x145cf7c157f799ccULL, 0x00054fd408715a77ULL},
+    {"SuperSPARC", 906, 0x7868ccc0e8a29129ULL, 0x5497dccc5300399aULL},
+    {"K5", 1, 0x8fe62bea896be935ULL, 0xaaed56b529e876d7ULL},
+    {"K5", 906, 0x38ba8b000d9b65a5ULL, 0xea54e675872a279bULL},
+};
+
+TEST(Workload, StreamsArePinned)
+{
+    for (const PinnedStream &pin : kPinned) {
+        const machines::MachineInfo *info = machines::byName(pin.machine);
+        ASSERT_NE(info, nullptr) << pin.machine;
+        auto low = lowFor(*info);
+        workload::WorkloadSpec spec = info->workload;
+        spec.num_ops = 3000;
+        spec.seed = pin.seed;
+        sched::Program program = workload::generate(spec, low);
+        sched::Program loops = workload::generateLoops(spec, low);
+        EXPECT_EQ(contentHash(program), pin.generate)
+            << pin.machine << " seed " << pin.seed;
+        EXPECT_EQ(contentHash(loops), pin.loops)
+            << pin.machine << " seed " << pin.seed;
+        EXPECT_EQ(contentHash(roundTrip(program, low)), pin.generate)
+            << pin.machine << " seed " << pin.seed;
+        EXPECT_EQ(contentHash(roundTrip(loops, low)), pin.loops)
+            << pin.machine << " seed " << pin.seed;
+    }
+}
+
+TEST(Workload, ProgramSurvivesMoves)
+{
+    auto low = lowFor(machines::superSparc());
+    workload::WorkloadSpec spec = machines::superSparc().workload;
+    spec.num_ops = 2000;
+    const uint64_t want = contentHash(workload::generate(spec, low));
+    auto schedulesAndVerifies = [&](const sched::Program &program) {
+        EXPECT_EQ(contentHash(program), want);
+        sched::SchedStats stats;
+        auto schedules =
+            sched::ListScheduler(low).scheduleProgram(program, stats);
+        ASSERT_EQ(schedules.size(), program.blocks.size());
+        for (size_t b = 0; b < program.blocks.size(); ++b) {
+            EXPECT_EQ(sched::verifySchedule(program.blocks[b], schedules[b],
+                                            low),
+                      "");
+        }
+    };
+
+    // Into a shared, immutable program, as perfbench holds its inputs.
+    sched::Program generated = workload::generate(spec, low);
+    auto shared = std::make_shared<const sched::Program>(std::move(generated));
+    schedulesAndVerifies(*shared);
+
+    // Through a vector that reallocates under it.
+    std::vector<sched::Program> programs;
+    programs.push_back(workload::generate(spec, low));
+    const sched::Program *before = programs.data();
+    programs.reserve(programs.capacity() + 1);
+    ASSERT_NE(programs.data(), before);
+    schedulesAndVerifies(programs.front());
+
+    // By move assignment over a default-constructed program.
+    sched::Program assigned;
+    assigned = std::move(programs.front());
+    schedulesAndVerifies(assigned);
+}
+
+TEST(Workload, HugeOperandListRoundTrips)
+{
+    auto low = lowFor(machines::superSparc());
+    // One instruction with more operands than a 16-bit count holds.
+    const size_t kOperands = 70000;
+    std::string text = "block\n    ST <-";
+    for (size_t i = 0; i < kOperands; ++i)
+        text += (i ? ", r" : " r") + std::to_string(i % 4096);
+    text += "\nend\n";
+    sched::Program program = workload::parseSasmOrThrow(text, low);
+    ASSERT_EQ(program.numOps(), 1u);
+    const sched::Instr &in = program.blocks[0].instrs[0];
+    ASSERT_EQ(in.srcs.size(), kOperands);
+    EXPECT_TRUE(in.dsts.empty());
+    for (size_t i = 0; i < kOperands; ++i)
+        ASSERT_EQ(in.srcs[i], int32_t(i % 4096)) << i;
+    sched::Program again = roundTrip(program, low);
+    ASSERT_EQ(again.numOps(), 1u);
+    EXPECT_TRUE(std::ranges::equal(again.blocks[0].instrs[0].srcs, in.srcs));
+    EXPECT_EQ(contentHash(again), contentHash(program));
 }
 
 } // namespace
