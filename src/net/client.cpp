@@ -32,8 +32,13 @@ parseResponseJson(const std::string &body)
     // must not round through the parser's double above 2^53.
     if (const JsonValue *v = doc.find("id"))
         r.id = jsonU64(*v);
-    if (const JsonValue *v = doc.find("code"))
-        r.code = ErrorCode(int(v->number));
+    if (const JsonValue *v = doc.find("code")) {
+        const uint64_t code = jsonU64(*v);
+        if (code >= uint64_t(ErrorCode::kNumCodes))
+            throw MdesError("net: unknown error code " +
+                            std::to_string(code));
+        r.code = ErrorCode(code);
+    }
     if (const JsonValue *v = doc.find("error"))
         r.error = v->string;
     if (const JsonValue *v = doc.find("message"))

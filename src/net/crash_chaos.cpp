@@ -32,7 +32,7 @@ namespace fs = std::filesystem;
 using Clock = std::chrono::steady_clock;
 using service::ErrorCode;
 using service::ScheduleRequest;
-using service::StatSnapshot;
+using service::StatsDocument;
 
 namespace {
 
@@ -203,7 +203,7 @@ launchFleet(const CrashChaosConfig &config, const std::string &store_dir,
 
 /** One stats poll (fresh connection; the parent closes after
  * answering). Empty on transport failure or malformed document. */
-std::optional<StatSnapshot>
+std::optional<StatsDocument>
 pollStats(uint16_t port)
 {
     BlockingClient client(kHost, port);
@@ -219,8 +219,8 @@ pollStats(uint16_t port)
     }
 }
 
-const StatSnapshot::ShardRow *
-findShard(const StatSnapshot &snap, uint64_t shard)
+const service::ShardRow *
+findShard(const StatsDocument &snap, uint64_t shard)
 {
     for (const auto &row : snap.per_shard)
         if (row.shard == shard)
@@ -229,9 +229,9 @@ findShard(const StatSnapshot &snap, uint64_t shard)
 }
 
 /** Poll until @p pred holds; returns the satisfying snapshot. */
-std::optional<StatSnapshot>
+std::optional<StatsDocument>
 waitSnap(uint16_t port, uint64_t timeout_ms,
-         const std::function<bool(const StatSnapshot &)> &pred)
+         const std::function<bool(const StatsDocument &)> &pred)
 {
     auto t0 = Clock::now();
     for (;;) {
@@ -245,7 +245,7 @@ waitSnap(uint16_t port, uint64_t timeout_ms,
 }
 
 bool
-allLive(const StatSnapshot &snap, unsigned shards)
+allLive(const StatsDocument &snap, unsigned shards)
 {
     if (snap.per_shard.size() != shards)
         return false;
@@ -563,7 +563,7 @@ runSeed(const CrashChaosConfig &config, uint64_t seed,
     for (unsigned round = 0; round < config.kill_rounds; ++round) {
         const std::string phase = "round " + std::to_string(round);
         auto stable = waitSnap(fleet.port, 20000,
-                               [&](const StatSnapshot &s) {
+                               [&](const StatsDocument &s) {
                                    return allLive(s, config.shards);
                                });
         if (!stable) {
@@ -628,7 +628,7 @@ runSeed(const CrashChaosConfig &config, uint64_t seed,
     // SIGKILL it, and respawn the slot — all while serving continues.
     {
         auto stable = waitSnap(fleet.port, 20000,
-                               [&](const StatSnapshot &s) {
+                               [&](const StatsDocument &s) {
                                    return allLive(s, config.shards);
                                });
         if (!stable) {
@@ -648,7 +648,7 @@ runSeed(const CrashChaosConfig &config, uint64_t seed,
         ::kill(pid_t(old_pid), SIGSTOP);
         auto wedged = waitSnap(
             fleet.port, config.heartbeat_timeout_ms + 15000,
-            [&](const StatSnapshot &s) {
+            [&](const StatsDocument &s) {
                 return s.supervision.wedged_shards > wedged_before;
             });
         if (!wedged) {
@@ -658,7 +658,7 @@ runSeed(const CrashChaosConfig &config, uint64_t seed,
             return result;
         }
         auto back = waitSnap(fleet.port, 20000,
-                             [&](const StatSnapshot &s) {
+                             [&](const StatsDocument &s) {
                                  const auto *row = findShard(s, shard);
                                  return row && row->pid > 0 &&
                                         row->pid != old_pid &&
@@ -733,7 +733,7 @@ runQuarantineProbe(const CrashChaosConfig &config,
         return violations;
     }
     auto stable = waitSnap(fleet.port, 20000,
-                           [&](const StatSnapshot &s) {
+                           [&](const StatsDocument &s) {
                                return allLive(s, config.shards);
                            });
     if (!stable) {

@@ -699,16 +699,23 @@ struct Server::Impl
         maybePause(conn);
     }
 
+    /** This process's stats document, net section included. */
+    std::string
+    statsJson()
+    {
+        service::StatsDocument doc{.now_s = service::windowNowS(),
+                                   .metrics = svc->metricsSnapshot()};
+        counters.fill(doc.metrics.net);
+        return service::statsToJson(doc);
+    }
+
     /** Serialize one live stats answer for @p conn's wire mode. Binary
      * mode: a Response frame whose payload is the stats document; JSON
      * mode: the document itself with an "id" field prepended. */
     std::string
     statResponseBytes(const Conn &conn, uint64_t wire_id)
     {
-        service::ServiceMetrics m = svc->metricsSnapshot();
-        counters.fill(m.net);
-        std::string doc =
-            service::statsToJson(m, service::windowNowS());
+        std::string doc = statsJson();
         if (conn.mode == Conn::Mode::Json) {
             // Splice the id into the document so JSON-lines pollers get
             // the same schema as the frame payload, plus correlation.
@@ -843,8 +850,12 @@ struct Server::Impl
                 if (!req || req->kind != JsonValue::Kind::String)
                     throw MdesError("missing string field 'req'");
                 reqline = req->string;
-                if (const JsonValue *dl = doc.find("deadline_ms"))
-                    deadline_ms = uint32_t(jsonU64(*dl));
+                if (const JsonValue *dl = doc.find("deadline_ms")) {
+                    const uint64_t ms = jsonU64(*dl);
+                    if (ms > UINT32_MAX)
+                        throw MdesError("deadline_ms above 2^32-1");
+                    deadline_ms = uint32_t(ms);
+                }
                 // "route" is accepted and ignored, as in the frame
                 // header.
             }
@@ -1034,10 +1045,7 @@ struct Server::Impl
     {
         if (poll.size() < 9)
             return;
-        service::ServiceMetrics m = svc->metricsSnapshot();
-        counters.fill(m.net);
-        std::string reply = poll.substr(0, 9);
-        reply += service::statsToJson(m, service::windowNowS());
+        std::string reply = poll.substr(0, 9) + statsJson();
         [[maybe_unused]] ssize_t n =
             io::sendRetry(feed_fd, reply.data(), reply.size());
     }
@@ -1476,12 +1484,14 @@ blockTermSignals()
 }
 
 void
-dumpMetrics(const service::ServiceMetrics &m, bool json)
+dumpMetrics(service::ServiceMetrics m, bool json)
 {
+    const service::StatsDocument doc{.now_s = service::windowNowS(),
+                                     .metrics = std::move(m)};
     if (json)
-        std::cout << m.toJson() << "\n";
+        std::cout << service::statsToJson(doc) << "\n";
     else
-        std::cout << m.toTable();
+        std::cout << service::renderStats(doc);
 }
 
 /** Arm the flight-recorder spool for this serving process (@p shard
@@ -1747,7 +1757,7 @@ class Supervisor
     std::vector<FleetConn> conns_;
     /** Receive buffer for shard datagrams (a stats reply is the
      * largest). */
-    std::vector<char> buf_ = std::vector<char>(1 << 16);
+    std::vector<char> buf_ = std::vector<char>(service::kStatsDatagramMax);
     int listen_fd_ = -1;
     int ep_ = -1;
     int sfd_ = -1;
@@ -2047,7 +2057,6 @@ class Supervisor
     supervision(service::SupervisionInfo *sup,
                 std::vector<service::ShardSupervision> *rows) const
     {
-        sup->enabled = true;
         for (const ShardSlot &s : slots_) {
             service::ShardSupervision row;
             row.pid = s.pid;

@@ -215,6 +215,8 @@ class DescriptionCache
             uint64_t lookups = disk_hits + disk_misses;
             return lookups ? double(disk_hits) / double(lookups) : 0.0;
         }
+
+        bool operator==(const Stats &) const = default;
     };
 
     Stats stats() const;

@@ -7,12 +7,13 @@
  * histograms, and scheduling aggregates.
  *
  * Each worker thread owns one ServiceMetrics and records into it without
- * contention; a snapshot merges every worker's copy with
- * Histogram::merge() (plus the cache's own counters) into one report,
- * dumpable as a text table or as JSON.
+ * contention; a snapshot merges every worker's copy (plus the cache's own
+ * counters) into one. The stats document (stats.h) is the only
+ * serialization: visitMetrics() below lists every field once, and the
+ * document's writer, its parser and merge() all walk that list.
  *
  * Latencies are recorded in microseconds but bucketed by power of two
- * (value = bit_width(us)), so a histogram stays a few dozen slots even
+ * (value = bit_width(us)), so a histogram stays at most 65 slots even
  * for second-long requests: bucket b covers [2^(b-1), 2^b) us.
  */
 
@@ -20,6 +21,7 @@
 #include <cstdint>
 #include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/transforms.h"
@@ -57,6 +59,9 @@ enum class ErrorCode : int {
 /** Printable name of @p code. */
 const char *errorCodeName(ErrorCode code);
 
+/** Buckets a log2 series can have: bit_width of a u64 is 0..64. */
+inline constexpr size_t kLog2Buckets = 65;
+
 /** Latency series for one request stage. */
 struct StageLatency
 {
@@ -91,6 +96,12 @@ struct StageLatency
      * empty series.
      */
     uint64_t approxPercentileUs(double q) const;
+
+    /** Inclusive microsecond range [lo, hi] of log2 bucket @p b
+     * (b < kLog2Buckets; bucket 0 is [0, 0]). */
+    static std::pair<uint64_t, uint64_t> bucketRange(uint64_t b);
+
+    bool operator==(const StageLatency &) const = default;
 };
 
 // --- Sliding-window telemetry ------------------------------------------
@@ -128,6 +139,8 @@ struct MetricsWindow
     uint64_t shed = 0;
     /** End-to-end request latency deltas for this window. */
     StageLatency total;
+
+    bool operator==(const MetricsWindow &) const = default;
 };
 
 /** Aggregate of the windows inside one horizon. */
@@ -158,9 +171,12 @@ class WindowRing
      * (counted as requests and errors; no latency sample). */
     void recordShed(uint64_t now_s, uint64_t n);
 
-    /** Slot-wise merge keyed by epoch: equal epochs sum (histograms
-     * via Histogram::merge), a newer epoch replaces, an older one is
-     * stale and ignored. */
+    /** Fold one window into its slot (epoch % kWindowSlots): an equal
+     * epoch sums (histograms via Histogram::merge), a newer epoch
+     * replaces, an older one is stale and ignored. */
+    void add(const MetricsWindow &window);
+
+    /** Slot-wise add() of every window @p other holds. */
     void merge(const WindowRing &other);
 
     /** Sum of the windows covering the last @p horizon_s seconds
@@ -168,20 +184,14 @@ class WindowRing
      * ring length). */
     WindowView over(uint64_t now_s, uint64_t horizon_s) const;
 
-    /** True when no window holds any data. */
-    bool empty() const;
-
     /** Slot access for serialization (stats protocol) and tests. */
     const MetricsWindow &
     slot(size_t i) const
     {
         return slots_[i];
     }
-    MetricsWindow &
-    slot(size_t i)
-    {
-        return slots_[i];
-    }
+
+    bool operator==(const WindowRing &) const = default;
 
   private:
     MetricsWindow &claim(uint64_t now_s);
@@ -205,7 +215,6 @@ struct TransformEffects
 
     /** Accumulate one pipeline run's counters. */
     void add(const PipelineStats &stats);
-    void merge(const TransformEffects &other);
 
     uint64_t
     total() const
@@ -214,12 +223,14 @@ struct TransformEffects
                removed_dead + redundant_options_removed + trees_reordered +
                usages_hoisted + resources_shifted;
     }
+
+    bool operator==(const TransformEffects &) const = default;
 };
 
 /**
  * Socket-tier counters (mdes::net). Filled at snapshot time by the
- * network server, the same way cache stats are; all zero (and the
- * table/JSON sections absent) for an in-process service.
+ * network server, the same way cache stats are; all zero (and the text
+ * tables absent) for an in-process service.
  */
 struct NetStats
 {
@@ -268,7 +279,7 @@ struct NetStats
      * after SIGTERM flipped the server to draining (DESIGN.md §15). */
     uint64_t draining_shed = 0;
 
-    void merge(const NetStats &other);
+    bool operator==(const NetStats &) const = default;
 };
 
 /** Everything the service counts. */
@@ -308,8 +319,8 @@ struct ServiceMetrics
     uint64_t probe_fastpath = 0;
 
     // --- Exact/portfolio search section -------------------------------
-    // Populated only by exact/portfolio requests; the table and JSON
-    // sections stay silent while exact_blocks is zero.
+    // Populated only by exact/portfolio requests; the text tables stay
+    // silent while exact_blocks is zero.
     uint64_t exact_blocks = 0;
     /** Blocks whose delivered length matched the proven lower bound. */
     uint64_t exact_proven_optimal = 0;
@@ -337,7 +348,7 @@ struct ServiceMetrics
      * `errors[Overloaded]`, and this counter together; the invariant
      * `requests_shed == errors[Overloaded]` holds for every snapshot
      * and survives merge() (asserted by shedConsistent() and
-     * test_metrics). The JSON dump's `errors.overloaded` is the
+     * test_metrics). The stats document's `errors.overloaded` is the
      * authoritative error count; `robustness.requests_shed` mirrors it
      * for dashboards that read only the robustness section.
      */
@@ -362,10 +373,13 @@ struct ServiceMetrics
 
     // --- Net section (socket front end) -------------------------------
 
-    /** Socket-tier counters; zero/absent without a network server. */
+    /** Socket-tier counters; zero without a network server. */
     NetStats net;
 
     void recordOutcome(ErrorCode code);
+
+    /** Failed requests: every error code's count. */
+    uint64_t errorTotal() const;
 
     /** Record @p n admission-shed submissions (see requests_shed). */
     void recordShed(uint64_t n);
@@ -377,18 +391,161 @@ struct ServiceMetrics
         return requests_shed == errors[size_t(ErrorCode::Overloaded)];
     }
 
+    /** Sum @p other into this (see visitMetrics() for what sums how). */
     void merge(const ServiceMetrics &other);
 
     /** Fold one request's conflict table in under @p low's names. */
     void recordConflicts(const lmdes::LowMdes &low,
                          const std::vector<uint64_t> &per_resource);
 
-    /** Human-readable dump (text table). */
-    std::string toTable() const;
-
-    /** Machine-readable dump (single JSON object). */
-    std::string toJson() const;
+    bool operator==(const ServiceMetrics &) const = default;
 };
+
+/**
+ * The stats document's schema: every ServiceMetrics field, once, in
+ * document order. The document writer and parser (stats.cpp) and
+ * merge() walk this one list, so a new counter is one line here.
+ *
+ * @p v gets open(key)/close() around each JSON object and one call per
+ * field, passing the matching member of each of @p m (one metrics
+ * object to write or to parse into, two to merge):
+ *  - count(key, n...): a u64 counter, summed by merge;
+ *  - flag(key, b...): a bool, OR-ed by merge;
+ *  - series(s...): a StageLatency's fields, inline in the open object;
+ *  - histogram(h...), windows(r...), faultSites(f...), conflicts(c...):
+ *    the whole content of the open object;
+ *  - derived(key, fn, m...): fn(m), written for readers of the document
+ *    and never parsed back.
+ */
+template <class V, class... M>
+void
+visitMetrics(V &v, M &...m)
+{
+    using Metrics = const ServiceMetrics &;
+    auto section = [&v](const char *key, auto &&body) {
+        v.open(key);
+        body();
+        v.close();
+    };
+    section("lifetime", [&] {
+        v.count("requests", m.requests...);
+        v.count("ok", m.ok...);
+        v.derived("errors", [](Metrics x) { return x.errorTotal(); }, m...);
+        v.derived("shed", [](Metrics x) { return x.requests_shed; }, m...);
+        v.series(m.total...);
+    });
+    section("errors", [&] {
+        for (size_t i = 1; i < size_t(ErrorCode::kNumCodes); ++i)
+            v.count(errorCodeName(ErrorCode(i)), m.errors[i]...);
+    });
+    section("cache", [&] {
+        v.count("hits", m.cache.hits...);
+        v.count("misses", m.cache.misses...);
+        v.derived("hit_rate", [](Metrics x) { return x.cache.hitRate(); },
+                  m...);
+        v.count("compiles", m.cache.compiles...);
+        v.count("evictions", m.cache.evictions...);
+        v.count("size", m.cache.size...);
+        v.count("capacity", m.cache.capacity...);
+        section("disk", [&] {
+            v.flag("enabled", m.cache.disk_enabled...);
+            v.count("hits", m.cache.disk_hits...);
+            v.count("mapped", m.cache.disk_mapped...);
+            v.count("misses", m.cache.disk_misses...);
+            v.derived("hit_rate",
+                      [](Metrics x) { return x.cache.diskHitRate(); },
+                      m...);
+            v.count("stores", m.cache.disk_stores...);
+            v.count("corrupt", m.cache.disk_corrupt...);
+            v.count("stale", m.cache.disk_stale...);
+            v.count("evictions", m.cache.disk_evictions...);
+            v.count("retries", m.cache.disk_retries...);
+        });
+    });
+    section("robustness", [&] {
+        v.count("requests_shed", m.requests_shed...);
+        v.count("degraded_responses", m.degraded_responses...);
+        v.derived("retries", [](Metrics x) { return x.cache.disk_retries; },
+                  m...);
+        v.count("breaker_trips", m.cache.breaker_trips...);
+        v.count("breaker_fast_fails", m.cache.breaker_fast_fails...);
+        v.count("degraded_compiles", m.cache.degraded_compiles...);
+        section("fault_sites", [&] { v.faultSites(m.fault_sites...); });
+    });
+    section("latency", [&] {
+        section("queue", [&] { v.series(m.queue_wait...); });
+        section("compile", [&] { v.series(m.compile...); });
+        section("workload", [&] { v.series(m.workload...); });
+        section("schedule", [&] { v.series(m.schedule...); });
+        section("verify", [&] { v.series(m.verify...); });
+    });
+    section("windows", [&] { v.windows(m.windows...); });
+    section("scheduling", [&] {
+        v.count("ops_scheduled", m.ops_scheduled...);
+        v.count("blocks_scheduled", m.blocks_scheduled...);
+        v.count("total_schedule_length", m.total_schedule_length...);
+        v.count("attempts", m.attempts...);
+        v.count("resource_checks", m.resource_checks...);
+        v.count("prefilter_hits", m.prefilter_hits...);
+        v.count("probe_fastpath", m.probe_fastpath...);
+    });
+    section("exact", [&] {
+        v.count("blocks", m.exact_blocks...);
+        v.count("proven_optimal", m.exact_proven_optimal...);
+        v.count("budget_exhausted", m.exact_budget_exhausted...);
+        v.count("gap_cycles", m.exact_gap_cycles...);
+        v.count("nodes", m.exact_nodes...);
+        v.count("bound_prunes", m.exact_bound_prunes...);
+        v.count("dominance_prunes", m.exact_dominance_prunes...);
+        v.count("probes", m.exact_probes...);
+        section("wins", [&] {
+            v.count("list", m.portfolio_wins_list...);
+            v.count("backward", m.portfolio_wins_backward...);
+            v.count("modulo", m.portfolio_wins_modulo...);
+            v.count("exact", m.portfolio_wins_exact...);
+        });
+    });
+    section("trace", [&] {
+        section("transform_effects", [&] {
+            v.count("merged_options", m.transform_effects.merged_options...);
+            v.count("merged_or_trees",
+                    m.transform_effects.merged_or_trees...);
+            v.count("merged_trees", m.transform_effects.merged_trees...);
+            v.count("removed_dead", m.transform_effects.removed_dead...);
+            v.count("redundant_options_removed",
+                    m.transform_effects.redundant_options_removed...);
+            v.count("trees_reordered",
+                    m.transform_effects.trees_reordered...);
+            v.count("usages_hoisted", m.transform_effects.usages_hoisted...);
+            v.count("resources_shifted",
+                    m.transform_effects.resources_shifted...);
+        });
+        section("attempts_per_op",
+                [&] { v.histogram(m.attempts_per_op...); });
+        section("resource_conflicts",
+                [&] { v.conflicts(m.resource_conflicts...); });
+    });
+    section("net", [&] {
+        v.flag("enabled", m.net.enabled...);
+        v.count("accepted", m.net.accepted...);
+        v.count("closed", m.net.closed...);
+        v.count("active", m.net.active...);
+        v.count("resets", m.net.resets...);
+        v.count("frames_in", m.net.frames_in...);
+        v.count("frames_out", m.net.frames_out...);
+        v.count("bytes_in", m.net.bytes_in...);
+        v.count("bytes_out", m.net.bytes_out...);
+        v.count("protocol_errors", m.net.protocol_errors...);
+        v.count("bad_requests", m.net.bad_requests...);
+        v.count("shed", m.net.shed...);
+        v.count("deadline_expired", m.net.deadline_expired...);
+        v.count("backpressure_stalls", m.net.backpressure_stalls...);
+        v.count("cancelled_on_close", m.net.cancelled_on_close...);
+        v.count("stats_requests", m.net.stats_requests...);
+        v.count("stats_coalesced", m.net.stats_coalesced...);
+        v.count("draining_shed", m.net.draining_shed...);
+    });
+}
 
 } // namespace mdes::service
 

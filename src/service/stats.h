@@ -3,55 +3,67 @@
 
 /**
  * @file
- * The live stats protocol document: the compact JSON snapshot served
- * over a STAT binary frame or a {"op":"stats"} JSON-lines request.
+ * The stats document: the one serialization of ServiceMetrics. `mdesc
+ * batch --json`, the `mdesc serve --json` exit dump, a server's STAT
+ * frame and {"op":"stats"} answer, a shard's poll reply and the fleet
+ * STAT all write it; `mdesc stat`/`top`, the fleet merge and the
+ * crash-chaos harness parse it; renderStats() is its one text form.
  *
- * Unlike ServiceMetrics::toJson() (a full diagnostic dump), this
- * document is built for polling and for *reaggregation*: the window
- * ring is serialized slot-by-slot with its raw log2 bucket arrays, so
- * a shard parent can parse N children's documents, reconstruct their
- * histograms, merge them with Histogram::merge, and serve one fleet
- * view whose percentiles are computed over the merged distribution -
- * not averaged from per-shard percentiles, which would be wrong.
+ * Every histogram travels as its raw log2 bucket array, so the fleet
+ * merge parses each shard's document, runs ServiceMetrics::merge (which
+ * merges histograms with Histogram::merge) and computes percentiles
+ * over the merged distribution - never averaged from per-shard
+ * percentiles, which would be wrong.
  *
- * Schema (stable; validated by CI):
+ * Schema (stable; validated by scripts/check_stats_schema.py). The
+ * metrics sections come from visitMetrics() (metrics.h) and are written
+ * in full every time, so parsing a document gives back the metrics that
+ * wrote it, field for field:
  *
- *   {"now_s":..., "shards":N, "stale_shards":N,
- *    "lifetime":{"requests":..,"ok":..,"errors":..,"shed":..,
- *                "count":..,"total_us":..,"max_us":..,"buckets":[..],
- *                "p50_us":..,"p95_us":..,"p99_us":..},
- *    "windows":{"slots":[{"epoch":..,"requests":..,"ok":..,
- *                         "errors":..,"shed":..,"count":..,
- *                         "total_us":..,"max_us":..,"buckets":[..]},...],
- *               "w10":{...view...}, "w60":{...view...}},
- *    "net":{"active":..,"accepted":..,"frames_in":..,"frames_out":..,
- *           "stats_requests":..,"stats_coalesced":..},
- *    "per_shard":[{"shard":0,"stale":false,"requests":..,
- *                  "w60_requests":..,"w60_rate_per_s":..,
- *                  "w60_p99_us":..,"pid":..,"restarts":..,
- *                  "state":"live"},...],
- *    "supervision":{"health":"ready","restarts":..,"crashes":..,
- *                   "wedged_shards":..,"quarantined":..}}
+ *   {"now_s":..,"shards":N,"stale_shards":N,
+ *    "lifetime":{"requests","ok","errors","shed",<series>},
+ *    "errors":{"<code>":..},
+ *    "cache":{"hits",..,"disk":{"enabled",..}},
+ *    "robustness":{..,"fault_sites":{"<site>":{"evaluations","fires"}}},
+ *    "latency":{"queue"|"compile"|"workload"|"schedule"|"verify":<series>},
+ *    "windows":{"slots":[{"epoch","requests","ok","errors","shed",
+ *                         <series>},..],"w10":<view>,"w60":<view>},
+ *    "scheduling":{..},"exact":{..,"wins":{..}},
+ *    "trace":{"transform_effects":{..},"attempts_per_op":{..},
+ *             "resource_conflicts":{..}},
+ *    "net":{"enabled",..},
+ *    "per_shard":[{"shard","stale","requests","w60_requests",
+ *                  "w60_rate_per_s","w60_p99_us","pid","restarts",
+ *                  "state"},..],
+ *    "supervision":{"health","restarts","crashes","wedged_shards",
+ *                   "quarantined"}}
  *
- * "per_shard" appears only in fleet documents (sharded parent), and
- * "supervision" plus the per-shard pid/restarts/state columns only
- * when a supervisor contributed (DESIGN.md §15). A window view is
- * {"horizon_s","requests","ok","errors","shed","rate_per_s","p50_us",
- * "p95_us","p99_us","mean_us","max_us"}.
+ * A <series> is {"count","total_us","max_us","mean_us","p50_us",
+ * "p95_us","p99_us","buckets":[at most kLog2Buckets counts]}; "lifetime"
+ * holds the end-to-end series inline. A <view> is {"horizon_s",
+ * "requests","ok","errors","shed","rate_per_s","p50_us","p95_us",
+ * "p99_us","mean_us","max_us"}. Only a fleet document (the supervisor's
+ * answer, DESIGN.md §15) has "per_shard" and "supervision".
  */
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "service/metrics.h"
 
 namespace mdes::service {
 
+/** A shard answers a stats poll with one datagram, which the supervisor
+ * reads into a buffer this size; a longer reply is dropped as truncated
+ * and that shard reads stale. */
+inline constexpr size_t kStatsDatagramMax = size_t(1) << 16;
+
 /**
- * Parent-side supervision state for one shard, injected into the fleet
- * document by the shard parent (DESIGN.md §15). The shards themselves
- * know nothing about restarts; only the supervisor can account them.
+ * Supervisor-side state for one shard (DESIGN.md §15). The shards
+ * themselves know nothing about restarts; only the supervisor can
+ * account them.
  */
 struct ShardSupervision
 {
@@ -67,10 +79,9 @@ struct ShardSupervision
     std::string state = "live";
 };
 
-/** Fleet-level supervision summary (fleet documents only). */
+/** Fleet-level supervision summary. */
 struct SupervisionInfo
 {
-    bool enabled = false;
     /** "ready" | "draining" | "degraded". */
     std::string health = "ready";
     uint64_t restarts = 0;
@@ -82,98 +93,63 @@ struct SupervisionInfo
     uint64_t quarantined = 0;
 };
 
-/** In-memory form of one stats document (shard-local or fleet). */
-struct StatSnapshot
+/** One fleet row: a shard's own totals and the supervisor's view. */
+struct ShardRow
 {
+    uint64_t shard = 0;
+    /** The shard's answer missed the poll or did not parse. */
+    bool stale = false;
+    uint64_t requests = 0;
+    uint64_t w60_requests = 0;
+    double w60_rate_per_s = 0.0;
+    uint64_t w60_p99_us = 0;
+    int64_t pid = -1;
+    uint64_t restarts = 0;
+    /** "live" | "backoff" | "quarantined". */
+    std::string state = "live";
+};
+
+/** In-memory form of one stats document. */
+struct StatsDocument
+{
+    /** Window clock (windowNowS()) the w10/w60 views are taken at. */
     uint64_t now_s = 0;
     /** Processes contributing to this document (1 = single server). */
     uint64_t shards = 1;
     /** Shards that failed to answer the fleet poll in time; their
-     * deltas are missing from this document. */
+     * numbers are missing from this document. */
     uint64_t stale_shards = 0;
-
-    // Lifetime totals.
-    uint64_t requests = 0;
-    uint64_t ok = 0;
-    uint64_t errors = 0;
-    uint64_t shed = 0;
-    /** Lifetime end-to-end latency distribution. */
-    StageLatency lifetime_total;
-
-    /** The per-10s delta ring (see metrics.h). */
-    WindowRing windows;
-
-    struct Net
-    {
-        bool enabled = false;
-        uint64_t active = 0;
-        uint64_t accepted = 0;
-        uint64_t frames_in = 0;
-        uint64_t frames_out = 0;
-        uint64_t stats_requests = 0;
-        uint64_t stats_coalesced = 0;
-    } net;
-
-    struct ShardRow
-    {
-        uint64_t shard = 0;
-        bool stale = false;
-        uint64_t requests = 0;
-        uint64_t w60_requests = 0;
-        double w60_rate_per_s = 0.0;
-        uint64_t w60_p99_us = 0;
-        // Supervision columns (fleet documents with a supervisor).
-        int64_t pid = -1;
-        uint64_t restarts = 0;
-        /** "" = unknown (serialized from stale), else the supervisor's
-         * view: "live" | "backoff" | "quarantined". */
-        std::string state;
-    };
-    /** Per-shard breakdown (fleet documents only). */
-    std::vector<ShardRow> per_shard;
-
-    /** Supervision summary; serialized only when enabled. */
-    SupervisionInfo supervision;
+    ServiceMetrics metrics{};
+    /** Fleet documents only: one row per shard slot. */
+    std::vector<ShardRow> per_shard{};
+    /** Fleet documents only (written when per_shard is not empty). */
+    SupervisionInfo supervision{};
 };
 
-/** Build one process's snapshot from its merged metrics. */
-StatSnapshot makeStatSnapshot(const ServiceMetrics &metrics,
-                              uint64_t now_s);
+/** Serialize @p doc as one JSON object. */
+std::string statsToJson(const StatsDocument &doc);
 
-/** Serialize a snapshot as the protocol JSON document. */
-std::string statsToJson(const StatSnapshot &snap);
-
-/** Convenience: makeStatSnapshot + statsToJson. */
-std::string statsToJson(const ServiceMetrics &metrics, uint64_t now_s);
-
-/** Parse a protocol document. Throws MdesError on malformed input. */
-StatSnapshot parseStats(const std::string &json);
+/** Parse a stats document. Throws MdesError when a section or field is
+ * missing or mistyped, a count is not an integer in [0, 2^64), or a
+ * series has more than kLog2Buckets buckets. */
+StatsDocument parseStats(std::string_view json);
 
 /**
- * Merge shard-local documents into one fleet document evaluated at
- * @p now_s. @p shard_jsons[i] is shard i's answer; an empty string
- * means the shard did not answer in time and is reported stale (its
- * numbers are simply missing - a partial fleet view beats a blocked
- * one). Malformed answers also count as stale. Always returns a
- * well-formed document.
- */
-std::string mergeShardStats(const std::vector<std::string> &shard_jsons,
-                            uint64_t now_s);
-
-/**
- * As above, but stamped with the supervisor's view: @p sup becomes the
- * document's "supervision" object and @p shard_sup[i] (when provided)
- * fills shard i's pid/restarts/state columns. A quarantined or
- * backoff shard answers no polls, so its row shows the supervision
- * state instead of a bare "STALE".
+ * The fleet document at @p now_s: each of @p shard_jsons parsed and
+ * merged with ServiceMetrics::merge, then one row per shard and the
+ * supervision block. An empty answer (the shard missed the poll) or
+ * one that does not parse leaves that shard stale and its numbers
+ * missing - a partial fleet view beats a blocked one. @p shard_sup[i]
+ * fills shard i's pid/restarts/state.
  */
 std::string
 mergeShardStats(const std::vector<std::string> &shard_jsons,
                 uint64_t now_s, const SupervisionInfo &sup,
                 const std::vector<ShardSupervision> &shard_sup);
 
-/** Render a snapshot as the `mdesc top` dashboard text. */
-std::string renderStats(const StatSnapshot &snap);
+/** The text form of @p doc (`mdesc batch`, the serve exit dump, `mdesc
+ * stat` and `mdesc top`); sections with nothing to show are left out. */
+std::string renderStats(const StatsDocument &doc);
 
 } // namespace mdes::service
 

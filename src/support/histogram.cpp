@@ -16,6 +16,16 @@ Histogram::merge(const Histogram &other)
     total_ += other.total_;
 }
 
+bool
+Histogram::operator==(const Histogram &other) const
+{
+    const size_t n = std::max(counts_.size(), other.counts_.size());
+    for (size_t i = 0; i < n; ++i)
+        if (countAt(i) != other.countAt(i))
+            return false;
+    return total_ == other.total_;
+}
+
 uint64_t
 Histogram::countAt(uint64_t value) const
 {

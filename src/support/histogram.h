@@ -49,6 +49,9 @@ class Histogram
     /** Merge another histogram into this one. */
     void merge(const Histogram &other);
 
+    /** Same samples (trailing empty slots do not count). */
+    bool operator==(const Histogram &other) const;
+
     /** Total number of samples recorded. */
     uint64_t total() const { return total_; }
 

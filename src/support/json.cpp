@@ -458,7 +458,9 @@ jsonU64(const JsonValue &v)
     const std::string &tok = v.kind == JsonValue::Kind::String
                                  ? v.string
                                  : v.number_text;
-    if (!tok.empty() &&
+    if ((v.kind == JsonValue::Kind::Number ||
+         v.kind == JsonValue::Kind::String) &&
+        !tok.empty() &&
         tok.find_first_not_of("0123456789") == std::string::npos) {
         errno = 0;
         char *end = nullptr;
@@ -466,7 +468,8 @@ jsonU64(const JsonValue &v)
         if (end && *end == '\0' && errno != ERANGE)
             return uint64_t(val);
     }
-    return v.kind == JsonValue::Kind::Number ? uint64_t(v.number) : 0;
+    throw MdesError("json: expected an integer in [0, 2^64), got '" + tok +
+                    "'");
 }
 
 std::string

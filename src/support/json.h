@@ -104,9 +104,10 @@ std::string writeJson(const JsonValue &v);
 /**
  * Read @p v as an unsigned 64-bit integer without the double round
  * trip: a Number's untouched token (or a String of digits) parses
- * losslessly, so wire ids and cycle counts above 2^53 survive.
- * Non-integer tokens fall back to the double; non-numeric nodes
- * yield 0.
+ * losslessly, so wire ids and cycle counts above 2^53 survive. Throws
+ * MdesError for anything else - a negative, fractional, exponent or
+ * >= 2^64 number, or a non-numeric node - since no cast of those is
+ * meaningful.
  */
 uint64_t jsonU64(const JsonValue &v);
 

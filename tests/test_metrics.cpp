@@ -1,17 +1,19 @@
 /**
  * @file
  * ServiceMetrics unit tests: every ErrorCode has a printable name, the
- * JSON dump is well-formed and round-trips losslessly through the
- * support/json parser, StageLatency's power-of-two bucketing handles
- * both extremes of the input range, the verify stage times exactly the
- * requests that ran the verify pass, and the trace-section aggregates
- * (transform effects, conflict heat) merge and key correctly.
+ * stats document is well-formed and gives back every field it was
+ * written from, StageLatency's power-of-two bucketing handles both
+ * extremes of the input range, the verify stage times exactly the
+ * requests that ran the verify pass, the trace-section aggregates
+ * (transform effects, conflict heat) merge and key correctly, and the
+ * fleet merge is exact.
  */
 
 #include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <random>
 #include <set>
 #include <string>
 #include <utility>
@@ -24,6 +26,8 @@
 #include "service/metrics.h"
 #include "service/service.h"
 #include "service/stats.h"
+#include "support/diagnostics.h"
+#include "support/faultsim.h"
 #include "support/json.h"
 
 namespace mdes {
@@ -159,7 +163,7 @@ TEST(StageLatency, MergeOfTheExtremesIsLossless)
 }
 
 /** A metrics object with every section populated, including the ones
- * gated on disk/trace state, so toJson() exercises all branches. */
+ * the text form shows only with disk or trace state. */
 service::ServiceMetrics
 populatedMetrics()
 {
@@ -194,15 +198,23 @@ populatedMetrics()
     return m;
 }
 
+/** The stats document of @p m alone, as batch and a single server
+ * write it. */
+std::string
+documentOf(const service::ServiceMetrics &m, uint64_t now_s = 0)
+{
+    return service::statsToJson({.now_s = now_s, .metrics = m});
+}
+
 TEST(ServiceMetrics, JsonParsesAndRoundTripsLosslessly)
 {
-    const std::string doc = populatedMetrics().toJson();
+    const std::string doc = documentOf(populatedMetrics());
     JsonValue v = parseJson(doc);
     ASSERT_EQ(v.kind, JsonValue::Kind::Object);
     EXPECT_EQ(writeJson(v), doc);
 
-    EXPECT_EQ(v.find("requests")->number, 3.0);
-    EXPECT_EQ(v.find("ok")->number, 2.0);
+    EXPECT_EQ(v.find("lifetime")->find("requests")->number, 3.0);
+    EXPECT_EQ(v.find("lifetime")->find("ok")->number, 2.0);
     EXPECT_EQ(v.find("errors")->find("compile-failed")->number, 1.0);
     EXPECT_EQ(v.find("cache")->find("disk")->find("hits")->number, 1.0);
     EXPECT_EQ(v.find("latency")->find("compile")->find("max_us")->number,
@@ -243,11 +255,17 @@ TEST(ServiceMetrics, MergeSumsEverySection)
     EXPECT_EQ(a.attempts_per_op.total(), 6u);
     EXPECT_EQ(a.resource_conflicts["M.bus"], 22u);
     EXPECT_EQ(a.resource_conflicts["M.decode"], 1u);
+    // The cache section sums too, or a fleet would report no hits.
+    EXPECT_EQ(a.cache.hits, 4u);
+    EXPECT_EQ(a.cache.compiles, 2u);
+    EXPECT_EQ(a.cache.disk_hits, 2u);
+    EXPECT_TRUE(a.cache.disk_enabled);
 }
 
 TEST(ServiceMetrics, VerifyStageTimesOnlyTheVerifyPass)
 {
-    EXPECT_NE(populatedMetrics().toTable().find("verify"),
+    EXPECT_NE(service::renderStats({.metrics = populatedMetrics()})
+                  .find("verify"),
               std::string::npos);
 
     // The verify series counts requests that ran the verify pass: not
@@ -299,11 +317,12 @@ TEST(ServiceMetrics, RecordShedIsTheSingleAuthority)
     EXPECT_EQ(m.requests_shed, 5u);
     EXPECT_TRUE(m.shedConsistent());
 
-    // The JSON dump's errors.overloaded (the authoritative counter)
-    // agrees with robustness.requests_shed (the mirror).
-    JsonValue v = parseJson(m.toJson());
+    // The document's errors.overloaded (the authoritative counter)
+    // agrees with robustness.requests_shed and lifetime.shed (mirrors).
+    JsonValue v = parseJson(documentOf(m));
     EXPECT_EQ(v.find("errors")->find("overloaded")->number, 5.0);
     EXPECT_EQ(v.find("robustness")->find("requests_shed")->number, 5.0);
+    EXPECT_EQ(v.find("lifetime")->find("shed")->number, 5.0);
 }
 
 TEST(ServiceMetrics, ShedConsistencySurvivesMerge)
@@ -347,7 +366,7 @@ TEST(NetStats, MergeSumsEveryCounterAndJsonExposesThem)
     EXPECT_EQ(m.net.frames_in, 42u);
     EXPECT_EQ(m.net.shed, 5u);
 
-    const std::string doc = m.toJson();
+    const std::string doc = documentOf(m);
     JsonValue v = parseJson(doc);
     EXPECT_EQ(writeJson(v), doc); // still round-trips with the section
     const JsonValue *net = v.find("net");
@@ -357,9 +376,15 @@ TEST(NetStats, MergeSumsEveryCounterAndJsonExposesThem)
     EXPECT_EQ(net->find("backpressure_stalls")->number, 7.0);
     EXPECT_EQ(net->find("cancelled_on_close")->number, 1.0);
 
-    // Disabled (no server ran): the section is absent entirely.
+    // Disabled (no server ran): the section is still written, flagged
+    // off, and the text form leaves its tables out.
     service::ServiceMetrics plain = populatedMetrics();
-    EXPECT_EQ(parseJson(plain.toJson()).find("net"), nullptr);
+    const JsonValue plain_doc = parseJson(documentOf(plain));
+    net = plain_doc.find("net");
+    ASSERT_NE(net, nullptr);
+    EXPECT_FALSE(net->find("enabled")->boolean);
+    EXPECT_EQ(service::renderStats({.metrics = plain}).find("Frames In"),
+              std::string::npos);
 }
 
 TEST(ServiceMetrics, RecordConflictsKeysByMachineAndResource)
@@ -420,7 +445,6 @@ TEST(WindowRing, ViewsDecayWhileLifetimeWouldNot)
 TEST(WindowRing, EmptyWindowPercentilesAreZeroNotGarbage)
 {
     service::WindowRing ring;
-    EXPECT_TRUE(ring.empty());
     service::WindowView v = ring.over(12345, 60);
     EXPECT_EQ(v.requests, 0u);
     EXPECT_EQ(v.total.approxPercentileUs(0.5), 0u);
@@ -499,7 +523,166 @@ TEST(WindowRing, MergeIsEpochKeyed)
     EXPECT_EQ(d.over(wrapped, 10).requests, 1u);
 }
 
-// --- The live stats document -------------------------------------------
+// --- The stats document -------------------------------------------------
+
+/**
+ * A visitMetrics() walk that fills every field: counters and bucket
+ * counts from @p value, every error code, all 65 buckets of every stage
+ * series, all seven window slots and every faultsim site; with @p traced
+ * also the trace section's attempts/op histogram and conflict table.
+ */
+template <class Value>
+class Filler
+{
+  public:
+    Filler(Value value, bool traced) : value_(value), traced_(traced) {}
+
+    void open(const char *) {}
+    void close() {}
+
+    template <class T>
+    void
+    count(const char *, T &n)
+    {
+        n = T(value_());
+    }
+
+    void flag(const char *, bool &b) { b = value_() & 1; }
+
+    template <class... Ignored>
+    void
+    derived(const char *, Ignored &&...)
+    {
+    }
+
+    void
+    series(service::StageLatency &s)
+    {
+        for (size_t b = 0; b < service::kLog2Buckets; ++b) {
+            const uint64_t n = value_();
+            s.log2_us.addCount(b, n);
+            s.count += n;
+        }
+        s.total_us = value_();
+        s.max_us = value_();
+    }
+
+    void
+    histogram(Histogram &h)
+    {
+        for (uint64_t v = 0; traced_ && v < 40; ++v)
+            h.addCount(v, value_());
+    }
+
+    void
+    windows(service::WindowRing &ring)
+    {
+        // Seven consecutive epochs: one per slot.
+        const uint64_t top = std::max<uint64_t>(value_(), 7);
+        for (uint64_t i = 0; i < service::kWindowSlots; ++i) {
+            service::MetricsWindow w;
+            w.epoch = top - i;
+            w.requests = value_();
+            w.ok = value_();
+            w.errors = value_();
+            w.shed = value_();
+            series(w.total);
+            ring.add(w);
+        }
+    }
+
+    void
+    faultSites(std::map<std::string, std::pair<uint64_t, uint64_t>> &sites)
+    {
+        for (size_t i = 0; i < faultsim::kNumSites; ++i)
+            sites[faultsim::siteName(faultsim::Site(i))] = {value_(),
+                                                            value_()};
+    }
+
+    void
+    conflicts(std::map<std::string, uint64_t> &conflicts)
+    {
+        for (int k = 0; traced_ && k < 12; ++k)
+            conflicts["M.r" + std::to_string(k)] = value_();
+    }
+
+  private:
+    Value value_;
+    bool traced_;
+};
+
+/** Every field of a ServiceMetrics filled from seed @p seed, with
+ * values of every magnitude up to 2^64 - 1. */
+service::ServiceMetrics
+randomMetrics(uint64_t seed)
+{
+    std::mt19937_64 rng(seed);
+    Filler fill([&rng] { return rng() >> (rng() % 64); }, true);
+    service::ServiceMetrics m;
+    service::visitMetrics(fill, m);
+    return m;
+}
+
+TEST(StatsProtocol, EveryFieldSurvivesTheRoundTrip)
+{
+    for (uint64_t seed = 1; seed <= 100; ++seed) {
+        const service::ServiceMetrics m = randomMetrics(seed);
+        ASSERT_NE(m.fault_sites.size(), 0u);
+        ASSERT_NE(m.resource_conflicts.size(), 0u);
+        const std::string doc = documentOf(m, 12345);
+        const service::StatsDocument back = service::parseStats(doc);
+        ASSERT_TRUE(back.metrics == m) << "seed " << seed;
+        EXPECT_EQ(back.now_s, 12345u);
+        EXPECT_EQ(documentOf(back.metrics, 12345), doc) << "seed " << seed;
+
+        // merge() walks the same list: into an empty object it copies.
+        service::ServiceMetrics merged;
+        merged.merge(m);
+        ASSERT_TRUE(merged == m) << "seed " << seed;
+    }
+}
+
+TEST(StatsProtocol, AFleetOfOneIsThatShard)
+{
+    // A fleet document differs from its shard's only by per_shard,
+    // supervision and its own shards/stale_shards.
+    const service::ServiceMetrics m = randomMetrics(7);
+    const service::StatsDocument fleet = service::parseStats(
+        service::mergeShardStats({documentOf(m, 900)}, 900, {}, {{}}));
+    EXPECT_TRUE(fleet.metrics == m);
+    EXPECT_EQ(fleet.shards, 1u);
+    EXPECT_EQ(fleet.stale_shards, 0u);
+    ASSERT_EQ(fleet.per_shard.size(), 1u);
+    EXPECT_EQ(fleet.per_shard[0].requests, m.requests);
+
+    JsonValue shard = parseJson(documentOf(m, 900));
+    JsonValue whole = parseJson(
+        service::mergeShardStats({documentOf(m, 900)}, 900, {}, {{}}));
+    std::vector<std::string> extra;
+    for (const auto &[key, value] : whole.object) {
+        const JsonValue *mine = shard.find(key);
+        if (mine == nullptr)
+            extra.push_back(key);
+        else
+            EXPECT_EQ(writeJson(value), writeJson(*mine)) << key;
+    }
+    EXPECT_EQ(extra, (std::vector<std::string>{"per_shard", "supervision"}));
+}
+
+TEST(StatsProtocol, TheLargestShardReplyFitsOneDatagram)
+{
+    // Every counter, bucket and fault-site count at 20 digits. A serving
+    // shard never runs a trace, so its trace section has no attempts/op
+    // histogram and no conflict table.
+    Filler fill([] { return UINT64_MAX; }, false);
+    service::ServiceMetrics m;
+    service::visitMetrics(fill, m);
+    ASSERT_EQ(m.fault_sites.size(), faultsim::kNumSites);
+    ASSERT_TRUE(m.net.enabled);
+    const std::string doc = documentOf(m, UINT64_MAX);
+    // The poll reply is the 9-byte poll header plus the document.
+    EXPECT_LT(9 + doc.size(), service::kStatsDatagramMax) << doc.size();
+}
 
 TEST(StatsProtocol, SnapshotRoundTripsThroughJson)
 {
@@ -512,27 +695,49 @@ TEST(StatsProtocol, SnapshotRoundTripsThroughJson)
     m.net.stats_requests = 5;
     m.net.stats_coalesced = 1;
 
-    const std::string doc = service::statsToJson(m, now);
+    const std::string doc = documentOf(m, now);
     // The document is valid JSON (CI validates the same schema).
     EXPECT_EQ(parseJson(doc).kind, JsonValue::Kind::Object);
 
-    service::StatSnapshot snap = service::parseStats(doc);
+    service::StatsDocument snap = service::parseStats(doc);
     EXPECT_EQ(snap.now_s, now);
     EXPECT_EQ(snap.shards, 1u);
-    EXPECT_EQ(snap.requests, m.requests);
-    EXPECT_EQ(snap.ok, m.ok);
-    EXPECT_EQ(snap.lifetime_total.count, m.total.count);
-    EXPECT_EQ(snap.lifetime_total.max_us, m.total.max_us);
-    EXPECT_EQ(snap.lifetime_total.approxPercentileUs(0.99),
+    EXPECT_TRUE(snap.metrics == m);
+    EXPECT_EQ(snap.metrics.total.approxPercentileUs(0.99),
               m.total.approxPercentileUs(0.99));
-    EXPECT_EQ(snap.net.stats_requests, 5u);
-    EXPECT_EQ(snap.net.stats_coalesced, 1u);
 
     // The window ring survives the round trip slot-for-slot.
-    service::WindowView w10 = snap.windows.over(now, 10);
+    service::WindowView w10 = snap.metrics.windows.over(now, 10);
     EXPECT_EQ(w10.requests, 2u);
     EXPECT_EQ(w10.errors, 1u);
     EXPECT_EQ(w10.total.max_us, 900u);
+}
+
+TEST(StatsProtocol, ASeriesHasAtMost65Buckets)
+{
+    // bit_width(UINT64_MAX) == 64: the top bucket, the 65th.
+    service::ServiceMetrics m;
+    m.total.record(UINT64_MAX);
+    const std::string doc = documentOf(m);
+    const service::StatsDocument back = service::parseStats(doc);
+    EXPECT_TRUE(back.metrics == m);
+    // Its estimate and label stay inside the bucket's u64 range.
+    EXPECT_EQ(back.metrics.total.approxPercentileUs(1.0), UINT64_MAX);
+    EXPECT_EQ(back.metrics.total.approxPercentileUs(0.5), UINT64_MAX);
+    EXPECT_NE(service::renderStats(back).find(
+                  "<=18446744073709551615us (9223372036854775808-"),
+              std::string::npos);
+
+    // A 66th bucket has no u64 behind it: the document is rejected, and
+    // a shard that sent it reads stale.
+    std::string bad = doc;
+    const size_t at = bad.find("\"buckets\":[") + 11;
+    bad.insert(at, "0,");
+    EXPECT_THROW(service::parseStats(bad), MdesError);
+    const service::StatsDocument fleet = service::parseStats(
+        service::mergeShardStats({bad}, 0, {}, {{}}));
+    ASSERT_EQ(fleet.per_shard.size(), 1u);
+    EXPECT_TRUE(fleet.per_shard[0].stale);
 }
 
 TEST(StatsProtocol, MergeShardStatsBuildsTheFleetView)
@@ -542,26 +747,38 @@ TEST(StatsProtocol, MergeShardStatsBuildsTheFleetView)
     m1.recordOutcome(service::ErrorCode::Ok);
     m1.total.record(100);
     m1.windows.record(now, service::ErrorCode::Ok, 100);
+    m1.cache.hits = 3;
     service::ServiceMetrics m2;
     m2.recordOutcome(service::ErrorCode::Ok);
     m2.total.record(5000);
     m2.windows.record(now, service::ErrorCode::Ok, 5000);
+    m2.cache.hits = 4;
 
+    service::SupervisionInfo sup;
+    sup.restarts = 2;
+    std::vector<service::ShardSupervision> rows(2);
+    rows[0].pid = 101;
+    rows[1].pid = 102;
+    rows[1].restarts = 2;
     const std::string fleet = service::mergeShardStats(
-        {service::statsToJson(m1, now), service::statsToJson(m2, now)},
-        now);
-    service::StatSnapshot snap = service::parseStats(fleet);
+        {documentOf(m1, now), documentOf(m2, now)}, now, sup, rows);
+    service::StatsDocument snap = service::parseStats(fleet);
     EXPECT_EQ(snap.shards, 2u);
     EXPECT_EQ(snap.stale_shards, 0u);
-    EXPECT_EQ(snap.requests, 2u);
+    EXPECT_EQ(snap.metrics.requests, 2u);
+    EXPECT_EQ(snap.metrics.cache.hits, 7u);
+    EXPECT_EQ(snap.supervision.restarts, 2u);
     ASSERT_EQ(snap.per_shard.size(), 2u);
     EXPECT_EQ(snap.per_shard[0].w60_p99_us, 100u);
     EXPECT_EQ(snap.per_shard[1].w60_p99_us, 5000u);
+    EXPECT_EQ(snap.per_shard[0].pid, 101);
+    EXPECT_EQ(snap.per_shard[1].restarts, 2u);
+    EXPECT_EQ(snap.per_shard[1].state, "live");
     // Fleet percentiles come from the merged distribution - the p99
     // reflects the slow shard's sample, not an average of per-shard
     // percentiles (which would report ~2550).
-    EXPECT_EQ(snap.lifetime_total.approxPercentileUs(0.99), 5000u);
-    EXPECT_EQ(snap.windows.over(now, 60).total.max_us, 5000u);
+    EXPECT_EQ(snap.metrics.total.approxPercentileUs(0.99), 5000u);
+    EXPECT_EQ(snap.metrics.windows.over(now, 60).total.max_us, 5000u);
 }
 
 TEST(StatsProtocol, StalledShardYieldsAPartialFleetViewNotAnError)
@@ -572,36 +789,42 @@ TEST(StatsProtocol, StalledShardYieldsAPartialFleetViewNotAnError)
     m1.total.record(100);
     m1.windows.record(now, service::ErrorCode::Ok, 100);
 
-    // Shard 1 timed out (empty answer); shard 2 sent garbage.
+    // Shard 1 timed out (empty answer); shard 2 sent garbage and is
+    // down in backoff.
+    std::vector<service::ShardSupervision> rows(3);
+    rows[2].pid = -1;
+    rows[2].state = "backoff";
     const std::string fleet = service::mergeShardStats(
-        {service::statsToJson(m1, now), "", "{definitely not json"},
-        now);
-    service::StatSnapshot snap = service::parseStats(fleet);
+        {documentOf(m1, now), "", "{definitely not json"}, now, {}, rows);
+    service::StatsDocument snap = service::parseStats(fleet);
     EXPECT_EQ(snap.shards, 1u);
     EXPECT_EQ(snap.stale_shards, 2u);
-    EXPECT_EQ(snap.requests, 1u); // the live shard's numbers survive
+    EXPECT_EQ(snap.metrics.requests, 1u); // the live shard's numbers survive
     ASSERT_EQ(snap.per_shard.size(), 3u);
     EXPECT_FALSE(snap.per_shard[0].stale);
     EXPECT_TRUE(snap.per_shard[1].stale);
     EXPECT_TRUE(snap.per_shard[2].stale);
-    // Rendering a partial view works (the dashboard shows STALE rows).
+    // Rendering a partial view works: a live shard that missed the poll
+    // shows STALE, a down one its supervision state.
     const std::string text = service::renderStats(snap);
     EXPECT_NE(text.find("STALE"), std::string::npos);
     EXPECT_NE(text.find("live"), std::string::npos);
+    EXPECT_NE(text.find("backoff"), std::string::npos);
 
     // Every shard stale: still a well-formed document.
-    service::StatSnapshot all_stale =
-        service::parseStats(service::mergeShardStats({"", ""}, now));
+    service::StatsDocument all_stale = service::parseStats(
+        service::mergeShardStats({"", ""}, now, {}, {{}, {}}));
+    EXPECT_EQ(all_stale.shards, 0u);
     EXPECT_EQ(all_stale.stale_shards, 2u);
-    EXPECT_EQ(all_stale.requests, 0u);
+    EXPECT_EQ(all_stale.metrics.requests, 0u);
 }
 
 TEST(ServiceMetrics, WindowSectionAppearsInTableAndJson)
 {
     service::ServiceMetrics m = populatedMetrics();
-    m.windows.record(service::windowNowS(), service::ErrorCode::Ok,
-                     250);
-    const std::string doc = m.toJson();
+    const uint64_t now = service::windowNowS();
+    m.windows.record(now, service::ErrorCode::Ok, 250);
+    const std::string doc = documentOf(m, now);
     JsonValue v = parseJson(doc);
     EXPECT_EQ(writeJson(v), doc);
     const JsonValue *w = v.find("windows");
@@ -609,11 +832,10 @@ TEST(ServiceMetrics, WindowSectionAppearsInTableAndJson)
     ASSERT_NE(w->find("w10"), nullptr);
     EXPECT_EQ(w->find("w10")->find("horizon_s")->number, 10.0);
     ASSERT_NE(w->find("w60"), nullptr);
-    // The 60s view also covers the previous epoch, so this holds even
-    // if an epoch boundary falls between record() and toJson().
     EXPECT_EQ(w->find("w60")->find("requests")->number, 1.0);
 
-    const std::string table = m.toTable();
+    const std::string table =
+        service::renderStats({.now_s = now, .metrics = m});
     EXPECT_NE(table.find("last 10s"), std::string::npos);
     EXPECT_NE(table.find("last 60s"), std::string::npos);
 }

@@ -18,10 +18,11 @@
  * section. Everything binds port 0 (ephemeral) so tests never collide.
  *
  * Shard mode: a forked `--shards 2` fleet answers a bare STAT or HEALTH
- * on a fresh connection with the fleet view, anything after a request
- * with one shard's, serves bit-identical fingerprints in both wire
- * modes, shrugs off unread STAT floods, leaves no wakeup behind for a
- * socket it handed to the supervisor, and exits once every slot is
+ * on a fresh connection with the fleet view, which sums every shard's
+ * counters and histograms exactly, anything after a request with one
+ * shard's, serves bit-identical fingerprints in both wire modes,
+ * shrugs off unread STAT floods, leaves no wakeup behind for a socket
+ * it handed to the supervisor, and exits once every slot is
  * quarantined.
  */
 
@@ -38,6 +39,7 @@
 #include <chrono>
 #include <cstdint>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -646,6 +648,46 @@ TEST(NetServer, JsonWireIdsSurviveAbove53Bits)
     server.stop();
 }
 
+TEST(NetServer, JsonWireNumbersThatDoNotFitAreBadRequests)
+{
+    net::ServerConfig sc;
+    sc.service.num_workers = 1;
+    net::Server server(sc);
+    server.start();
+
+    int fd = rawConnect(server.port());
+    ASSERT_GE(fd, 0);
+    // Cast instead of checked, these became id 2^64-1, id 0, id 2, a
+    // 1 ms deadline and no deadline.
+    const char *lines[] = {
+        "{\"id\":-1,\"op\":\"health\"}",
+        "{\"id\":1e300,\"op\":\"health\"}",
+        "{\"id\":2.7,\"op\":\"health\"}",
+        "{\"id\":4,\"req\":\"machine=K5 ops=20000\","
+        "\"deadline_ms\":4294967297}",
+        "{\"id\":5,\"req\":\"machine=K5 ops=20000\","
+        "\"deadline_ms\":4294967296}",
+    };
+    std::string got;
+    char buf[4096];
+    for (const char *line : lines) {
+        const std::string wire = std::string(line) + "\n";
+        ASSERT_EQ(send(fd, wire.data(), wire.size(), 0),
+                  ssize_t(wire.size()));
+        while (got.find('\n') == std::string::npos) {
+            ssize_t n = recv(fd, buf, sizeof(buf), 0);
+            ASSERT_GT(n, 0) << line;
+            got.append(buf, size_t(n));
+        }
+        const size_t eol = got.find('\n');
+        net::NetResponse r = net::parseResponseJson(got.substr(0, eol));
+        got.erase(0, eol + 1);
+        EXPECT_EQ(r.code, service::ErrorCode::BadRequest) << line;
+    }
+    close(fd);
+    server.stop();
+}
+
 TEST(NetServer, ProtocolViolationGetsErrorFrameThenClose)
 {
     net::ServerConfig sc;
@@ -707,24 +749,26 @@ TEST(NetServer, StatFrameReturnsTheLiveStatsDocument)
 
     const std::string doc = client.stats();
     ASSERT_FALSE(doc.empty());
-    service::StatSnapshot snap = service::parseStats(doc);
+    service::StatsDocument snap = service::parseStats(doc);
     EXPECT_EQ(snap.shards, 1u);
-    EXPECT_EQ(snap.requests, 3u);
-    EXPECT_EQ(snap.ok, 3u);
-    EXPECT_EQ(snap.lifetime_total.count, 3u);
-    EXPECT_TRUE(snap.net.enabled);
-    EXPECT_GE(snap.net.stats_requests, 1u);
+    EXPECT_EQ(snap.metrics.requests, 3u);
+    EXPECT_EQ(snap.metrics.ok, 3u);
+    EXPECT_EQ(snap.metrics.total.count, 3u);
+    EXPECT_EQ(snap.metrics.schedule.count, 3u);
+    EXPECT_GT(snap.metrics.ops_scheduled, 0u);
+    EXPECT_TRUE(snap.metrics.net.enabled);
+    EXPECT_GE(snap.metrics.net.stats_requests, 1u);
     // The requests just made are inside the 60s window.
-    EXPECT_EQ(snap.windows.over(snap.now_s, 60).requests, 3u);
+    EXPECT_EQ(snap.metrics.windows.over(snap.now_s, 60).requests, 3u);
 
     // The JSON-lines wire serves the identical schema via {"op":"stats"}.
     net::BlockingClient json("127.0.0.1", server.port(), true);
     ASSERT_TRUE(json.connected());
     const std::string jdoc = json.stats();
     ASSERT_FALSE(jdoc.empty());
-    service::StatSnapshot jsnap = service::parseStats(jdoc);
-    EXPECT_EQ(jsnap.requests, 3u);
-    EXPECT_GE(jsnap.net.stats_requests, 2u);
+    service::StatsDocument jsnap = service::parseStats(jdoc);
+    EXPECT_EQ(jsnap.metrics.requests, 3u);
+    EXPECT_GE(jsnap.metrics.net.stats_requests, 2u);
     server.stop();
 }
 
@@ -1102,12 +1146,13 @@ class FleetProcess
 };
 
 /** Fetch a stats document over @p client and parse it. */
-service::StatSnapshot
+service::StatsDocument
 statsOver(net::BlockingClient &client)
 {
     std::string doc = client.stats();
     EXPECT_FALSE(doc.empty());
-    return doc.empty() ? service::StatSnapshot{} : service::parseStats(doc);
+    return doc.empty() ? service::StatsDocument{}
+                       : service::parseStats(doc);
 }
 
 /** CPU time @p pid has used so far (utime + stime), in milliseconds. */
@@ -1129,6 +1174,28 @@ cpuMs(pid_t pid)
     long utime = 0, stime = 0;
     rest >> utime >> stime;
     return (utime + stime) * 1000 / sysconf(_SC_CLK_TCK);
+}
+
+/** True once every thread of @p pid is in the stopped state. */
+bool
+allThreadsStopped(pid_t pid)
+{
+    std::error_code ec;
+    std::filesystem::directory_iterator tasks(
+        "/proc/" + std::to_string(pid) + "/task", ec);
+    if (ec)
+        return false;
+    for (const auto &task : tasks) {
+        std::ifstream in(task.path() / "stat");
+        std::string stat;
+        std::getline(in, stat);
+        // The state letter follows the parenthesized command.
+        size_t close = stat.rfind(')');
+        if (close == std::string::npos || close + 2 >= stat.size() ||
+            stat[close + 2] != 'T')
+            return false;
+    }
+    return true;
 }
 
 /** The shard-mode contract over the serve port, against one fleet. */
@@ -1167,14 +1234,13 @@ TEST_F(ShardFleet, BareStatOnAFreshConnectionReturnsTheFleetView)
 {
     net::BlockingClient client("127.0.0.1", port());
     ASSERT_TRUE(client.connected());
-    service::StatSnapshot snap = statsOver(client);
+    service::StatsDocument snap = statsOver(client);
     EXPECT_EQ(snap.shards, 2u);
     ASSERT_EQ(snap.per_shard.size(), 2u);
     for (const auto &row : snap.per_shard) {
         EXPECT_GT(row.pid, 0) << "shard " << row.shard;
         EXPECT_EQ(row.state, "live") << "shard " << row.shard;
     }
-    EXPECT_TRUE(snap.supervision.enabled);
     EXPECT_EQ(snap.supervision.health, "ready");
 }
 
@@ -1196,17 +1262,77 @@ TEST_F(ShardFleet, StatAfterARequestAndJsonStatsAreOneShardsView)
     net::BlockingClient client("127.0.0.1", port());
     ASSERT_TRUE(client.connected());
     ASSERT_TRUE(client.request(service::renderRequestLine(r)).ok());
-    service::StatSnapshot snap = statsOver(client);
+    const std::string raw = client.stats();
+    EXPECT_EQ(parseJson(raw).find("supervision"), nullptr);
+    service::StatsDocument snap = service::parseStats(raw);
     EXPECT_EQ(snap.shards, 1u);
     EXPECT_TRUE(snap.per_shard.empty());
-    EXPECT_FALSE(snap.supervision.enabled);
-    EXPECT_GE(snap.requests, 1u);
+    EXPECT_GE(snap.metrics.requests, 1u);
 
     net::BlockingClient json("127.0.0.1", port(), true);
     ASSERT_TRUE(json.connected());
-    service::StatSnapshot jsnap = statsOver(json);
+    service::StatsDocument jsnap = statsOver(json);
     EXPECT_EQ(jsnap.shards, 1u);
     EXPECT_TRUE(jsnap.per_shard.empty());
+}
+
+/** The fleet view from a bare STAT, polled until every shard answered. */
+service::StatsDocument
+fullFleetStats(uint16_t port)
+{
+    service::StatsDocument doc;
+    for (int attempt = 0; attempt < 20; ++attempt) {
+        net::BlockingClient client("127.0.0.1", port);
+        doc = statsOver(client);
+        if (doc.stale_shards == 0 && doc.per_shard.size() == 2)
+            break;
+    }
+    return doc;
+}
+
+TEST_F(ShardFleet, FleetStatSumsEveryShardExactly)
+{
+    const std::vector<service::ScheduleRequest> once = testMix();
+    std::vector<service::ScheduleRequest> mix = once;
+    mix.insert(mix.end(), once.begin(), once.end());
+    service::ServiceConfig cfg;
+    cfg.num_workers = 1;
+    service::MdesService local(cfg);
+    local.runBatch(mix);
+    const service::ServiceMetrics want = local.metricsSnapshot();
+
+    const service::ServiceMetrics before = fullFleetStats(port()).metrics;
+    for (const service::ScheduleRequest &req : mix) {
+        // A fresh connection per request: whichever shard accepts it.
+        net::BlockingClient client("127.0.0.1", port());
+        ASSERT_TRUE(client.connected());
+        ASSERT_TRUE(client.request(service::renderRequestLine(req)).ok());
+    }
+    const service::StatsDocument after = fullFleetStats(port());
+    ASSERT_EQ(after.stale_shards, 0u);
+    const service::ServiceMetrics &m = after.metrics;
+
+    EXPECT_EQ(m.requests - before.requests, mix.size());
+    EXPECT_EQ(m.schedule.count - before.schedule.count, mix.size());
+    EXPECT_EQ(m.ops_scheduled - before.ops_scheduled, want.ops_scheduled);
+    EXPECT_EQ(m.blocks_scheduled - before.blocks_scheduled,
+              want.blocks_scheduled);
+    EXPECT_EQ(m.attempts - before.attempts, want.attempts);
+    EXPECT_EQ(m.resource_checks - before.resource_checks,
+              want.resource_checks);
+
+    // Merged bucket by bucket: every series still sums to its count.
+    for (const service::StageLatency *s :
+         {&m.total, &m.queue_wait, &m.compile, &m.workload, &m.schedule,
+          &m.verify})
+        EXPECT_EQ(s->log2_us.total(), s->count);
+    for (size_t i = 0; i < service::kWindowSlots; ++i)
+        EXPECT_EQ(m.windows.slot(i).total.log2_us.total(),
+                  m.windows.slot(i).total.count);
+    uint64_t shard_requests = 0;
+    for (const service::ShardRow &row : after.per_shard)
+        shard_requests += row.requests;
+    EXPECT_EQ(shard_requests, m.requests);
 }
 
 TEST_F(ShardFleet, BinaryAndJsonRequestsMatchInProcessFingerprints)
@@ -1281,7 +1407,7 @@ TEST_F(ShardFleet, StatPeersThatNeverReadDoNotDelayARealPoller)
     auto t0 = std::chrono::steady_clock::now();
     net::BlockingClient poller("127.0.0.1", port());
     ASSERT_TRUE(poller.connected());
-    service::StatSnapshot snap = statsOver(poller);
+    service::StatsDocument snap = statsOver(poller);
     auto took = std::chrono::steady_clock::now() - t0;
     EXPECT_EQ(snap.per_shard.size(), 2u);
     EXPECT_LT(took, std::chrono::seconds(10))
@@ -1313,6 +1439,12 @@ TEST_F(ShardFleet, EscalatedConnectionsLeaveNoWakeupBehind)
         pid_t pid;
         ~Resume() { kill(pid, SIGCONT); }
     } resume{stopped};
+    // A group stop lands thread by thread once the signalled thread
+    // runs; until then the shard can still accept and answer polls.
+    for (int waited = 0; !allThreadsStopped(stopped) && waited < 5000;
+         waited += 2)
+        std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    ASSERT_TRUE(allThreadsStopped(stopped));
 
     const long cpu0 = cpuMs(running);
     auto t0 = std::chrono::steady_clock::now();

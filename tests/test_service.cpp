@@ -13,6 +13,7 @@
 
 #include "machines/machines.h"
 #include "service/service.h"
+#include "service/stats.h"
 
 #ifndef MDES_SOURCE_DIR
 #define MDES_SOURCE_DIR "."
@@ -295,9 +296,10 @@ TEST(Service, MetricsAccounting)
     EXPECT_EQ(m.cache.misses, 4u);
     EXPECT_EQ(m.cache.hits, 2u);
 
-    std::string table = m.toTable();
+    const service::StatsDocument doc{.metrics = m};
+    std::string table = service::renderStats(doc);
     EXPECT_NE(table.find("unknown-machine"), std::string::npos);
-    std::string json = m.toJson();
+    std::string json = service::statsToJson(doc);
     EXPECT_NE(json.find("\"requests\":7"), std::string::npos);
     EXPECT_NE(json.find("\"hit_rate\":"), std::string::npos);
     EXPECT_NE(json.find("\"unknown-machine\":1"), std::string::npos);

@@ -15,6 +15,7 @@
 #include <cstring>
 #include <set>
 #include <thread>
+#include <utility>
 
 #include <gtest/gtest.h>
 
@@ -319,6 +320,26 @@ TEST(Json, NonFiniteDoublesBecomeNull)
     w.value(1.0 / 0.0).value(0.25);
     w.endArray();
     EXPECT_EQ(w.str(), "[null,0.25]");
+}
+
+TEST(Json, U64AcceptsOnlyIntegersThatFit)
+{
+    const std::pair<const char *, uint64_t> good[] = {
+        {"0", 0},
+        {"42", 42},
+        {"9007199254740993", 9007199254740993ull}, // 2^53 + 1
+        {"18446744073709551615", UINT64_MAX},
+        {"\"123\"", 123}, // a string of digits
+    };
+    for (const auto &[text, want] : good)
+        EXPECT_EQ(jsonU64(parseJson(text)), want) << text;
+
+    // A cast of any of these would be undefined or silently wrong.
+    const char *bad[] = {"-1", "-0", "2.7", "2.0", "1e300", "1e3",
+                         "18446744073709551616", "\"\"", "\"12a\"",
+                         "true", "null", "[1]", "{}"};
+    for (const char *text : bad)
+        EXPECT_THROW(jsonU64(parseJson(text)), MdesError) << text;
 }
 
 // --------------------------------------------------------------- TextTable

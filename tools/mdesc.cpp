@@ -813,11 +813,12 @@ cmdBatch(const std::vector<std::string> &args)
         std::printf("\n");
     }
 
-    service::ServiceMetrics metrics = svc.metricsSnapshot();
+    const service::StatsDocument doc{.now_s = service::windowNowS(),
+                                     .metrics = svc.metricsSnapshot()};
     if (json)
-        std::printf("%s\n", metrics.toJson().c_str());
+        std::printf("%s\n", service::statsToJson(doc).c_str());
     else
-        std::printf("\n%s", metrics.toTable().c_str());
+        std::printf("\n%s", service::renderStats(doc).c_str());
     return failures == 0 ? 0 : 1;
 }
 
