@@ -187,9 +187,10 @@ def check_fleet(doc, shards, stale, expected):
         require(row, "w60_rate_per_s", NUMBER, where)
         require(row, "pid", int, where)
         state = require(row, "state", str, where)
-        if state not in ("live", "backoff", "quarantined", "stale"):
+        if state not in ("live", "backoff", "quarantined", "exited",
+                         "stale"):
             fail(f"{where}.state '{state}' is not one "
-                 "of live/backoff/quarantined/stale")
+                 "of live/backoff/quarantined/exited/stale")
     if sum(row["requests"] for row in per_shard) != \
             doc["lifetime"]["requests"]:
         fail("per_shard requests do not sum to lifetime.requests")

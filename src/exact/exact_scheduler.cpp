@@ -201,9 +201,7 @@ ExactScheduler::readyCycle(uint32_t u, int32_t &normal_ready) const
 {
     normal_ready = 0;
     int32_t relaxed = 0;
-    const auto &edges = graph_.edges();
-    for (uint32_t ei : graph_.predEdges()[u]) {
-        const auto &e = edges[ei];
+    for (const sched::DepEdge &e : graph_.preds(u)) {
         int32_t at = cycles_[e.pred];
         int32_t nr = at + e.min_dist;
         if (nr > normal_ready)
@@ -232,8 +230,6 @@ int32_t
 ExactScheduler::computeBound(int32_t cycle)
 {
     int32_t lb = cur_len_;
-    const auto &edges = graph_.edges();
-    const auto &pred_edges = graph_.predEdges();
 
     // Earliest-start forward pass (instruction index is a topological
     // order: dependence edges always point to a higher index).
@@ -243,8 +239,7 @@ ExactScheduler::computeBound(int32_t cycle)
             continue;
         }
         int32_t est = cycle;
-        for (uint32_t ei : pred_edges[u]) {
-            const auto &e = edges[ei];
+        for (const sched::DepEdge &e : graph_.preds(u)) {
             int32_t d =
                 e.cascade_relax && can_casc_[u] ? 0 : e.min_dist;
             est = std::max(est, est_[e.pred] + d);
@@ -301,9 +296,8 @@ ExactScheduler::place(uint32_t u, int32_t cycle, bool cascade)
     order_.push_back(u);
     ++placed_;
     cur_len_ = std::max(cur_len_, cycle + 1);
-    const auto &edges = graph_.edges();
-    for (uint32_t ei : graph_.succEdges()[u])
-        --pending_preds_[edges[ei].succ];
+    for (const sched::DepEdge &e : graph_.succs(u))
+        --pending_preds_[e.succ];
     const auto &dem = *op_demand_[u];
     for (size_t g = 0; g < dem.size(); ++g)
         rem_demand_[g] -= dem[g];
@@ -318,9 +312,8 @@ ExactScheduler::unplace(uint32_t u, int32_t restore_len,
     const auto &dem = *op_demand_[u];
     for (size_t g = 0; g < dem.size(); ++g)
         rem_demand_[g] += dem[g];
-    const auto &edges = graph_.edges();
-    for (uint32_t ei : graph_.succEdges()[u])
-        ++pending_preds_[edges[ei].succ];
+    for (const sched::DepEdge &e : graph_.succs(u))
+        ++pending_preds_[e.succ];
     --placed_;
     order_.pop_back();
     casc_[u] = 0;
@@ -435,7 +428,6 @@ ExactScheduler::scheduleBlock(const sched::Block &block,
     }
 
     graph_.rebuild(block, low_);
-    const auto &edges = graph_.edges();
 
     block_instr_class_.resize(n_);
     can_casc_.assign(n_, 0);
@@ -449,8 +441,7 @@ ExactScheduler::scheduleBlock(const sched::Block &block,
 
     h_.assign(n_, 0);
     for (uint32_t u = n_; u-- > 0;) {
-        for (uint32_t ei : graph_.succEdges()[u]) {
-            const auto &e = edges[ei];
+        for (const sched::DepEdge &e : graph_.succs(u)) {
             int32_t d =
                 e.cascade_relax && can_casc_[e.succ] ? 0 : e.min_dist;
             h_[u] = std::max(h_[u], d + h_[e.succ]);
@@ -460,9 +451,9 @@ ExactScheduler::scheduleBlock(const sched::Block &block,
     cycles_.assign(n_, -1);
     casc_.assign(n_, 0);
     est_.assign(n_, 0);
-    pending_preds_.assign(n_, 0);
+    pending_preds_.resize(n_);
     for (uint32_t u = 0; u < n_; ++u)
-        pending_preds_[u] = uint32_t(graph_.predEdges()[u].size());
+        pending_preds_[u] = uint32_t(graph_.preds(u).size());
 
     op_demand_.resize(n_);
     rem_demand_.assign(groups_.size(), 0);

@@ -22,6 +22,7 @@
 #include <mutex>
 #include <thread>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "net/frame.h"
@@ -753,7 +754,6 @@ struct Server::Impl
     bool
     handleFrame(Conn &conn, Frame &frame)
     {
-        counters.frames_in.fetch_add(1, std::memory_order_relaxed);
         faultsim::TokenScope scope(conn.id);
         const bool opening = !conn.framed;
         conn.framed = true;
@@ -762,6 +762,9 @@ struct Server::Impl
              frame.type == FrameType::Health) &&
             escalate(conn, frame))
             return false;
+        // Counted only here, where this shard answers: an escalated
+        // frame is the supervisor's, and it counts neither end.
+        counters.frames_in.fetch_add(1, std::memory_order_relaxed);
         switch (frame.type) {
         case FrameType::Ping: {
             Frame pong;
@@ -1373,6 +1376,14 @@ Server::stop()
     // metrics() keeps answering after shutdown.
     im.final_metrics = im.svc->metricsSnapshot();
     im.counters.fill(im.final_metrics.net);
+    // A shard's last datagram: its final stats document ('x' +
+    // document) for the fleet's exit dump. Best-effort: a full channel
+    // leaves this shard stale there.
+    if (im.feed_fd >= 0) {
+        const std::string report = "x" + im.statsJson();
+        [[maybe_unused]] ssize_t n =
+            io::sendRetry(im.feed_fd, report.data(), report.size());
+    }
     // Service teardown drains outstanding jobs; their completions still
     // push to the (now undrained) queue and poke the eventfd - both
     // stay valid until below.
@@ -1483,11 +1494,10 @@ blockTermSignals()
     return set;
 }
 
+/** Print @p doc at exit: one JSON line, or the text tables. */
 void
-dumpMetrics(service::ServiceMetrics m, bool json)
+dumpStats(const service::StatsDocument &doc, bool json)
 {
-    const service::StatsDocument doc{.now_s = service::windowNowS(),
-                                     .metrics = std::move(m)};
     if (json)
         std::cout << service::statsToJson(doc) << "\n";
     else
@@ -1560,7 +1570,8 @@ runSingleServe(const ServeOptions &opts)
                   << ", shutting down\n";
     }
     server.stop();
-    dumpMetrics(server.metrics(), opts.json_metrics);
+    dumpStats({.now_s = service::windowNowS(), .metrics = server.metrics()},
+              opts.json_metrics);
     return 0;
 }
 
@@ -1658,6 +1669,8 @@ struct ShardSlot
     bool poll_pending = false;
     /** This shard's stats document for the current poll ("" = stale). */
     std::string stats;
+    /** The document this incarnation sent as it exited ("" = none). */
+    std::string final_stats;
 };
 
 /** A STAT or HEALTH connection a shard passed up, until answered. */
@@ -1856,8 +1869,9 @@ class Supervisor
 
     // --- shard channels ----------------------------------------------
 
-    /** Drain shard @p i's channel: heartbeat echoes, stat replies and
-     * escalated connections. Any datagram is proof of life. */
+    /** Drain shard @p i's channel: heartbeat echoes, stat replies,
+     * escalated connections and the exit document. Any datagram is
+     * proof of life. */
     void
     onChannel(unsigned i)
     {
@@ -1890,6 +1904,8 @@ class Supervisor
                     s.poll_pending = false;
                     maybeFinishPoll();
                 }
+            } else if (buf[0] == 'x') {
+                s.final_stats.assign(buf + 1, size_t(n) - 1);
             }
         }
     }
@@ -1956,17 +1972,9 @@ class Supervisor
         if (waiting && Clock::now() < poll_deadline_)
             return;
         polling_ = false;
-        std::vector<std::string> answers;
-        for (ShardSlot &s : slots_) {
+        for (ShardSlot &s : slots_)
             s.poll_pending = false;
-            answers.push_back(std::move(s.stats));
-            s.stats.clear();
-        }
-        service::SupervisionInfo sup;
-        std::vector<service::ShardSupervision> rows;
-        supervision(&sup, &rows);
-        const std::string doc = service::mergeShardStats(
-            answers, service::windowNowS(), sup, rows);
+        const std::string doc = fleetStats(&ShardSlot::stats);
         bool more = false;
         for (FleetConn &c : conns_) {
             if (c.health || c.fd < 0)
@@ -1978,6 +1986,21 @@ class Supervisor
         }
         if (more)
             startPoll();
+    }
+
+    /** The fleet document over each slot's @p doc, which it takes ("" =
+     * stale). */
+    std::string
+    fleetStats(std::string ShardSlot::*doc)
+    {
+        std::vector<std::string> docs;
+        for (ShardSlot &s : slots_)
+            docs.push_back(std::exchange(s.*doc, {}));
+        service::SupervisionInfo sup;
+        std::vector<service::ShardSupervision> rows;
+        supervision(&sup, &rows);
+        return service::mergeShardStats(docs, service::windowNowS(), sup,
+                                        rows);
     }
 
     /** Encode @p payload as @p c's Response frame and start writing. */
@@ -2063,9 +2086,11 @@ class Supervisor
             row.restarts = s.restarts;
             row.crashes = s.crashes;
             row.wedges = s.wedges;
+            // Down with no restart due: drained or shut down.
             row.state = s.quarantined ? "quarantined"
                         : s.pid > 0  ? "live"
-                                     : "backoff";
+                        : s.restart_at != Clock::time_point{} ? "backoff"
+                                                               : "exited";
             rows->push_back(row);
             sup->restarts += s.restarts;
             sup->crashes += s.crashes;
@@ -2191,6 +2216,7 @@ class Supervisor
     {
         ShardSlot &s = slots_[i];
         auto now = Clock::now();
+        onChannel(i); // what it sent before it died, exit document too
         closeChan(s);
         s.pid = -1;
         if (draining_ || s.drain_sent) {
@@ -2303,22 +2329,29 @@ class Supervisor
         if (listen_fd_ >= 0)
             ::close(listen_fd_);
         ::close(sfd_);
-        int exit_code = unclean_exit_ ? 1 : 0;
+        // Every exit from here on is expected. Feed EOF makes the
+        // children drain and exit; half-closing leaves the way up open
+        // for their exit documents, which the reap takes.
+        draining_ = true;
         for (ShardSlot &s : slots_)
-            closeChan(s); // feed EOF: children drain and exit
-        ::close(ep_);
-        for (ShardSlot &s : slots_) {
-            if (s.pid <= 0)
-                continue;
+            if (s.chan >= 0)
+                ::shutdown(s.chan, SHUT_WR);
+        for (unsigned i = 0; i < slots_.size(); ++i) {
             int status = 0;
-            if (waitpid(s.pid, &status, 0) < 0 || !WIFEXITED(status) ||
-                WEXITSTATUS(status) != 0)
-                exit_code = 1;
-            s.pid = -1;
+            if (slots_[i].pid <= 0)
+                continue;
+            if (waitpid(slots_[i].pid, &status, 0) == slots_[i].pid)
+                reaped(i, status);
+            else
+                unclean_exit_ = true;
         }
+        ::close(ep_);
         std::cout << "mdesc serve: shards exited "
-                  << (exit_code == 0 ? "cleanly" : "with errors") << "\n";
-        return exit_code;
+                  << (unclean_exit_ ? "with errors" : "cleanly") << "\n";
+        // The fleet's exit document; a slot that sent none is stale.
+        dumpStats(service::parseStats(fleetStats(&ShardSlot::final_stats)),
+                  opts_.json_metrics);
+        return unclean_exit_ ? 1 : 0;
     }
 };
 

@@ -82,9 +82,9 @@ struct ServerConfig
     int inherit_listen_fd = -1;
     /** Shard-child mode: the SOCK_SEQPACKET channel to the shard
      * parent (-1 = none). It carries the parent's stat polls,
-     * heartbeats and drain commands, and this shard's replies and
-     * escalated fleet STAT/HEALTH connections. EOF on this fd
-     * triggers graceful shutdown. */
+     * heartbeats and drain commands, and this shard's replies,
+     * escalated fleet STAT/HEALTH connections and, at stop(), final
+     * stats document. EOF on this fd triggers graceful shutdown. */
     int conn_feed_fd = -1;
 };
 

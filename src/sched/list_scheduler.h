@@ -179,20 +179,26 @@ ListLoop::run(const Block &block, SchedStats &stats, Reserve &&reserve)
     graph_.rebuild(block, low_);
     // Edges into an operation gate it; edges out of it release others.
     // `first` is the end the walk places first, `then` the other end.
-    const auto &gates = kForward ? graph_.predEdges() : graph_.succEdges();
-    const auto &releases =
-        kForward ? graph_.succEdges() : graph_.predEdges();
+    auto gates = [&](uint32_t u) {
+        if constexpr (kForward)
+            return graph_.preds(u);
+        else
+            return graph_.succs(u);
+    };
+    auto releases = [&](uint32_t u) {
+        if constexpr (kForward)
+            return graph_.succs(u);
+        else
+            return graph_.preds(u);
+    };
     auto first = [](const DepEdge &e) { return kForward ? e.pred : e.succ; };
     auto then = [](const DepEdge &e) { return kForward ? e.succ : e.pred; };
 
     if constexpr (!kForward) {
         depth_.assign(n, 0);
         for (uint32_t u = 0; u < n; ++u) {
-            for (uint32_t e : graph_.predEdges()[u]) {
-                const DepEdge &edge = graph_.edges()[e];
-                depth_[u] = std::max(depth_[u],
-                                     depth_[edge.pred] + edge.min_dist);
-            }
+            for (const DepEdge &e : graph_.preds(u))
+                depth_[u] = std::max(depth_[u], depth_[e.pred] + e.min_dist);
         }
     }
     // Ready-list order: priority first, then source order (deterministic
@@ -208,9 +214,9 @@ ListLoop::run(const Block &block, SchedStats &stats, Reserve &&reserve)
     });
     sched.issue_order.reserve(n);
 
-    waiting_.assign(n, 0);
-    for (const auto &e : graph_.edges())
-        ++waiting_[then(e)];
+    waiting_.resize(n);
+    for (uint32_t u = 0; u < n; ++u)
+        waiting_[u] = uint32_t(gates(u).size());
 
     size_t remaining = n;
     // Generous safety bound: every op needs at least one cycle, plus
@@ -241,13 +247,12 @@ ListLoop::run(const Block &block, SchedStats &stats, Reserve &&reserve)
             // earlier time reachable by cascading relaxable RAW edges.
             int32_t normal_ready = 0;
             int32_t cascade_ready = 0;
-            for (uint32_t e : gates[u]) {
-                const DepEdge &edge = graph_.edges()[e];
-                int32_t from = sched.cycles[first(edge)];
-                int32_t at = from + edge.min_dist;
+            for (const DepEdge &e : gates(u)) {
+                int32_t from = sched.cycles[first(e)];
+                int32_t at = from + e.min_dist;
                 normal_ready = std::max(normal_ready, at);
-                cascade_ready = std::max(cascade_ready,
-                                         edge.cascade_relax ? from : at);
+                cascade_ready =
+                    std::max(cascade_ready, e.cascade_relax ? from : at);
             }
 
             bool can_cascade = kForward && in.cascadable &&
@@ -265,8 +270,8 @@ ListLoop::run(const Block &block, SchedStats &stats, Reserve &&reserve)
                 sched.length = std::max(sched.length, t + 1);
                 sched.issue_order.push_back(u);
                 --remaining;
-                for (uint32_t e : releases[u])
-                    --waiting_[then(graph_.edges()[e])];
+                for (const DepEdge &e : releases(u))
+                    --waiting_[then(e)];
                 --w; // drop u from the ready list
             }
         }

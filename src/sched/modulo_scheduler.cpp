@@ -3,83 +3,27 @@
 #include "sched/pressure.h"
 
 #include <algorithm>
-#include <map>
+#include <span>
 
-#include "support/diagnostics.h"
 #include "support/trace.h"
 
 namespace mdes::sched {
 
-LoopDepGraph
-LoopDepGraph::build(const Block &body, const lmdes::LowMdes &low)
+namespace {
+
+/** Whether @p a and @p b claim one resource in one modulo slot. */
+bool
+collide(std::span<const rumap::Reservation> a,
+        std::span<const rumap::Reservation> b)
 {
-    LoopDepGraph g;
-    const size_t n = body.instrs.size();
-
-    auto addEdge = [&](uint32_t pred, uint32_t succ, int32_t latency,
-                       int32_t omega) {
-        if (pred == succ && omega == 0)
-            return;
-        g.edges_.push_back({pred, succ, latency, omega});
-    };
-
-    // Per-register bookkeeping over one iteration of the body.
-    std::map<int32_t, std::vector<uint32_t>> writers, readers;
-    for (uint32_t i = 0; i < n; ++i) {
-        for (int32_t r : body.instrs[i].srcs)
-            readers[r].push_back(i);
-        for (int32_t r : body.instrs[i].dsts)
-            writers[r].push_back(i);
-    }
-    auto flowLat = [&](uint32_t producer, uint32_t consumer) {
-        return low.flowLatency(body.instrs[producer].op_class,
-                               body.instrs[consumer].op_class);
-    };
-
-    for (const auto &[reg, ws] : writers) {
-        const auto &rs = readers.count(reg) ? readers.at(reg)
-                                            : std::vector<uint32_t>{};
-        // Intra-iteration RAW: each read from the nearest earlier write.
-        for (uint32_t read : rs) {
-            uint32_t best = UINT32_MAX;
-            for (uint32_t w : ws) {
-                if (w < read)
-                    best = w;
-            }
-            if (best != UINT32_MAX)
-                addEdge(best, read, flowLat(best, read), 0);
-        }
-        // Loop-carried RAW: reads at or before the last write consume
-        // the previous iteration's value.
-        uint32_t last_w = ws.back();
-        for (uint32_t read : rs) {
-            if (read <= last_w)
-                addEdge(last_w, read, flowLat(last_w, read), 1);
-        }
-        // WAR: a write must not overtake this iteration's earlier reads
-        // (omega 0) and the next write must wait for this iteration's
-        // later reads (omega 1).
-        uint32_t first_w = ws.front();
-        for (uint32_t read : rs) {
-            uint32_t next_w = UINT32_MAX;
-            for (uint32_t w : ws) {
-                if (w > read) {
-                    next_w = w;
-                    break;
-                }
-            }
-            if (next_w != UINT32_MAX)
-                addEdge(read, next_w, 0, 0);
-            else
-                addEdge(read, first_w, 0, 1);
-        }
-        // WAW within and across iterations.
-        for (size_t k = 0; k + 1 < ws.size(); ++k)
-            addEdge(ws[k], ws[k + 1], 1, 0);
-        addEdge(last_w, first_w, 1, 1);
-    }
-    return g;
+    for (const rumap::Reservation &x : a)
+        for (const rumap::Reservation &y : b)
+            if (x.cycle == y.cycle && (x.mask & y.mask) != 0)
+                return true;
+    return false;
 }
+
+} // namespace
 
 int32_t
 ModuloScheduler::resMii(const Block &body) const
@@ -90,37 +34,42 @@ ModuloScheduler::resMii(const Block &body) const
     return std::max(analyzePressure(body, low_).resource_bound, 1);
 }
 
-int32_t
-ModuloScheduler::recMii(const Block &body, const LoopDepGraph &graph,
-                        int32_t max_ii) const
+/** Longest path from each of the @p n ops to a sink under edge weight
+ * min_dist - ii * omega, relaxed into height_. False when still changing
+ * after n + 1 rounds: a positive cycle, so @p ii is below RecMII. */
+bool
+ModuloScheduler::relaxHeights(size_t n, int32_t ii)
 {
-    const size_t n = body.instrs.size();
-    // Smallest II such that no dependence cycle has positive total
-    // weight under edge weight (latency - II*omega): checked with
-    // Bellman-Ford-style longest-path relaxation; still relaxing after
-    // n rounds means a positive cycle exists.
-    auto feasible = [&](int32_t ii) {
-        std::vector<int64_t> dist(n, 0);
-        for (size_t round = 0; round <= n; ++round) {
-            bool changed = false;
-            for (const auto &e : graph.edges()) {
-                int64_t w = int64_t(e.latency) - int64_t(ii) * e.omega;
-                if (dist[e.pred] + w > dist[e.succ]) {
-                    dist[e.succ] = dist[e.pred] + w;
-                    changed = true;
-                }
+    height_.assign(n, 0);
+    for (size_t round = 0; round <= n; ++round) {
+        bool changed = false;
+        for (const DepEdge &e : graph_.edges()) {
+            int64_t h = height_[e.succ] + e.min_dist -
+                        int64_t(ii) * e.omega;
+            if (h > height_[e.pred]) {
+                height_[e.pred] = h;
+                changed = true;
             }
-            if (!changed)
-                return true;
         }
-        return false;
-    };
+        if (!changed)
+            return true;
+    }
+    return false;
+}
+
+int32_t
+ModuloScheduler::recMii(const Block &body, int32_t max_ii)
+{
+    // The smallest II with no positive dependence cycle; graph_ stays
+    // built for schedule().
+    graph_.rebuild(body, low_, DepScope::Loop);
+    const size_t n = body.instrs.size();
     int32_t lo = 1, hi = max_ii;
-    if (feasible(lo))
+    if (relaxHeights(n, lo))
         return lo;
     while (lo < hi) {
         int32_t mid = lo + (hi - lo) / 2;
-        if (feasible(mid))
+        if (relaxHeights(n, mid))
             hi = mid;
         else
             lo = mid + 1;
@@ -134,9 +83,8 @@ ModuloScheduler::schedule(const Block &body, SchedStats &stats,
 {
     const size_t n = body.instrs.size();
     ModuloSchedule result;
-    LoopDepGraph graph = LoopDepGraph::build(body, low_);
     result.res_mii = resMii(body);
-    result.rec_mii = recMii(body, graph, max_ii);
+    result.rec_mii = recMii(body, max_ii); // builds graph_
     if (n == 0) {
         result.success = true;
         result.ii = 1;
@@ -151,12 +99,6 @@ ModuloScheduler::schedule(const Block &body, SchedStats &stats,
         op_attempts.assign(n, 0);
     stats.checks.sizeFor(low_);
 
-    std::vector<std::vector<uint32_t>> pred_edges(n), succ_edges(n);
-    for (uint32_t e = 0; e < graph.edges().size(); ++e) {
-        pred_edges[graph.edges()[e].succ].push_back(e);
-        succ_edges[graph.edges()[e].pred].push_back(e);
-    }
-
     constexpr int32_t kUnscheduled = INT32_MIN;
 
     for (int32_t ii = std::max(result.res_mii, result.rec_mii);
@@ -168,27 +110,14 @@ ModuloScheduler::schedule(const Block &body, SchedStats &stats,
         std::vector<std::vector<rumap::Reservation>> reservations(n);
 
         // Height priority under this II (converges: recMii <= ii).
-        std::vector<int64_t> height(n, 0);
-        for (size_t round = 0; round <= n; ++round) {
-            bool changed = false;
-            for (const auto &e : graph.edges()) {
-                int64_t h = height[e.succ] + e.latency -
-                            int64_t(ii) * e.omega;
-                if (h > height[e.pred]) {
-                    height[e.pred] = h;
-                    changed = true;
-                }
-            }
-            if (!changed)
-                break;
-        }
+        relaxHeights(n, ii);
 
         auto nextOp = [&]() -> uint32_t {
             uint32_t best = kInvalidId;
             for (uint32_t u = 0; u < n; ++u) {
                 if (times[u] != kUnscheduled)
                     continue;
-                if (best == kInvalidId || height[u] > height[best])
+                if (best == kInvalidId || height_[u] > height_[best])
                     best = u;
             }
             return best;
@@ -216,13 +145,10 @@ ModuloScheduler::schedule(const Block &body, SchedStats &stats,
             const auto &cls = low_.opClasses()[body.instrs[u].op_class];
 
             int32_t estart = 0;
-            for (uint32_t e : pred_edges[u]) {
-                const LoopEdge &edge = graph.edges()[e];
-                if (edge.succ != u || times[edge.pred] == kUnscheduled)
-                    continue;
-                estart = std::max(estart, times[edge.pred] +
-                                              edge.latency -
-                                              ii * edge.omega);
+            for (const DepEdge &e : graph_.preds(u)) {
+                if (times[e.pred] != kUnscheduled)
+                    estart = std::max(estart, times[e.pred] + e.min_dist -
+                                                  ii * e.omega);
             }
 
             bool placed = false;
@@ -266,29 +192,18 @@ ModuloScheduler::schedule(const Block &body, SchedStats &stats,
                 // (two usages landing on the same modulo slot and
                 // resource), the operation cannot execute at this II at
                 // all - abandon it and move to the next II.
+                const std::span<const rumap::Reservation> all(needed);
                 bool self_conflict = false;
-                for (size_t x = 0; x < needed.size(); ++x) {
-                    for (size_t y = x + 1; y < needed.size(); ++y) {
-                        self_conflict |=
-                            needed[x].cycle == needed[y].cycle &&
-                            (needed[x].mask & needed[y].mask) != 0;
-                    }
-                }
+                for (size_t x = 0; x < needed.size(); ++x)
+                    self_conflict |=
+                        collide(all.subspan(x, 1), all.subspan(x + 1));
                 if (self_conflict) {
                     ok = false;
                     break;
                 }
                 for (uint32_t v = 0; v < n; ++v) {
-                    if (v == u || times[v] == kUnscheduled)
-                        continue;
-                    bool conflicts = false;
-                    for (const auto &rv : reservations[v]) {
-                        for (const auto &rn : needed) {
-                            conflicts |= rv.cycle == rn.cycle &&
-                                         (rv.mask & rn.mask) != 0;
-                        }
-                    }
-                    if (conflicts)
+                    if (v != u && times[v] != kUnscheduled &&
+                        collide(reservations[v], needed))
                         unschedule(v);
                 }
                 for (const auto &rn : needed)
@@ -300,15 +215,11 @@ ModuloScheduler::schedule(const Block &body, SchedStats &stats,
 
             // Displace scheduled successors whose dependence from u is
             // now violated (they will be rescheduled later).
-            for (uint32_t e : succ_edges[u]) {
-                const LoopEdge &edge = graph.edges()[e];
-                uint32_t v = edge.succ;
-                if (v == u || times[v] == kUnscheduled)
-                    continue;
-                if (times[v] <
-                    times[u] + edge.latency - ii * edge.omega) {
+            for (const DepEdge &e : graph_.succs(u)) {
+                uint32_t v = e.succ;
+                if (v != u && times[v] != kUnscheduled &&
+                    times[v] < times[u] + e.min_dist - ii * e.omega)
                     unschedule(v);
-                }
             }
         }
 
@@ -340,7 +251,7 @@ ModuloScheduler::schedule(const Block &body, SchedStats &stats,
 }
 
 std::string
-verifyModuloSchedule(const Block &body, const LoopDepGraph &graph,
+verifyModuloSchedule(const Block &body, const lmdes::LowMdes &low,
                      const ModuloSchedule &sched)
 {
     if (!sched.success)
@@ -351,9 +262,10 @@ verifyModuloSchedule(const Block &body, const LoopDepGraph &graph,
     if (sched.ii < std::max(sched.res_mii, sched.rec_mii))
         return "II below its lower bounds";
 
-    for (const auto &e : graph.edges()) {
+    const DepGraph graph = DepGraph::build(body, low, DepScope::Loop);
+    for (const DepEdge &e : graph.edges()) {
         if (sched.times[e.succ] - sched.times[e.pred] <
-            e.latency - sched.ii * e.omega) {
+            e.min_dist - sched.ii * e.omega) {
             return "dependence violated between operations " +
                    std::to_string(e.pred) + " and " +
                    std::to_string(e.succ);
@@ -362,17 +274,9 @@ verifyModuloSchedule(const Block &body, const LoopDepGraph &graph,
     // No two operations may collide in the modulo reservation table.
     for (uint32_t a = 0; a < n; ++a) {
         for (uint32_t b = a + 1; b < n; ++b) {
-            for (const auto &ra : sched.reservations[a]) {
-                for (const auto &rb : sched.reservations[b]) {
-                    if (ra.cycle == rb.cycle &&
-                        (ra.mask & rb.mask) != 0) {
-                        return "modulo resource collision between "
-                               "operations " +
-                               std::to_string(a) + " and " +
-                               std::to_string(b);
-                    }
-                }
-            }
+            if (collide(sched.reservations[a], sched.reservations[b]))
+                return "modulo resource collision between operations " +
+                       std::to_string(a) + " and " + std::to_string(b);
         }
     }
     return "";

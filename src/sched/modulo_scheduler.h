@@ -27,40 +27,11 @@
 
 #include "lmdes/low_mdes.h"
 #include "rumap/checker.h"
+#include "sched/dep_graph.h"
 #include "sched/ir.h"
 #include "sched/list_scheduler.h"
 
 namespace mdes::sched {
-
-/** A dependence edge of a loop body, with iteration distance. */
-struct LoopEdge
-{
-    uint32_t pred = 0;
-    uint32_t succ = 0;
-    /** Latency: succ.time >= pred.time + latency - II * omega. */
-    int32_t latency = 0;
-    /** Iteration distance (0 = same iteration, 1 = next iteration). */
-    int32_t omega = 0;
-};
-
-/** The loop dependence graph (intra- plus loop-carried edges). */
-class LoopDepGraph
-{
-  public:
-    /**
-     * Build from a loop body: intra-iteration RAW/WAR/WAW edges as in
-     * DepGraph, plus omega-1 loop-carried edges for registers that are
-     * live across the back edge (read before their last write; written
-     * again next iteration).
-     */
-    static LoopDepGraph build(const Block &body,
-                              const lmdes::LowMdes &low);
-
-    const std::vector<LoopEdge> &edges() const { return edges_; }
-
-  private:
-    std::vector<LoopEdge> edges_;
-};
 
 /** Result of modulo-scheduling one loop body. */
 struct ModuloSchedule
@@ -91,9 +62,9 @@ class ModuloScheduler
     /** Resource-bound lower limit on II for @p body. */
     int32_t resMii(const Block &body) const;
 
-    /** Recurrence-bound lower limit on II for @p graph. */
-    int32_t recMii(const Block &body, const LoopDepGraph &graph,
-                   int32_t max_ii = 256) const;
+    /** Recurrence-bound lower limit on II for @p body, at most
+     * @p max_ii. Builds the body's loop dependence graph. */
+    int32_t recMii(const Block &body, int32_t max_ii = 256);
 
     /**
      * Modulo-schedule @p body. Scheduling attempts, option and resource
@@ -105,17 +76,24 @@ class ModuloScheduler
                             int32_t max_ii = 128, int budget_ratio = 8);
 
   private:
+    bool relaxHeights(size_t n, int32_t ii);
+
     const lmdes::LowMdes &low_;
     rumap::Checker checker_;
+    /** The loop dependence graph of the body at hand (recMii). */
+    DepGraph graph_;
+    /** Longest path from each op under one II (relaxHeights). */
+    std::vector<int64_t> height_;
 };
 
 /**
- * Validate a modulo schedule: every loop edge satisfied at the achieved
- * II, and no two operations' recorded reservations collide in the modulo
- * reservation table. @return empty string when valid.
+ * Validate a modulo schedule of @p body under @p low: every edge of the
+ * body's loop dependence graph satisfied at the achieved II, and no two
+ * operations' recorded reservations collide in the modulo reservation
+ * table. @return empty string when valid.
  */
 std::string verifyModuloSchedule(const Block &body,
-                                 const LoopDepGraph &graph,
+                                 const lmdes::LowMdes &low,
                                  const ModuloSchedule &sched);
 
 } // namespace mdes::sched

@@ -720,15 +720,19 @@ MdesService::process(Job &job, ServiceMetrics &metrics,
             resp.total_cycles += uint64_t(m.ii);
 
         // --- Optional re-verification ---------------------------------
-        if (req.verify && req.scheduler != SchedulerKind::Modulo) {
+        if (req.verify) {
             t = Clock::now();
-            for (size_t b = 0; b < resp.schedules.size(); ++b) {
-                sched::VerifyResult v =
-                    verify(program.blocks[b], resp.schedules[b]);
-                if (!v.ok())
+            for (size_t b = 0; b < program.blocks.size(); ++b) {
+                const sched::Block &block = program.blocks[b];
+                std::string problem =
+                    req.scheduler == SchedulerKind::Modulo
+                        ? sched::verifyModuloSchedule(block, *resp.low,
+                                                      resp.modulo[b])
+                        : verify(block, resp.schedules[b]).message;
+                if (!problem.empty())
                     return fail(ErrorCode::ScheduleFailed,
                                 "block " + std::to_string(b) + ": " +
-                                    v.message);
+                                    problem);
             }
             verify_us = elapsedUs(t);
             timed_verify = true;

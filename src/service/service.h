@@ -109,7 +109,8 @@ struct ScheduleRequest
     PipelineConfig transforms = PipelineConfig::all();
     bool bit_vector = true;
 
-    /** Re-verify the produced schedules (all but modulo). */
+    /** Re-verify the produced schedules (modulo ones against the
+     * body's loop dependence graph and modulo reservation table). */
     bool verify = false;
 
     /** Soft deadline in milliseconds from submission (0 = none). For

@@ -706,7 +706,8 @@ renderStats(const StatsDocument &doc)
                           "60s Requests", "60s Rate/s", "60s p99 us"});
         for (const ShardRow &row : doc.per_shard) {
             // A down shard shows its supervision state (backoff,
-            // quarantined); a live one that missed the poll is STALE.
+            // quarantined, exited); a live one that missed the poll is
+            // STALE.
             const std::string state =
                 row.stale && row.state == "live" ? "STALE" : row.state;
             auto cell = [&](std::string s) {

@@ -75,7 +75,7 @@ struct ShardSupervision
     uint64_t crashes = 0;
     /** Watchdog SIGKILLs (heartbeat deadline missed) for this slot. */
     uint64_t wedges = 0;
-    /** "live" | "backoff" | "quarantined". */
+    /** "live" | "backoff" | "quarantined" | "exited". */
     std::string state = "live";
 };
 
@@ -105,7 +105,7 @@ struct ShardRow
     uint64_t w60_p99_us = 0;
     int64_t pid = -1;
     uint64_t restarts = 0;
-    /** "live" | "backoff" | "quarantined". */
+    /** "live" | "backoff" | "quarantined" | "exited". */
     std::string state = "live";
 };
 

@@ -104,7 +104,7 @@ class BruteForce
         cycles_.assign(n_, -1);
         pending_.assign(n_, 0);
         for (uint32_t u = 0; u < n_; ++u)
-            pending_[u] = uint32_t(graph_.predEdges()[u].size());
+            pending_[u] = uint32_t(graph_.preds(u).size());
         ru_ = rumap::RuMap();
         placed_ = 0;
         len_ = 0;
@@ -119,9 +119,7 @@ class BruteForce
     {
         normal = 0;
         int32_t relaxed = 0;
-        const auto &edges = graph_.edges();
-        for (uint32_t ei : graph_.predEdges()[u]) {
-            const auto &e = edges[ei];
+        for (const sched::DepEdge &e : graph_.preds(u)) {
             int32_t at = cycles_[e.pred];
             normal = std::max(normal, at + e.min_dist);
             relaxed =
@@ -158,12 +156,11 @@ class BruteForce
             cycles_[u] = cycle;
             ++placed_;
             len_ = std::max(len_, cycle + 1);
-            const auto &edges = graph_.edges();
-            for (uint32_t ei : graph_.succEdges()[u])
-                --pending_[edges[ei].succ];
+            for (const sched::DepEdge &e : graph_.succs(u))
+                --pending_[e.succ];
             enumerate(cycle, u + 1);
-            for (uint32_t ei : graph_.succEdges()[u])
-                ++pending_[edges[ei].succ];
+            for (const sched::DepEdge &e : graph_.succs(u))
+                ++pending_[e.succ];
             len_ = prev_len;
             --placed_;
             cycles_[u] = -1;

@@ -38,6 +38,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -1076,20 +1077,24 @@ TEST(NetServer, DrainAnswersConnectionsWaitingInTheBacklog)
 /**
  * A `--shards 2` fleet under test: runServe in a child forked while
  * this process runs no other thread (every earlier test joined its
- * threads), the bound port reported over a pipe. The destructor drains
- * it with SIGTERM, then SIGKILLs what is left.
+ * threads), the bound port reported over a pipe, its stdout sent to
+ * @p stdout_fd when one is given. terminate() and the destructor drain
+ * it with SIGTERM, then SIGKILL what is left.
  */
 class FleetProcess
 {
   public:
-    explicit FleetProcess(net::ServeOptions opts)
+    explicit FleetProcess(net::ServeOptions opts, int stdout_fd = -1)
     {
         int pfd[2];
         if (pipe(pfd) != 0)
             return;
+        std::fflush(stdout); // or the child inherits what is buffered
         pid_ = fork();
         if (pid_ == 0) {
             close(pfd[0]);
+            if (stdout_fd >= 0)
+                dup2(stdout_fd, STDOUT_FILENO);
             opts.server.host = "127.0.0.1";
             opts.server.port = 0;
             opts.shards = 2;
@@ -1099,6 +1104,7 @@ class FleetProcess
                 code = net::runServe(opts);
             } catch (const std::exception &) {
             }
+            std::fflush(stdout);
             _exit(code);
         }
         close(pfd[1]);
@@ -1110,16 +1116,23 @@ class FleetProcess
         close(pfd[0]);
     }
 
-    ~FleetProcess()
+    ~FleetProcess() { terminate(); }
+
+    /** SIGTERM, then SIGKILL after 15 s; the wait status (-1 when
+     * already reaped). */
+    int
+    terminate()
     {
         if (pid_ <= 0)
-            return;
+            return -1;
         kill(pid_, SIGTERM);
         int status = 0;
         if (waitExit(15000, &status) < 0) {
             kill(pid_, SIGKILL);
             waitpid(pid_, &status, 0);
+            pid_ = -1;
         }
+        return status;
     }
 
     uint16_t port() const { return port_; }
@@ -1333,6 +1346,51 @@ TEST_F(ShardFleet, FleetStatSumsEveryShardExactly)
     for (const service::ShardRow &row : after.per_shard)
         shard_requests += row.requests;
     EXPECT_EQ(shard_requests, m.requests);
+    // Quiescent, every frame a shard read it answered; a bare fleet
+    // STAT is the supervisor's at both ends.
+    EXPECT_EQ(m.net.frames_in, m.net.frames_out);
+}
+
+TEST_F(ShardFleet, ExitPrintsTheFleetDocument)
+{
+    std::FILE *out = std::tmpfile();
+    ASSERT_NE(out, nullptr);
+    net::ServeOptions opts;
+    opts.server.service.num_workers = 1;
+    opts.json_metrics = true;
+    FleetProcess fleet(opts, fileno(out));
+    ASSERT_NE(fleet.port(), 0);
+    const std::vector<service::ScheduleRequest> mix = testMix();
+    for (const service::ScheduleRequest &req : mix) {
+        net::BlockingClient client("127.0.0.1", fleet.port());
+        ASSERT_TRUE(client.connected());
+        ASSERT_TRUE(client.request(service::renderRequestLine(req)).ok());
+    }
+    const int status = fleet.terminate();
+    ASSERT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0) << status;
+
+    std::rewind(out);
+    std::string text, line, last;
+    char buf[4096];
+    for (size_t n; (n = std::fread(buf, 1, sizeof(buf), out)) > 0;)
+        text.append(buf, n);
+    std::fclose(out);
+    for (std::istringstream lines(text); std::getline(lines, line);)
+        if (!line.empty())
+            last = line;
+    const service::StatsDocument doc = service::parseStats(last);
+    EXPECT_EQ(doc.metrics.requests, mix.size());
+    EXPECT_EQ(doc.shards, 2u);
+    EXPECT_EQ(doc.stale_shards, 0u);
+    ASSERT_EQ(doc.per_shard.size(), 2u);
+    uint64_t shard_requests = 0;
+    for (const service::ShardRow &row : doc.per_shard) {
+        EXPECT_FALSE(row.stale) << "shard " << row.shard;
+        EXPECT_EQ(row.state, "exited") << "shard " << row.shard;
+        shard_requests += row.requests;
+    }
+    EXPECT_EQ(shard_requests, mix.size());
+    EXPECT_EQ(doc.supervision.health, "draining");
 }
 
 TEST_F(ShardFleet, BinaryAndJsonRequestsMatchInProcessFingerprints)

@@ -15,6 +15,8 @@
 #include <numeric>
 #include <optional>
 #include <ostream>
+#include <set>
+#include <tuple>
 
 #include <gtest/gtest.h>
 
@@ -170,6 +172,48 @@ TEST(DepGraph, PrioritiesAreCriticalPath)
     EXPECT_EQ(g.priorities()[1], 2);
     EXPECT_EQ(g.priorities()[2], 1);
     EXPECT_EQ(g.priorities()[3], 1);
+}
+
+TEST(DepGraph, CsrListsEveryEdgeOnceAtEachEnd)
+{
+    for (const auto *info : machines::all()) {
+        SCOPED_TRACE(info->name);
+        LowMdes low =
+            LowMdes::lower(hmdes::compileOrThrow(info->source), {});
+        workload::WorkloadSpec spec = info->workload;
+        spec.num_ops = 1500;
+        for (sched::DepScope scope :
+             {sched::DepScope::Block, sched::DepScope::Loop}) {
+            sched::Program program =
+                scope == sched::DepScope::Block
+                    ? workload::generate(spec, low)
+                    : workload::generateLoops(spec, low);
+            DepGraph g; // rebuilt per block, as the schedulers do
+            for (const Block &block : program.blocks) {
+                g.rebuild(block, low, scope);
+                const std::vector<sched::DepEdge> &edges = g.edges();
+                std::vector<int> in(edges.size()), out(edges.size());
+                for (uint32_t u = 0; u < block.instrs.size(); ++u) {
+                    for (const sched::DepEdge &e : g.preds(u)) {
+                        ASSERT_EQ(e.succ, u);
+                        ++in[size_t(&e - edges.data())];
+                    }
+                    for (const sched::DepEdge &e : g.succs(u)) {
+                        ASSERT_EQ(e.pred, u);
+                        ++out[size_t(&e - edges.data())];
+                    }
+                }
+                EXPECT_EQ(in, std::vector<int>(edges.size(), 1));
+                EXPECT_EQ(out, std::vector<int>(edges.size(), 1));
+                std::set<std::tuple<uint32_t, uint32_t, int>> keys;
+                for (const sched::DepEdge &e : edges)
+                    EXPECT_TRUE(keys.emplace(e.pred, e.succ, e.omega).second)
+                        << "duplicate edge " << e.pred << "->" << e.succ;
+                EXPECT_TRUE(
+                    std::ranges::is_sorted(edges, {}, &sched::DepEdge::succ));
+            }
+        }
+    }
 }
 
 // ---------------------------------------------------------- ListScheduler

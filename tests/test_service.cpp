@@ -305,6 +305,29 @@ TEST(Service, MetricsAccounting)
     EXPECT_NE(json.find("\"unknown-machine\":1"), std::string::npos);
 }
 
+TEST(Service, VerifyCoversModuloRequests)
+{
+    service::MdesService svc({.num_workers = 1});
+    service::ScheduleRequest loops = syntheticRequest("PA7100", 600);
+    loops.scheduler = service::SchedulerKind::Modulo;
+    loops.verify = true;
+    // A body that ends in a branch, which the loop graph does not keep
+    // last.
+    service::ScheduleRequest branchy;
+    branchy.machine = "SuperSPARC";
+    branchy.sasm = readFile(std::string(MDES_SOURCE_DIR) +
+                            "/descriptions/dotproduct.sasm");
+    branchy.scheduler = service::SchedulerKind::Modulo;
+    branchy.verify = true;
+    uint64_t verified = 0;
+    for (const service::ScheduleRequest &req : {loops, branchy}) {
+        auto r = svc.wait(svc.submit(req));
+        ASSERT_TRUE(r.ok()) << r.error.message;
+        EXPECT_FALSE(r.modulo.empty());
+        EXPECT_EQ(svc.metricsSnapshot().verify.count, ++verified);
+    }
+}
+
 TEST(Service, FingerprintDistinguishesSchedules)
 {
     service::MdesService svc({.num_workers = 2});

@@ -137,8 +137,7 @@ TEST(Wide, ModuloSchedulingWorks)
     auto sched = ms.schedule(body, stats);
     ASSERT_TRUE(sched.success);
     EXPECT_EQ(sched.ii, 2); // 4 ops, 2 cluster-0 ALUs
-    auto graph = sched::LoopDepGraph::build(body, low);
-    EXPECT_EQ(sched::verifyModuloSchedule(body, graph, sched), "");
+    EXPECT_EQ(sched::verifyModuloSchedule(body, low, sched), "");
 }
 
 TEST(Wide, SerializationRoundTrips)
