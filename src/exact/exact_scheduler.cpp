@@ -348,6 +348,16 @@ ExactScheduler::dfs(int32_t cycle, uint32_t floor)
         best_cycles_ = cycles_;
         best_casc_ = casc_;
         best_order_ = order_;
+        // The certificate lists each op's options in op order; depth k
+        // placed order_[k].
+        best_options_.clear();
+        for (uint32_t u = 0; u < n_; ++u) {
+            const size_t k =
+                std::find(order_.begin(), order_.end(), u) - order_.begin();
+            best_options_.insert(best_options_.end(),
+                                 chosen_pool_[k].begin(),
+                                 chosen_pool_[k].end());
+        }
         have_best_ = true;
         if (best_len_ <= root_lb_)
             done_ = true;
@@ -385,8 +395,8 @@ ExactScheduler::dfs(int32_t cycle, uint32_t floor)
         uint32_t tree = cascade ? cls.cascade_tree : cls.tree;
         auto &reserved = reserved_pool_[placed_];
         reserved.clear();
-        if (!checker_.tryReserve(tree, cycle, ru_, stats_->checks, nullptr,
-                                 &reserved))
+        if (!checker_.tryReserve(tree, cycle, ru_, stats_->checks,
+                                 &chosen_pool_[placed_], &reserved))
             continue;
         int32_t prev_len = cur_len_;
         place(u, cycle, cascade);
@@ -467,6 +477,7 @@ ExactScheduler::scheduleBlock(const sched::Block &block,
     order_.clear();
     order_.reserve(n_);
     reserved_pool_.resize(n_);
+    chosen_pool_.resize(n_);
     ru_.clear();
     cur_len_ = 0;
     placed_ = 0;
@@ -495,6 +506,7 @@ ExactScheduler::scheduleBlock(const sched::Block &block,
         res.schedule.used_cascade = best_casc_;
         res.schedule.length = best_len_;
         res.schedule.issue_order = best_order_;
+        res.options = best_options_;
         res.improved = best_len_ < incumbent->length;
     } else {
         res.schedule = *incumbent;

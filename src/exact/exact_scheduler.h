@@ -95,6 +95,10 @@ struct ExactResult
     /** Best schedule found: the search's best canonical schedule, or
      * the (list) incumbent when the search could not improve on it. */
     sched::BlockSchedule schedule;
+    /** The certificate of schedule (see sched::Certificate) when the
+     * search found it (improved); empty when schedule is the incumbent,
+     * whose certificate its caller holds. */
+    std::vector<uint32_t> options;
     /** The returned length is proven minimal (search exhausted, or the
      * incumbent already met the proven lower bound). */
     bool proven_optimal = false;
@@ -203,6 +207,8 @@ class ExactScheduler
     std::vector<uint64_t> rem_demand_;  ///< per group
     std::vector<const std::vector<uint32_t> *> op_demand_;
     std::vector<std::vector<rumap::Reservation>> reserved_pool_;
+    /** The options chosen at each placement depth. */
+    std::vector<std::vector<uint32_t>> chosen_pool_;
     int32_t cur_len_ = 0;
     uint32_t placed_ = 0;
 
@@ -212,6 +218,7 @@ class ExactScheduler
     std::vector<int32_t> best_cycles_;
     std::vector<uint8_t> best_casc_;
     std::vector<uint32_t> best_order_;
+    std::vector<uint32_t> best_options_;
     bool have_best_ = false;  ///< the search itself recorded a schedule
     bool done_ = false;       ///< best_len_ hit the root bound: stop
     uint64_t node_limit_ = 0;

@@ -135,7 +135,8 @@ class Checker
      * chosen options are reserved in @p ru.
      *
      * @param chosen_options when non-null, receives the option id chosen
-     *        for each OR subtree (in subtree order) on success.
+     *        for each OR subtree (in subtree order) on success: the
+     *        schedulers' certificate (sched::Certificate).
      * @param reserved when non-null, receives the reservations made on
      *        success (for later releaseSlot() - modulo-scheduling
      *        unscheduling; Reservation::cycle is the map-normalized
@@ -153,7 +154,7 @@ class Checker
      * a wouldFit() call between two tryReserve()s changes nothing.
      * Pass @p stats to record the attempt with full accounting
      * (attempts, checks, conflict tracing); by default it records
-     * nothing. Used by schedule-validation replay.
+     * nothing. Used by the exact search's propagation probes.
      */
     bool wouldFit(uint32_t tree, int32_t cycle, const RuMap &ru,
                   CheckStats *stats = nullptr) const;

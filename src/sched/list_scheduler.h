@@ -21,6 +21,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "core/transforms.h"
@@ -44,14 +45,42 @@ struct BlockSchedule
     /** Schedule length (one past the last issue cycle). */
     int32_t length = 0;
     /**
-     * Instructions in the order their reservations were made. Schedule
-     * validation replays reservations in this order so the checker's
-     * greedy option choices match the scheduler's; left empty, replay
-     * uses (cycle, critical-path priority) order.
+     * Instructions in the order their reservations were made. The
+     * greedy replay (verifyScheduleEx) reserves in this order so the
+     * checker's option choices match the scheduler's; it rejects a
+     * schedule without one.
      */
     std::vector<uint32_t> issue_order;
 
     bool operator==(const BlockSchedule &) const = default;
+};
+
+/**
+ * The certificate of a run of block schedules (DESIGN.md §2.8): for
+ * every scheduled operation, in block and operation order, the option
+ * id the scheduler chose for each OR subtree of the AND/OR-tree it
+ * issued with (its cascade tree when it cascaded), in subtree order.
+ * Verifier::verify() checks a block's schedule against its slice. It
+ * lives beside the schedules, not in BlockSchedule: it is not
+ * fingerprinted, serialized or returned.
+ */
+struct Certificate
+{
+    /** Every block's option ids, back to back. */
+    std::vector<uint32_t> options;
+    /** Where each block's ids start in options, then where they end. */
+    std::vector<size_t> starts{0};
+
+    /** Close the block whose ids were appended since the last close. */
+    void endBlock() { starts.push_back(options.size()); }
+
+    /** The option ids of closed block @p b. */
+    std::span<const uint32_t>
+    block(size_t b) const
+    {
+        return std::span(options).subspan(starts[b],
+                                          starts[b + 1] - starts[b]);
+    }
 };
 
 /** Aggregated scheduling results and statistics. */
@@ -134,13 +163,18 @@ class ListScheduler
 
     /**
      * Schedule one basic block with a fresh RU map, accumulating
-     * statistics into @p stats.
+     * statistics into @p stats. When @p options is non-null, the
+     * block's certificate (see Certificate) is appended to it.
      */
-    BlockSchedule scheduleBlock(const Block &block, SchedStats &stats);
+    BlockSchedule scheduleBlock(const Block &block, SchedStats &stats,
+                                std::vector<uint32_t> *options = nullptr);
 
-    /** Schedule every block of @p program; returns per-block schedules. */
-    std::vector<BlockSchedule> scheduleProgram(const Program &program,
-                                               SchedStats &stats);
+    /** Schedule every block of @p program; returns per-block schedules.
+     * When @p certificate is non-null, each block's certificate is
+     * appended to it as one closed block. */
+    std::vector<BlockSchedule>
+    scheduleProgram(const Program &program, SchedStats &stats,
+                    Certificate *certificate = nullptr);
 
   protected:
     ListScheduler(const lmdes::LowMdes &low, SchedDirection direction)
@@ -153,6 +187,13 @@ class ListScheduler
     rumap::Checker checker_;
     rumap::RuMap ru_;
     ListLoop loop_;
+    // Certificate scratch: the options of one attempt; every placed
+    // op's options in issue order, and where each op's begin there;
+    // each op's place in the issue order.
+    std::vector<uint32_t> chosen_;
+    std::vector<uint32_t> picked_;
+    std::vector<uint32_t> picked_at_;
+    std::vector<uint32_t> issued_as_;
 };
 
 template <SchedDirection Dir, class Reserve>

@@ -100,6 +100,14 @@ ModuloScheduler::schedule(const Block &body, SchedStats &stats,
     stats.checks.sizeFor(low_);
 
     constexpr int32_t kUnscheduled = INT32_MIN;
+    // Where each operation's options start in the certificate.
+    std::vector<uint32_t> options_at(n + 1, 0);
+    for (uint32_t u = 0; u < n; ++u) {
+        const auto &cls = low_.opClasses()[body.instrs[u].op_class];
+        options_at[u + 1] =
+            options_at[u] + low_.trees()[cls.tree].num_or_trees;
+    }
+    std::vector<uint32_t> chosen;
 
     for (int32_t ii = std::max(result.res_mii, result.rec_mii);
          ii <= max_ii; ++ii) {
@@ -108,6 +116,7 @@ ModuloScheduler::schedule(const Block &body, SchedStats &stats,
         std::vector<int32_t> times(n, kUnscheduled);
         std::vector<int32_t> prev_time(n, kUnscheduled);
         std::vector<std::vector<rumap::Reservation>> reservations(n);
+        std::vector<uint32_t> options(options_at[n]);
 
         // Height priority under this II (converges: recMii <= ii).
         relaxHeights(n, ii);
@@ -156,9 +165,11 @@ ModuloScheduler::schedule(const Block &body, SchedStats &stats,
                 if (span.active())
                     ++op_attempts[u];
                 if (checker_.tryReserve(cls.tree, t, ru, stats.checks,
-                                        nullptr, &reservations[u])) {
+                                        &chosen, &reservations[u])) {
                     times[u] = t;
                     placed = true;
+                    std::copy(chosen.begin(), chosen.end(),
+                              options.begin() + options_at[u]);
                 }
             }
             if (!placed) {
@@ -177,9 +188,10 @@ ModuloScheduler::schedule(const Block &body, SchedStats &stats,
                     const lmdes::LowOrTree &ot =
                         low_.orTrees()
                             [low_.orRefs()[tree.first_or_ref + s]];
-                    const lmdes::LowOption &opt =
-                        low_.options()
-                            [low_.optionRefs()[ot.first_option_ref]];
+                    const uint32_t opt_id =
+                        low_.optionRefs()[ot.first_option_ref];
+                    options[options_at[u] + s] = opt_id;
+                    const lmdes::LowOption &opt = low_.options()[opt_id];
                     for (uint32_t c = 0; c < opt.num_checks; ++c) {
                         const lmdes::Check &check =
                             low_.checks()[opt.first_check + c];
@@ -228,6 +240,7 @@ ModuloScheduler::schedule(const Block &body, SchedStats &stats,
             result.ii = ii;
             result.times = std::move(times);
             result.reservations = std::move(reservations);
+            result.options = std::move(options);
             // Normalize so the earliest time is zero.
             int32_t min_t = *std::min_element(result.times.begin(),
                                               result.times.end());

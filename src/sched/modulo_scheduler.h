@@ -46,6 +46,11 @@ struct ModuloSchedule
     std::vector<int32_t> times;
     /** Reservations per operation (modulo-II slots), for validation. */
     std::vector<std::vector<rumap::Reservation>> reservations;
+    /** The option chosen for each OR subtree of each operation's tree,
+     * operations in order: the modulo reservation table's certificate
+     * (see Certificate). A forced placement takes each subtree's first
+     * option. */
+    std::vector<uint32_t> options;
     /** Operations displaced (unscheduled) during the search. */
     uint64_t evictions = 0;
 };

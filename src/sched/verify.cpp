@@ -1,8 +1,10 @@
 #include "sched/verify.h"
 
 #include <algorithm>
-#include <span>
-#include <sstream>
+#include <bit>
+
+#include "rumap/checker.h"
+#include "rumap/ru_map.h"
 
 namespace mdes::sched {
 
@@ -24,6 +26,12 @@ verifyFaultName(VerifyFault fault)
         return "missing_cascade_tree";
     case VerifyFault::ResourceConflict:
         return "resource_conflict";
+    case VerifyFault::UnknownOption:
+        return "unknown_option";
+    case VerifyFault::OptionNotInSubtree:
+        return "option_not_in_subtree";
+    case VerifyFault::CertificateLength:
+        return "certificate_length";
     }
     return "unknown";
 }
@@ -40,91 +48,194 @@ fail(VerifyFault fault, uint32_t instr, std::string message)
     return r;
 }
 
-} // namespace
+/** The tree instruction @p u issued with: kInvalidId when it claims
+ * a cascade tree its class lacks. */
+uint32_t
+issueTree(const Block &block, const BlockSchedule &sched,
+          const lmdes::LowMdes &low, uint32_t u)
+{
+    const auto &cls = low.opClasses()[block.instrs[u].op_class];
+    return sched.used_cascade[u] ? cls.cascade_tree : cls.tree;
+}
 
 VerifyResult
-Verifier::verify(const Block &block, const BlockSchedule &sched)
+missingCascadeTree(uint32_t u)
 {
-    const size_t n = block.instrs.size();
+    return fail(VerifyFault::MissingCascadeTree, u,
+                "instruction " + std::to_string(u) +
+                    " claims cascade but has no cascade tree");
+}
+
+} // namespace
+
+Verifier::Verifier(const lmdes::LowMdes &low) : low_(low)
+{
+    for (const lmdes::Check &check : low.checks()) {
+        slot_lo_ = std::min(slot_lo_, check.slot);
+        slot_hi_ = std::max(slot_hi_, check.slot);
+    }
+}
+
+Verifier::RegUse &
+Verifier::regUse(int32_t reg)
+{
+    const size_t mask = regs_.size() - 1;
+    for (size_t at = uint32_t(reg) & mask;; at = (at + 1) & mask) {
+        RegUse &use = regs_[at];
+        if (use.stamp != stamp_) {
+            use = {stamp_, reg, kInvalidId, kInvalidId};
+            return use;
+        }
+        if (use.reg == reg)
+            return use;
+    }
+}
+
+VerifyResult
+Verifier::verifyDependences(const Block &block, const BlockSchedule &sched)
+{
+    const uint32_t n = uint32_t(block.instrs.size());
     if (sched.cycles.size() != n || sched.used_cascade.size() != n)
         return fail(VerifyFault::SizeMismatch, kInvalidId,
                     "schedule size does not match block size");
-
-    for (size_t i = 0; i < n; ++i) {
-        if (sched.cycles[i] < 0) {
-            std::ostringstream os;
-            os << "instruction " << i << " was never scheduled";
-            return fail(VerifyFault::Unscheduled, uint32_t(i), os.str());
-        }
+    const std::vector<int32_t> &cycle = sched.cycles;
+    size_t operands = 0;
+    for (uint32_t i = 0; i < n; ++i) {
+        if (cycle[i] < 0)
+            return fail(VerifyFault::Unscheduled, i,
+                        "instruction " + std::to_string(i) +
+                            " was never scheduled");
+        operands += block.instrs[i].srcs.size() + block.instrs[i].dsts.size();
     }
 
-    // Dependence distances.
-    graph_.rebuild(block, low_);
-    for (const auto &edge : graph_.edges()) {
-        int32_t dist = edge.min_dist;
-        if (edge.cascade_relax && sched.used_cascade[edge.succ])
-            dist = 0;
-        if (sched.cycles[edge.succ] - sched.cycles[edge.pred] < dist) {
-            std::ostringstream os;
-            os << "dependence violated: instruction " << edge.succ
-               << " at cycle " << sched.cycles[edge.succ]
-               << " is closer than " << dist << " to instruction "
-               << edge.pred << " at cycle " << sched.cycles[edge.pred];
-            return fail(VerifyFault::DependenceViolated, edge.succ,
-                        os.str());
-        }
+    // A new block: a register table at most half full, and a new stamp.
+    if (regs_.size() < 2 * operands + 1)
+        regs_.assign(std::bit_ceil(2 * operands + 1), {});
+    if (++stamp_ == 0) {
+        for (RegUse &use : regs_)
+            use.stamp = 0;
+        stamp_ = 1;
     }
 
-    // Resource feasibility: replay placements in the order the scheduler
-    // made its reservations, so the checker's greedy option choices
-    // coincide with the original ones. Without a recorded issue order,
-    // fall back to (cycle, critical-path priority) - the forward
-    // scheduler's attempt order - with source order breaking ties.
-    std::span<const uint32_t> order;
-    if (sched.issue_order.size() == n) {
-        order = sched.issue_order;
-        seen_.assign(n, 0);
-        for (uint32_t u : order) {
-            if (u >= n || seen_[u])
-                return fail(VerifyFault::BadIssueOrder, u,
-                            "issue order is not a permutation of the "
-                            "block");
-            seen_[u] = 1;
+    auto tooClose = [&](uint32_t succ, uint32_t pred, int32_t dist) {
+        return fail(VerifyFault::DependenceViolated, succ,
+                    "dependence violated: instruction " +
+                        std::to_string(succ) + " at cycle " +
+                        std::to_string(cycle[succ]) + " is closer than " +
+                        std::to_string(dist) + " to instruction " +
+                        std::to_string(pred) + " at cycle " +
+                        std::to_string(cycle[pred]));
+    };
+    // Of the instructions before the current one, the one issuing
+    // latest: a block-terminating branch issues no earlier.
+    uint32_t latest = kInvalidId;
+    for (uint32_t i = 0; i < n; ++i) {
+        const Instr &in = block.instrs[i];
+        for (int32_t r : in.srcs) {
+            RegUse &use = regUse(r);
+            if (use.writer != kInvalidId) {
+                // RAW. A cascaded consumer may issue in the same cycle
+                // as a single-cycle producer.
+                int32_t dist = low_.flowLatency(
+                    block.instrs[use.writer].op_class, in.op_class);
+                if (dist == 1 && in.cascadable && sched.used_cascade[i])
+                    dist = 0;
+                if (cycle[i] - cycle[use.writer] < dist)
+                    return tooClose(i, use.writer, dist);
+            }
+            if (use.reader == kInvalidId || cycle[use.reader] < cycle[i])
+                use.reader = i;
         }
-    } else {
-        order_.resize(n);
-        for (uint32_t i = 0; i < n; ++i)
-            order_[i] = i;
-        const std::vector<int32_t> &prio = graph_.priorities();
-        std::sort(order_.begin(), order_.end(),
-                  [&](uint32_t a, uint32_t b) {
-                      if (sched.cycles[a] != sched.cycles[b])
-                          return sched.cycles[a] < sched.cycles[b];
-                      if (prio[a] != prio[b])
-                          return prio[a] > prio[b];
-                      return a < b;
-                  });
-        order = order_;
+        for (int32_t r : in.dsts) {
+            RegUse &use = regUse(r);
+            if (use.writer != kInvalidId && use.writer != i &&
+                cycle[i] - cycle[use.writer] < 1)
+                return tooClose(i, use.writer, 1); // WAW
+            if (use.reader != kInvalidId && cycle[i] < cycle[use.reader])
+                return tooClose(i, use.reader, 0); // WAR
+            use.writer = i;
+            use.reader = kInvalidId;
+        }
+        if (i + 1 == n && in.is_branch && latest != kInvalidId &&
+            cycle[i] < cycle[latest])
+            return tooClose(i, latest, 0); // control
+        if (latest == kInvalidId || cycle[latest] < cycle[i])
+            latest = i;
     }
+    return {};
+}
 
-    ru_.clear();
-    for (uint32_t u : order) {
-        const auto &cls = low_.opClasses()[block.instrs[u].op_class];
-        uint32_t tree =
-            sched.used_cascade[u] ? cls.cascade_tree : cls.tree;
-        if (tree == kInvalidId) {
-            std::ostringstream os;
-            os << "instruction " << u
-               << " claims cascade but has no cascade tree";
-            return fail(VerifyFault::MissingCascadeTree, u, os.str());
-        }
-        if (!checker_.tryReserve(tree, sched.cycles[u], ru_, scratch_)) {
-            std::ostringstream os;
-            os << "resource conflict replaying instruction " << u
-               << " at cycle " << sched.cycles[u];
-            return fail(VerifyFault::ResourceConflict, u, os.str());
+VerifyResult
+Verifier::verify(const Block &block, const BlockSchedule &sched,
+                 std::span<const uint32_t> options)
+{
+    VerifyResult r = verifyDependences(block, sched);
+    if (!r.ok())
+        return r;
+
+    // Resources: no search and no order. Each certified option must be
+    // one of its subtree's; OR its usages into the map at the
+    // instruction's cycle, and any overlap is a conflict. The map spans
+    // every slot the block's usages can reach.
+    const uint32_t n = uint32_t(block.instrs.size());
+    const int32_t words = int32_t(low_.slotWords());
+    const int64_t last =
+        n > 0 ? *std::max_element(sched.cycles.begin(), sched.cycles.end())
+              : 0;
+    ru_.assign(size_t(last * words + slot_hi_ - slot_lo_ + 1), 0);
+    const auto trees = low_.trees();
+    const auto or_trees = low_.orTrees();
+    const auto or_refs = low_.orRefs();
+    const auto option_refs = low_.optionRefs();
+    const auto all_options = low_.options();
+    const auto checks = low_.checks();
+    size_t next = 0;
+    for (uint32_t u = 0; u < n; ++u) {
+        const uint32_t tree = issueTree(block, sched, low_, u);
+        if (tree == kInvalidId)
+            return missingCascadeTree(u);
+        const lmdes::LowTree &t = trees[tree];
+        const int32_t base = sched.cycles[u] * words - slot_lo_;
+        for (uint32_t s = 0; s < t.num_or_trees; ++s, ++next) {
+            if (next == options.size())
+                return fail(VerifyFault::CertificateLength, u,
+                            "certificate ends before instruction " +
+                                std::to_string(u) + "'s options");
+            const uint32_t id = options[next];
+            if (id >= all_options.size())
+                return fail(VerifyFault::UnknownOption, u,
+                            "instruction " + std::to_string(u) +
+                                " certifies option " + std::to_string(id) +
+                                ", which the description does not have");
+            const lmdes::LowOrTree &ot = or_trees[or_refs[t.first_or_ref + s]];
+            const auto own =
+                option_refs.subspan(ot.first_option_ref, ot.num_options);
+            if (std::find(own.begin(), own.end(), id) == own.end())
+                return fail(VerifyFault::OptionNotInSubtree, u,
+                            "instruction " + std::to_string(u) +
+                                " certifies option " + std::to_string(id) +
+                                ", which is not in its OR subtree " +
+                                std::to_string(s));
+            const lmdes::LowOption &opt = all_options[id];
+            for (const lmdes::Check &check :
+                 checks.subspan(opt.first_check, opt.num_checks)) {
+                uint64_t &word = ru_[size_t(base + check.slot)];
+                if (word & check.mask)
+                    return fail(VerifyFault::ResourceConflict, u,
+                                "resource conflict: instruction " +
+                                    std::to_string(u) + " at cycle " +
+                                    std::to_string(sched.cycles[u]) +
+                                    " overlaps an earlier usage");
+                word |= check.mask;
+            }
         }
     }
+    if (next != options.size())
+        return fail(VerifyFault::CertificateLength,
+                    n > 0 ? n - 1 : kInvalidId,
+                    "certificate holds " +
+                        std::to_string(options.size() - next) +
+                        " option ids past the last instruction's");
     return {};
 }
 
@@ -132,7 +243,42 @@ VerifyResult
 verifyScheduleEx(const Block &block, const BlockSchedule &sched,
                  const lmdes::LowMdes &low)
 {
-    return Verifier(low).verify(block, sched);
+    VerifyResult r = Verifier(low).verifyDependences(block, sched);
+    if (!r.ok())
+        return r;
+
+    const uint32_t n = uint32_t(block.instrs.size());
+    std::vector<uint32_t> trees(n);
+    for (uint32_t u = 0; u < n; ++u) {
+        trees[u] = issueTree(block, sched, low, u);
+        if (trees[u] == kInvalidId)
+            return missingCascadeTree(u);
+    }
+
+    // Replay the reservations in the order the scheduler made them, so
+    // the checker's greedy option choices coincide with the original
+    // ones.
+    if (sched.issue_order.size() != n)
+        return fail(VerifyFault::BadIssueOrder, kInvalidId,
+                    "issue order is not a permutation of the block");
+    std::vector<uint8_t> seen(n, 0);
+    for (uint32_t u : sched.issue_order) {
+        if (u >= n || seen[u])
+            return fail(VerifyFault::BadIssueOrder, u,
+                        "issue order is not a permutation of the block");
+        seen[u] = 1;
+    }
+    rumap::Checker checker(low);
+    rumap::RuMap ru;
+    rumap::CheckStats ignored;
+    for (uint32_t u : sched.issue_order) {
+        if (!checker.tryReserve(trees[u], sched.cycles[u], ru, ignored))
+            return fail(VerifyFault::ResourceConflict, u,
+                        "resource conflict replaying instruction " +
+                            std::to_string(u) + " at cycle " +
+                            std::to_string(sched.cycles[u]));
+    }
+    return {};
 }
 
 std::string

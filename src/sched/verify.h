@@ -3,40 +3,48 @@
 
 /**
  * @file
- * Independent schedule validation: replays a block schedule against the
- * dependence graph and a fresh RU map, proving (a) every dependence
- * distance is honored (cascaded operations may shrink relaxable RAW
- * edges to zero) and (b) the machine's resource constraints admit the
- * schedule. The service runs it on every request that asks for
- * verification and on each portfolio modulo candidate; `mdesc
- * schedule` runs it on every block it prints; the tests and the
- * property suite use it to show that every representation/
- * transformation combination produced a legal schedule.
+ * Independent schedule validation (DESIGN.md §2.8). A block schedule is
+ * legal when (a) every dependence distance is honored (a cascaded
+ * consumer may issue with its single-cycle producer) and (b) the
+ * machine's resource constraints admit it. Two checks prove it:
+ *
+ *  - Verifier::verify() checks a *certificate*: the option the
+ *    scheduler chose for each OR subtree of each operation's AND/OR-tree
+ *    (sched::Certificate). Dependences come straight from the block's
+ *    register defs and uses, each certified option must belong to its
+ *    subtree, and the options' usages, ORed into a plain RU map at each
+ *    operation's cycle, must never overlap. There is no dependence
+ *    graph, no checker, no search and no order, so a bug in the
+ *    scheduler's own machinery cannot hide from it. The service runs it
+ *    on every request that asks for verification and on each portfolio
+ *    modulo candidate; `mdesc schedule` runs it on every block it prints.
+ *  - verifyScheduleEx() is the greedy replay: the same dependence check,
+ *    then a fresh checker re-reserves every operation in the schedule's
+ *    issue_order. It needs no certificate, so it checks a schedule made
+ *    for one description against another, where option ids differ
+ *    (perfbench's oracle replays on the unoptimized description). It is
+ *    the only replay.
  *
  * A Verifier is built once per (request, description) and checks any
- * number of blocks: its checker, dependence graph, RU map and replay
- * scratch are reused, so a block's check allocates nothing once the
- * scratch has grown. verifyScheduleEx() is the one-shot form over a
- * fresh Verifier and returns the same typed verdict, so callers can
- * branch on the failure class (the exact/portfolio paths distinguish a
- * resource replay mismatch from a dependence bug); verifySchedule()
- * keeps the original string contract - empty means valid.
+ * number of blocks: its register table and RU map are reused, so a
+ * block's check allocates nothing once they have grown. Both checks
+ * return a typed verdict, so callers can branch on the failure class;
+ * verifySchedule() keeps the original string contract - empty means
+ * valid.
  */
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "lmdes/low_mdes.h"
-#include "rumap/checker.h"
-#include "rumap/ru_map.h"
-#include "sched/dep_graph.h"
 #include "sched/ir.h"
 #include "sched/list_scheduler.h"
 
 namespace mdes::sched {
 
-/** The first violation class a schedule replay hit. */
+/** The first violation class a schedule check hit. */
 enum class VerifyFault : uint8_t
 {
     None = 0,
@@ -44,14 +52,22 @@ enum class VerifyFault : uint8_t
     SizeMismatch,
     /** An instruction has no issue cycle. */
     Unscheduled,
-    /** A dependence edge's minimum distance is violated. */
+    /** A dependence's minimum distance is violated. */
     DependenceViolated,
-    /** issue_order is present but not a permutation of the block. */
+    /** The replay's issue_order is not a permutation of the block. */
     BadIssueOrder,
     /** used_cascade set for a class without a cascade table. */
     MissingCascadeTree,
-    /** The RU-map replay could not re-reserve an instruction. */
+    /** An instruction's certified options overlap earlier usages, or
+     * the replay could not re-reserve it. */
     ResourceConflict,
+    /** A certified option id names no option of the description. */
+    UnknownOption,
+    /** A certified option is not one of its OR subtree's options. */
+    OptionNotInSubtree,
+    /** The certificate holds fewer or more option ids than the block's
+     * trees have OR subtrees. */
+    CertificateLength,
 };
 
 /** Stable lowercase name for @p fault (metrics / CLI output). */
@@ -70,44 +86,68 @@ struct VerifyResult
 };
 
 /**
- * Reusable schedule validator for one description. Not thread-safe:
- * like the Checker it holds, it is per-request, worker-local state.
+ * Reusable certificate checker for one description. Not thread-safe:
+ * it is per-request, worker-local state.
  */
 class Verifier
 {
   public:
-    explicit Verifier(const lmdes::LowMdes &low) : low_(low), checker_(low)
-    {
-    }
+    explicit Verifier(const lmdes::LowMdes &low);
 
     /**
-     * Validate @p sched for @p block. The resource replay follows the
-     * schedule's recorded issue_order when present (the exact search
-     * issues out of (cycle, priority) order), else (cycle,
-     * critical-path priority, index) order. Nothing carries over from
-     * earlier calls, failed ones included.
+     * Validate @p sched for @p block against its certificate
+     * @p options: the block's slice of a sched::Certificate. Checks run
+     * in instruction order, so the first violation reported is the one
+     * at the lowest instruction. Nothing carries over from earlier
+     * calls, failed ones included.
      */
-    VerifyResult verify(const Block &block, const BlockSchedule &sched);
+    VerifyResult verify(const Block &block, const BlockSchedule &sched,
+                        std::span<const uint32_t> options);
+
+    /** Sizes, issue cycles and dependences only: verify() without the
+     * certificate. verifyScheduleEx() runs it before its replay. */
+    VerifyResult verifyDependences(const Block &block,
+                                   const BlockSchedule &sched);
 
   private:
+    /** One register's defs and uses so far in the block at hand. */
+    struct RegUse
+    {
+        /** The block this entry belongs to (see stamp_). */
+        uint32_t stamp = 0;
+        int32_t reg = 0;
+        /** The last writer, or kInvalidId. */
+        uint32_t writer = kInvalidId;
+        /** The latest-issuing read since that write, or kInvalidId. */
+        uint32_t reader = kInvalidId;
+    };
+
+    RegUse &regUse(int32_t reg);
+
     const lmdes::LowMdes &low_;
-    rumap::Checker checker_;
-    DepGraph graph_;
-    rumap::RuMap ru_;
-    /** Replay attempts are not reported; this absorbs their counts. */
-    rumap::CheckStats scratch_;
-    std::vector<uint32_t> order_;
-    std::vector<uint8_t> seen_;
+    /** Open-addressed by register number; entries of earlier blocks
+     * are dead by stamp, so a block starts with one increment. */
+    std::vector<RegUse> regs_;
+    uint32_t stamp_ = 0;
+    /** The description's lowest and highest check slots. */
+    int32_t slot_lo_ = 0;
+    int32_t slot_hi_ = 0;
+    /** A plain RU map over one block's slot window. */
+    std::vector<uint64_t> ru_;
 };
 
-/** One-shot verification: Verifier(@p low).verify(@p block, @p sched). */
+/**
+ * The greedy replay: Verifier::verifyDependences(), then a fresh
+ * checker re-reserves each instruction in @p sched's issue_order on a
+ * fresh RU map. It reads no certificate, so @p low may be another
+ * description than the one @p sched was made for.
+ */
 VerifyResult verifyScheduleEx(const Block &block, const BlockSchedule &sched,
                               const lmdes::LowMdes &low);
 
 /**
- * Validate @p sched for @p block under @p low.
- * @return an empty string when valid, else a description of the first
- *         violation found.
+ * The greedy replay as a string: empty when valid, else a description
+ * of the first violation found.
  */
 std::string verifySchedule(const Block &block, const BlockSchedule &sched,
                            const lmdes::LowMdes &low);

@@ -9,7 +9,6 @@
 #include "exact/exact_scheduler.h"
 #include "machines/machines.h"
 #include "sched/backward_scheduler.h"
-#include "sched/dep_graph.h"
 #include "sched/verify.h"
 #include "support/faultsim.h"
 #include "support/flightrec.h"
@@ -517,14 +516,20 @@ MdesService::process(Job &job, ServiceMetrics &metrics,
         // --- Schedule -------------------------------------------------
         // All state below (schedulers, checkers, RU maps, stats) is
         // created fresh per request: nothing mutable crosses jobs.
-        // One verifier serves the whole request - the portfolio's modulo
-        // candidates and the verify pass - built on first use.
+        // For the verify pass, the schedulers record the options they
+        // chose beside the schedules; one verifier checks them - the
+        // portfolio's modulo candidates and the verify pass - built on
+        // first use.
+        sched::Certificate certificate;
+        sched::Certificate *const record =
+            req.verify ? &certificate : nullptr;
         std::optional<sched::Verifier> verifier;
         auto verify = [&](const sched::Block &block,
-                          const sched::BlockSchedule &s) {
+                          const sched::BlockSchedule &s,
+                          std::span<const uint32_t> options) {
             if (!verifier)
                 verifier.emplace(*resp.low);
-            return verifier->verify(block, s);
+            return verifier->verify(block, s, options);
         };
         t = Clock::now();
         try {
@@ -532,13 +537,13 @@ MdesService::process(Job &job, ServiceMetrics &metrics,
             case SchedulerKind::List: {
                 sched::ListScheduler scheduler(*resp.low);
                 resp.schedules =
-                    scheduler.scheduleProgram(program, resp.stats);
+                    scheduler.scheduleProgram(program, resp.stats, record);
                 break;
             }
             case SchedulerKind::Backward: {
                 sched::BackwardListScheduler scheduler(*resp.low);
                 resp.schedules =
-                    scheduler.scheduleProgram(program, resp.stats);
+                    scheduler.scheduleProgram(program, resp.stats, record);
                 break;
             }
             case SchedulerKind::Modulo: {
@@ -571,23 +576,34 @@ MdesService::process(Job &job, ServiceMetrics &metrics,
                     return job.cancelled.load(std::memory_order_relaxed) ||
                            Clock::now() > job.deadline;
                 });
+                // Each candidate's certificate; the winner's joins the
+                // request's.
+                std::vector<uint32_t> list_options, backward_options,
+                    modulo_options;
+                auto recorded = [&](std::vector<uint32_t> &options) {
+                    options.clear();
+                    return record ? &options : nullptr;
+                };
                 for (const auto &block : program.blocks) {
                     TRACE_SPAN_F(block_span, "exact/block");
                     // Every backend runs with local stats: the response's
                     // ops_scheduled/total_schedule_length describe the kept
                     // schedules, checks describe all work spent.
                     sched::SchedStats local;
-                    sched::BlockSchedule incumbent =
-                        list.scheduleBlock(block, local);
+                    sched::BlockSchedule incumbent = list.scheduleBlock(
+                        block, local, recorded(list_options));
 
                     SchedulerKind winner = SchedulerKind::List;
                     sched::BlockSchedule best = incumbent;
+                    const std::vector<uint32_t> *best_options =
+                        &list_options;
 
                     if (portfolio) {
-                        sched::BlockSchedule b =
-                            backward.scheduleBlock(block, local);
+                        sched::BlockSchedule b = backward.scheduleBlock(
+                            block, local, recorded(backward_options));
                         if (b.length < best.length) {
                             best = std::move(b);
+                            best_options = &backward_options;
                             winner = SchedulerKind::Backward;
                         }
                         bool branch_free = !block.instrs.empty();
@@ -596,8 +612,10 @@ MdesService::process(Job &job, ServiceMetrics &metrics,
                                 branch_free = false;
                         if (branch_free) {
                             // A modulo schedule's flat issue times are a
-                            // candidate linear schedule; admit it only when
-                            // replay proves it legal.
+                            // candidate linear schedule, certified by its
+                            // modulo reservation table's options: a flat
+                            // collision would also collide mod II. Admit
+                            // it only when the certificate checks.
                             sched::ModuloSchedule ms =
                                 mod.schedule(block, local);
                             if (ms.success && !ms.times.empty()) {
@@ -613,8 +631,10 @@ MdesService::process(Job &job, ServiceMetrics &metrics,
                                     block.instrs.size(), 0);
                                 flat.length = hi - lo + 1;
                                 if (flat.length < best.length &&
-                                    verify(block, flat).ok()) {
+                                    verify(block, flat, ms.options).ok()) {
                                     best = std::move(flat);
+                                    modulo_options = std::move(ms.options);
+                                    best_options = &modulo_options;
                                     winner = SchedulerKind::Modulo;
                                 }
                             }
@@ -644,8 +664,16 @@ MdesService::process(Job &job, ServiceMetrics &metrics,
                     exact::ExactResult er =
                         search.scheduleBlock(block, local, eopts);
                     if (er.schedule.length < best.length) {
+                        // Shorter than the incumbent: the search's own.
                         best = er.schedule;
+                        best_options = &er.options;
                         winner = SchedulerKind::Exact;
+                    }
+                    if (record) {
+                        certificate.options.insert(
+                            certificate.options.end(),
+                            best_options->begin(), best_options->end());
+                        certificate.endBlock();
                     }
                     resp.stats.checks.merge(local.checks);
                     resp.stats.attempts_per_op.merge(local.attempts_per_op);
@@ -728,7 +756,9 @@ MdesService::process(Job &job, ServiceMetrics &metrics,
                     req.scheduler == SchedulerKind::Modulo
                         ? sched::verifyModuloSchedule(block, *resp.low,
                                                       resp.modulo[b])
-                        : verify(block, resp.schedules[b]).message;
+                        : verify(block, resp.schedules[b],
+                                 certificate.block(b))
+                              .message;
                 if (!problem.empty())
                     return fail(ErrorCode::ScheduleFailed,
                                 "block " + std::to_string(b) + ": " +

@@ -208,7 +208,8 @@ expectMatchesBruteForce(const LowMdes &low, const Block &block,
     ListScheduler list(low);
     exact::ExactScheduler search(low);
     SchedStats stats;
-    BlockSchedule seed = list.scheduleBlock(block, stats);
+    std::vector<uint32_t> seed_options;
+    BlockSchedule seed = list.scheduleBlock(block, stats, &seed_options);
     exact::ExactResult er = exactOn(search, block, seed);
 
     int32_t truth = BruteForce(low).shortest(block, seed.length);
@@ -220,6 +221,14 @@ expectMatchesBruteForce(const LowMdes &low, const Block &block,
     EXPECT_GE(er.schedule.length, er.lower_bound) << what;
     sched::VerifyResult v =
         sched::verifyScheduleEx(block, er.schedule, low);
+    EXPECT_TRUE(v.ok()) << what << ": "
+                        << sched::verifyFaultName(v.fault) << ": "
+                        << v.message;
+    // An improved schedule carries its own certificate; otherwise it is
+    // the seed, certified by the list scheduler.
+    EXPECT_EQ(er.improved, !er.options.empty()) << what;
+    v = sched::Verifier(low).verify(
+        block, er.schedule, er.improved ? er.options : seed_options);
     EXPECT_TRUE(v.ok()) << what << ": "
                         << sched::verifyFaultName(v.fault) << ": "
                         << v.message;

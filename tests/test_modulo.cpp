@@ -17,6 +17,7 @@
 #include "machines/machines.h"
 #include "rumap/ru_map.h"
 #include "sched/modulo_scheduler.h"
+#include "sched/verify.h"
 #include "test_program.h"
 #include "workload/sasm.h"
 #include "workload/workload.h"
@@ -318,6 +319,39 @@ TEST(ModuloScheduler, RealMachineLoopsScheduleAndValidate)
         }
         EXPECT_GT(scheduled, 0u);
     }
+}
+
+TEST(ModuloScheduler, OptionsCertifyTheFlatSchedule)
+{
+    // A flat collision is also a same-slot collision mod II, so a legal
+    // modulo schedule's options certify its flat issue times too.
+    size_t certified = 0;
+    for (const auto *info : machines::all()) {
+        SCOPED_TRACE(info->name);
+        Mdes m = hmdes::compileOrThrow(info->source);
+        runPipeline(m, PipelineConfig::all());
+        lmdes::LowerOptions lopts;
+        lopts.pack_bit_vector = true;
+        LowMdes low = LowMdes::lower(m, lopts);
+
+        workload::WorkloadSpec spec = info->workload;
+        spec.num_ops = 2000;
+        sched::Program loops = workload::generateLoops(spec, low);
+        ModuloScheduler ms(low);
+        sched::Verifier verifier(low);
+        SchedStats stats;
+        for (const auto &body : loops.blocks) {
+            ModuloSchedule sched = ms.schedule(body, stats);
+            ASSERT_TRUE(sched.success);
+            sched::BlockSchedule flat;
+            flat.cycles = sched.times;
+            flat.used_cascade.assign(body.instrs.size(), 0);
+            sched::VerifyResult v = verifier.verify(body, flat, sched.options);
+            EXPECT_TRUE(v.ok()) << v.message;
+            ++certified;
+        }
+    }
+    EXPECT_GT(certified, 500u);
 }
 
 TEST(ModuloScheduler, MoreAttemptsPerOpThanListScheduling)

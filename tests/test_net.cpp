@@ -504,8 +504,9 @@ TEST(NetServer, FrameDeadlineExpiresAsTypedError)
     server.stop();
 
     service::ServiceMetrics m = server.metrics();
-    if (first.code == service::ErrorCode::DeadlineExceeded)
+    if (first.code == service::ErrorCode::DeadlineExceeded) {
         EXPECT_GE(m.net.deadline_expired, 1u);
+    }
 }
 
 /** Plain blocking loopback connection to @p port (-1 on failure). */

@@ -191,10 +191,11 @@ runLockstep(const LowMdes &low, RuMap &ru_new, RuMap &ru_ref,
             ASSERT_EQ(ok_new, fit_new);
             // chosen_options is only specified on success (on failure
             // the prefilter may reject before any option is walked).
-            if (ok_new)
+            if (ok_new) {
                 ASSERT_EQ(chosen_new, chosen_ref)
                     << "chosen options diverged: tree " << oc.tree
                     << " cycle " << cycle;
+            }
             ASSERT_EQ(snapshot(ru_new, low), snapshot(ru_ref, low))
                 << "maps diverged after tree " << oc.tree << " cycle "
                 << cycle;

@@ -5,13 +5,16 @@
  * against the MDES, cascade selection, the list-scheduling loop in
  * lockstep with a naive reference scheduler (both directions, random
  * and paper machines) and its cycle-bound failure, and schedule
- * verification - each fault class, and a reused Verifier in lockstep
- * with one-shot verification across the paper machines' list, backward
+ * verification - each fault class of the certificate check and of the
+ * greedy replay, the def/use dependence check in lockstep with the
+ * graph-based reference on single-op mutants, and a reused Verifier in
+ * lockstep with a fresh one across the paper machines' list, backward
  * and exact schedules and their corruptions.
  */
 
 #include <algorithm>
 #include <array>
+#include <map>
 #include <numeric>
 #include <optional>
 #include <ostream>
@@ -116,10 +119,12 @@ TEST(DepGraph, CascadeRelaxOnlyForSingleCycleProducers)
     const Block &b = prog.blocks[0];
     DepGraph g = DepGraph::build(b, low);
     for (const auto &e : g.edges()) {
-        if (e.pred == 0 && e.succ == 1)
+        if (e.pred == 0 && e.succ == 1) {
             EXPECT_TRUE(e.cascade_relax);
-        if (e.pred == 2 && e.succ == 3)
+        }
+        if (e.pred == 2 && e.succ == 3) {
             EXPECT_FALSE(e.cascade_relax);
+        }
     }
 }
 
@@ -661,6 +666,16 @@ machine "stuck" {
 
 // ----------------------------------------------------------------- Verify
 
+/** The id of option @p k of OR subtree @p s of AND/OR-tree @p tree. */
+uint32_t
+optionOf(const LowMdes &low, uint32_t tree, uint32_t s, uint32_t k)
+{
+    const lmdes::LowTree &t = low.trees()[tree];
+    const lmdes::LowOrTree &ot =
+        low.orTrees()[low.orRefs()[t.first_or_ref + s]];
+    return low.optionRefs()[ot.first_option_ref + k];
+}
+
 TEST(Verify, AcceptsSchedulerOutput)
 {
     LowMdes low = twoWide();
@@ -675,8 +690,11 @@ TEST(Verify, AcceptsSchedulerOutput)
     const Block &b = prog.blocks[0];
     ListScheduler s(low);
     SchedStats stats;
-    BlockSchedule sched = s.scheduleBlock(b, stats);
+    std::vector<uint32_t> options;
+    BlockSchedule sched = s.scheduleBlock(b, stats, &options);
     EXPECT_EQ(sched::verifySchedule(b, sched, low), "");
+    EXPECT_TRUE(sched::Verifier(low).verify(b, sched, options).ok());
+    EXPECT_EQ(options.size(), 4u); // one OR subtree per operation
 }
 
 TEST(Verify, RejectsDependenceViolation)
@@ -693,6 +711,9 @@ TEST(Verify, RejectsDependenceViolation)
     bad.length = 2;
     EXPECT_NE(sched::verifySchedule(b, bad, low).find("dependence"),
               std::string::npos);
+    sched::VerifyResult v = sched::Verifier(low).verify(b, bad, {});
+    EXPECT_EQ(v.fault, sched::VerifyFault::DependenceViolated);
+    EXPECT_EQ(v.instr, 1u);
 }
 
 TEST(Verify, RejectsResourceOversubscription)
@@ -709,8 +730,24 @@ TEST(Verify, RejectsResourceOversubscription)
     bad.cycles = {0, 0, 0}; // 3 ops on a 2-wide machine
     bad.used_cascade = {0, 0, 0};
     bad.length = 1;
+    bad.issue_order = {0, 1, 2};
     EXPECT_NE(sched::verifySchedule(b, bad, low).find("resource"),
               std::string::npos);
+
+    // Whichever slots a certificate names, two operations share one.
+    const uint32_t tree = low.opClasses()[ADD].tree;
+    const uint32_t s0 = optionOf(low, tree, 0, 0);
+    const uint32_t s1 = optionOf(low, tree, 0, 1);
+    sched::Verifier verifier(low);
+    sched::VerifyResult v = verifier.verify(b, bad, std::vector{s0, s1, s0});
+    EXPECT_EQ(v.fault, sched::VerifyFault::ResourceConflict);
+    EXPECT_EQ(v.instr, 2u);
+    v = verifier.verify(b, bad, std::vector{s1, s1, s0});
+    EXPECT_EQ(v.fault, sched::VerifyFault::ResourceConflict);
+    EXPECT_EQ(v.instr, 1u);
+    EXPECT_EQ(v.message,
+              "resource conflict: instruction 1 at cycle 0 overlaps an "
+              "earlier usage");
 }
 
 TEST(Verify, RejectsUnscheduledAndSizeMismatch)
@@ -752,6 +789,12 @@ TEST(Verify, RejectsBadIssueOrder)
     EXPECT_EQ(v.fault, sched::VerifyFault::BadIssueOrder);
     EXPECT_EQ(v.instr, 2u);
 
+    // The greedy replay is meaningless without the producer's order.
+    bad.issue_order.clear();
+    v = sched::verifyScheduleEx(b, bad, low);
+    EXPECT_EQ(v.fault, sched::VerifyFault::BadIssueOrder);
+    EXPECT_EQ(v.instr, kInvalidId);
+
     bad.issue_order = {1, 0};
     EXPECT_TRUE(sched::verifyScheduleEx(b, bad, low).ok());
 }
@@ -773,67 +816,301 @@ TEST(Verify, RejectsMissingCascadeTree)
     EXPECT_EQ(v.instr, 1u);
     EXPECT_EQ(v.message,
               "instruction 1 claims cascade but has no cascade tree");
+    const uint32_t casc = low.opClasses()[ADD].cascade_tree;
+    sched::VerifyResult c = sched::Verifier(low).verify(
+        b, bad, std::vector{optionOf(low, casc, 0, 0)});
+    EXPECT_EQ(c.fault, v.fault);
+    EXPECT_EQ(c.instr, v.instr);
+    EXPECT_EQ(c.message, v.message);
+}
+
+TEST(Verify, ChecksEachCertifiedOption)
+{
+    // LOAD reserves an ALU slot and the memory port (two OR subtrees),
+    // ADD an ALU slot.
+    static const char *src = R"(
+machine "certified" {
+    resource S[2];
+    resource M;
+    ortree AnyS { for i in 0 .. 1 { option { use S[i] at 0; } } }
+    ortree Mem { option { use M at 0; } }
+    table Alu = AnyS;
+    table Ld = and(AnyS, Mem);
+    operation ADD { table Alu; latency 1; }
+    operation LOAD { table Ld; latency 2; }
+}
+)";
+    LowMdes low = LowMdes::lower(hmdes::compileOrThrow(src), {});
+    const uint32_t ADD = low.findOpClass("ADD");
+    const uint32_t LOAD = low.findOpClass("LOAD");
+    const uint32_t ld = low.opClasses()[LOAD].tree;
+    ASSERT_EQ(low.trees()[ld].num_or_trees, 2u);
+    const uint32_t s0 = optionOf(low, ld, 0, 0);
+    const uint32_t s1 = optionOf(low, ld, 0, 1);
+    const uint32_t m = optionOf(low, ld, 1, 0);
+    sched::Program prog =
+        oneBlock({instr(LOAD, {1}, {2}), instr(ADD, {3}, {4})});
+    const Block &b = prog.blocks[0];
+    BlockSchedule s;
+    s.cycles = {0, 0};
+    s.used_cascade = {0, 0};
+    s.length = 1;
+
+    sched::Verifier verifier(low);
+    auto check = [&](std::vector<uint32_t> options, sched::VerifyFault fault,
+                     uint32_t instr) {
+        sched::VerifyResult v = verifier.verify(b, s, options);
+        EXPECT_EQ(v.fault, fault) << sched::verifyFaultName(v.fault);
+        EXPECT_EQ(v.instr, instr);
+        EXPECT_EQ(v.ok(), v.message.empty());
+    };
+    using F = sched::VerifyFault;
+    check({s0, m, s1}, F::None, kInvalidId);
+    check({s1, m, s0}, F::None, kInvalidId);
+    check({s0, m, s0}, F::ResourceConflict, 1);
+    check({s0, m, m}, F::OptionNotInSubtree, 1); // M is not an ALU slot
+    check({m, m, s1}, F::OptionNotInSubtree, 0);
+    check({s0, s1, s1}, F::OptionNotInSubtree, 0); // subtree 1 is Mem
+    check({s0, uint32_t(low.options().size()), s1}, F::UnknownOption, 0);
+    check({s0, m}, F::CertificateLength, 1);
+    check({s0}, F::CertificateLength, 0);
+    check({s0, m, s1, s1}, F::CertificateLength, 1);
+    check({}, F::CertificateLength, 0);
+}
+
+// ------------------------------------------------ Dependence reference
+
+/**
+ * The graph-based dependence check the verifier used to run, kept as a
+ * reference for its def/use check: rebuild @p graph for @p block and
+ * return the successor of the first edge whose distance @p s breaks
+ * (a relaxable edge shrinks to zero when its successor cascaded), or
+ * kInvalidId when every edge holds.
+ */
+uint32_t
+graphDependenceViolation(DepGraph &graph, const Block &block,
+                         const BlockSchedule &s, const LowMdes &low)
+{
+    graph.rebuild(block, low);
+    for (const sched::DepEdge &edge : graph.edges()) {
+        int32_t dist = edge.min_dist;
+        if (edge.cascade_relax && s.used_cascade[edge.succ])
+            dist = 0;
+        if (s.cycles[edge.succ] - s.cycles[edge.pred] < dist)
+            return edge.succ;
+    }
+    return kInvalidId;
+}
+
+TEST(Verifier, DependenceCheckMatchesTheGraphReference)
+{
+    size_t mutants = 0, violated = 0, disagreements = 0;
+    for (const machines::MachineInfo *info : machines::all()) {
+        SCOPED_TRACE(info->name);
+        LowMdes low =
+            LowMdes::lower(hmdes::compileOrThrow(info->source), {});
+        sched::Verifier verifier(low);
+        DepGraph graph;
+        ListScheduler list(low);
+        sched::BackwardListScheduler backward(low);
+        workload::WorkloadSpec spec = info->workload;
+        spec.num_ops = 3000;
+        spec.seed = 20;
+        sched::Program program = workload::generate(spec, low);
+
+        // Both must report the same first violated instruction.
+        auto compare = [&](const Block &block, const BlockSchedule &s) {
+            const uint32_t want =
+                graphDependenceViolation(graph, block, s, low);
+            const sched::VerifyResult got =
+                verifier.verifyDependences(block, s);
+            const bool agree =
+                want == kInvalidId
+                    ? got.ok()
+                    : got.fault == sched::VerifyFault::DependenceViolated &&
+                          got.instr == want;
+            violated += want != kInvalidId;
+            if (!agree && ++disagreements <= 5)
+                ADD_FAILURE() << "graph says " << want << ", def/use says "
+                              << sched::verifyFaultName(got.fault) << " at "
+                              << got.instr << ": " << got.message;
+        };
+        for (const Block &block : program.blocks) {
+            SchedStats stats;
+            for (const BlockSchedule &s :
+                 {list.scheduleBlock(block, stats),
+                  backward.scheduleBlock(block, stats)}) {
+                compare(block, s);
+                for (uint32_t u = 0; u < block.instrs.size(); ++u) {
+                    for (int32_t d : {-3, -2, -1, 1, 2, 3}) {
+                        if (s.cycles[u] + d < 0)
+                            continue;
+                        BlockSchedule t = s;
+                        t.cycles[u] += d;
+                        compare(block, t);
+                        ++mutants;
+                    }
+                }
+            }
+        }
+    }
+    EXPECT_EQ(disagreements, 0u);
+    EXPECT_GT(mutants, 100000u);
+    EXPECT_GT(violated, mutants / 10);
 }
 
 // ------------------------------------------- Verifier reuse (lockstep)
 
-constexpr std::array<sched::VerifyFault, 6> kFaults = {
-    sched::VerifyFault::SizeMismatch,
-    sched::VerifyFault::Unscheduled,
-    sched::VerifyFault::DependenceViolated,
-    sched::VerifyFault::BadIssueOrder,
-    sched::VerifyFault::MissingCascadeTree,
-    sched::VerifyFault::ResourceConflict,
+/** One way to break a valid schedule or its certificate. */
+enum class Corruption
+{
+    // The schedule: the certificate check and the replay agree.
+    Size,
+    Unscheduled,
+    Dependence,
+    CascadeTree,
+    // What only the replay reads: its issue order and greedy choices.
+    IssueOrder,
+    ReplayConflict,
+    // The certificate, which only the certificate check reads.
+    SharedSlot,
+    ForeignOption,
+    OtherSubtree,
+    ShortCertificate,
+    LongCertificate,
 };
 
+constexpr std::array<Corruption, 11> kCorruptions = {
+    Corruption::Size,         Corruption::Unscheduled,
+    Corruption::Dependence,   Corruption::CascadeTree,
+    Corruption::IssueOrder,   Corruption::ReplayConflict,
+    Corruption::SharedSlot,   Corruption::ForeignOption,
+    Corruption::OtherSubtree, Corruption::ShortCertificate,
+    Corruption::LongCertificate,
+};
+
+/** A check's expected fault and instruction. */
+struct Verdict
+{
+    sched::VerifyFault fault = sched::VerifyFault::None;
+    uint32_t instr = kInvalidId;
+};
+
+/** What each check must say about a corruption; nullopt when the
+ * corruption does not decide it. */
+struct Expected
+{
+    std::optional<Verdict> certificate;
+    std::optional<Verdict> replay;
+};
+
+/** The tree instruction @p u of @p s issued with. */
+uint32_t
+issueTree(const Block &block, const BlockSchedule &s, const LowMdes &low,
+          uint32_t u)
+{
+    const auto &cls = low.opClasses()[block.instrs[u].op_class];
+    return s.used_cascade[u] ? cls.cascade_tree : cls.tree;
+}
+
+/** Where instruction @p u's options start in a block's certificate. */
+size_t
+optionsStart(const Block &block, const BlockSchedule &s, const LowMdes &low,
+             uint32_t u)
+{
+    size_t at = 0;
+    for (uint32_t v = 0; v < u; ++v)
+        at += low.trees()[issueTree(block, s, low, v)].num_or_trees;
+    return at;
+}
+
 /**
- * Corrupt the valid schedule @p s of @p block so that verification
- * fails with @p fault; false when this block cannot show that fault. A
- * resource conflict is placed mid-replay: instructions before it are
- * already reserved in the RU map and later ones are never replayed.
+ * A naive resource model: every certified option's usages, by absolute
+ * RU-map slot, in instruction order. @return the first instruction
+ * whose usages meet an earlier one's (or its own), kInvalidId if none.
+ */
+uint32_t
+firstOverlap(const Block &block, const BlockSchedule &s,
+             const std::vector<uint32_t> &options, const LowMdes &low)
+{
+    std::map<int32_t, uint64_t> used;
+    size_t next = 0;
+    for (uint32_t u = 0; u < block.instrs.size(); ++u) {
+        const uint32_t tree = issueTree(block, s, low, u);
+        for (uint32_t k = 0; k < low.trees()[tree].num_or_trees; ++k) {
+            const lmdes::LowOption &opt = low.options()[options[next++]];
+            for (uint32_t c = 0; c < opt.num_checks; ++c) {
+                const lmdes::Check &check = low.checks()[opt.first_check + c];
+                uint64_t &word =
+                    used[s.cycles[u] * int32_t(low.slotWords()) + check.slot];
+                if (word & check.mask)
+                    return u;
+                word |= check.mask;
+            }
+        }
+    }
+    return kInvalidId;
+}
+
+/**
+ * Apply @p kind to the valid schedule @p s of @p block and its
+ * certificate @p options; false when this block cannot show it.
+ * @p want receives what each check must then report.
  */
 bool
-corrupt(BlockSchedule &s, sched::VerifyFault fault, const Block &block,
-        const LowMdes &low)
+corrupt(Corruption kind, BlockSchedule &s, std::vector<uint32_t> &options,
+        const Block &block, const LowMdes &low, Expected &want)
 {
     using sched::VerifyFault;
-    const size_t n = block.instrs.size();
+    const uint32_t n = uint32_t(block.instrs.size());
     const bool ordered = n >= 3 && s.issue_order.size() == n;
-    switch (fault) {
-    case VerifyFault::None:
-        return false;
-    case VerifyFault::SizeMismatch:
+    auto both = [&](VerifyFault fault, uint32_t instr) {
+        want = {Verdict{fault, instr}, Verdict{fault, instr}};
+        return true;
+    };
+    auto certificateOnly = [&](VerifyFault fault, uint32_t instr) {
+        want = {Verdict{fault, instr}, Verdict{}};
+        return true;
+    };
+    switch (kind) {
+    case Corruption::Size:
         s.used_cascade.push_back(0);
-        return true;
-    case VerifyFault::Unscheduled:
+        return both(VerifyFault::SizeMismatch, kInvalidId);
+    case Corruption::Unscheduled:
         s.cycles[n / 2] = -1;
-        return true;
-    case VerifyFault::DependenceViolated: {
+        return both(VerifyFault::Unscheduled, n / 2);
+    case Corruption::Dependence: {
+        // Pulling an op earlier can only break the edges into it.
         DepGraph g = DepGraph::build(block, low);
         for (const sched::DepEdge &e : g.edges()) {
             if (e.min_dist > 0 &&
                 !(e.cascade_relax && s.used_cascade[e.succ])) {
                 s.cycles[e.succ] = s.cycles[e.pred] + e.min_dist - 1;
-                return true;
+                return both(VerifyFault::DependenceViolated, e.succ);
             }
         }
         return false;
     }
-    case VerifyFault::BadIssueOrder:
-        if (!ordered)
-            return false;
-        s.issue_order[n - 1] = s.issue_order[0];
-        return true;
-    case VerifyFault::MissingCascadeTree:
-        for (size_t i = 0; i < n; ++i) {
+    case Corruption::CascadeTree:
+        for (uint32_t i = 0; i < n; ++i) {
             const auto &cls = low.opClasses()[block.instrs[i].op_class];
             if (cls.cascade_tree == kInvalidId) {
                 s.used_cascade[i] = 1;
-                return true;
+                return both(VerifyFault::MissingCascadeTree, i);
             }
         }
         return false;
-    case VerifyFault::ResourceConflict:
+    case Corruption::IssueOrder:
+        if (!ordered)
+            return false;
+        s.issue_order[n - 1] = s.issue_order[0];
+        want = {Verdict{},
+                Verdict{VerifyFault::BadIssueOrder, s.issue_order[0]}};
+        return true;
+    case Corruption::ReplayConflict:
+        // Mid-replay: instructions before it are already reserved in
+        // the RU map and later ones are never replayed. The certificate
+        // may still fit.
         if (!ordered)
             return false;
         for (size_t at = 1; at + 1 < n; ++at) {
@@ -846,23 +1123,83 @@ corrupt(BlockSchedule &s, sched::VerifyFault fault, const Block &block,
                 if (v.fault == VerifyFault::ResourceConflict &&
                     v.instr == u) {
                     s = std::move(t);
+                    want = {std::nullopt,
+                            Verdict{VerifyFault::ResourceConflict, u}};
                     return true;
                 }
             }
         }
         return false;
+    case Corruption::SharedSlot: {
+        // One op moved onto another's cycle, keeping its options, with
+        // every dependence intact. The replay may pick other options.
+        DepGraph g;
+        for (uint32_t u = 0; u < n; ++u) {
+            for (uint32_t v = 0; v < n; ++v) {
+                if (s.cycles[v] == s.cycles[u])
+                    continue;
+                BlockSchedule t = s;
+                t.cycles[u] = s.cycles[v];
+                if (graphDependenceViolation(g, block, t, low) != kInvalidId)
+                    continue;
+                const uint32_t first = firstOverlap(block, t, options, low);
+                if (first == kInvalidId)
+                    continue;
+                s = std::move(t);
+                want = {Verdict{VerifyFault::ResourceConflict, first},
+                        std::nullopt};
+                return true;
+            }
+        }
+        return false;
+    }
+    case Corruption::ForeignOption:
+        options[optionsStart(block, s, low, n / 2)] =
+            uint32_t(low.options().size());
+        return certificateOnly(VerifyFault::UnknownOption, n / 2);
+    case Corruption::OtherSubtree: {
+        // The first option of another OR subtree that op n / 2's first
+        // subtree does not list.
+        const uint32_t u = n / 2;
+        const lmdes::LowTree &t = low.trees()[issueTree(block, s, low, u)];
+        const uint32_t own_id = low.orRefs()[t.first_or_ref];
+        const lmdes::LowOrTree &own = low.orTrees()[own_id];
+        const auto listed = low.optionRefs().subspan(own.first_option_ref,
+                                                     own.num_options);
+        for (uint32_t o = 0; o < low.orTrees().size(); ++o) {
+            const lmdes::LowOrTree &other = low.orTrees()[o];
+            for (uint32_t k = 0; o != own_id && k < other.num_options;
+                 ++k) {
+                const uint32_t id =
+                    low.optionRefs()[other.first_option_ref + k];
+                if (std::find(listed.begin(), listed.end(), id) !=
+                    listed.end())
+                    continue;
+                options[optionsStart(block, s, low, u)] = id;
+                return certificateOnly(VerifyFault::OptionNotInSubtree, u);
+            }
+        }
+        return false;
+    }
+    case Corruption::ShortCertificate:
+        options.pop_back();
+        return certificateOnly(VerifyFault::CertificateLength, n - 1);
+    case Corruption::LongCertificate:
+        options.push_back(options.front());
+        return certificateOnly(VerifyFault::CertificateLength, n - 1);
     }
     return false;
 }
 
-/** Check @p s with the reused @p verifier and with a fresh one-shot
- * verification; the verdicts must agree field for field. */
+/** Check @p s against @p options with the reused @p verifier and with
+ * a fresh one; the verdicts must agree field for field. */
 sched::VerifyResult
 verifyInLockstep(sched::Verifier &verifier, const Block &block,
-                 const BlockSchedule &s, const LowMdes &low)
+                 const BlockSchedule &s, const std::vector<uint32_t> &options,
+                 const LowMdes &low)
 {
-    sched::VerifyResult reused = verifier.verify(block, s);
-    sched::VerifyResult fresh = sched::verifyScheduleEx(block, s, low);
+    sched::VerifyResult reused = verifier.verify(block, s, options);
+    sched::VerifyResult fresh = sched::Verifier(low).verify(block, s, options);
     EXPECT_EQ(reused.fault, fresh.fault)
         << sched::verifyFaultName(reused.fault) << " vs "
         << sched::verifyFaultName(fresh.fault);
@@ -871,11 +1208,25 @@ verifyInLockstep(sched::Verifier &verifier, const Block &block,
     return reused;
 }
 
-TEST(Verifier, ReuseMatchesFreshVerificationOnPaperMachines)
+/** @p got must match @p want, when the corruption decides it. */
+void
+expectVerdict(const sched::VerifyResult &got,
+              const std::optional<Verdict> &want, const char *check)
 {
-    std::array<int, kFaults.size()> hits{};
+    if (!want)
+        return;
+    EXPECT_EQ(got.fault, want->fault)
+        << check << ": " << sched::verifyFaultName(got.fault) << " vs "
+        << sched::verifyFaultName(want->fault) << ": " << got.message;
+    EXPECT_EQ(got.instr, want->instr) << check << ": " << got.message;
+}
+
+TEST(Verifier, CatchesEveryCorruptionOnPaperMachines)
+{
+    std::array<int, kCorruptions.size()> hits{};
     size_t turn = 0;
     for (const machines::MachineInfo *info : machines::all()) {
+        SCOPED_TRACE(info->name);
         Mdes m = hmdes::compileOrThrow(info->source);
         lmdes::LowerOptions lopts;
         lopts.pack_bit_vector = true;
@@ -892,46 +1243,55 @@ TEST(Verifier, ReuseMatchesFreshVerificationOnPaperMachines)
             sched::Program program = workload::generate(spec, low);
             for (const Block &block : program.blocks) {
                 SchedStats stats;
-                BlockSchedule ls = list.scheduleBlock(block, stats);
+                std::vector<uint32_t> list_options, backward_options;
+                BlockSchedule ls =
+                    list.scheduleBlock(block, stats, &list_options);
+                BlockSchedule bs =
+                    backward.scheduleBlock(block, stats, &backward_options);
                 exact::ExactOptions eopts;
                 eopts.time_budget_us = 0; // node budget only: deterministic
                 eopts.max_nodes = 2000;
                 eopts.incumbent = &ls;
-                const BlockSchedule schedules[] = {
-                    ls, backward.scheduleBlock(block, stats),
-                    search.scheduleBlock(block, stats, eopts).schedule};
-                for (const BlockSchedule &s : schedules) {
+                exact::ExactResult er =
+                    search.scheduleBlock(block, stats, eopts);
+                if (!er.improved)
+                    er.options = list_options;
+                const std::pair<const BlockSchedule &,
+                                const std::vector<uint32_t> &>
+                    certified[] = {{ls, list_options},
+                                   {bs, backward_options},
+                                   {er.schedule, er.options}};
+                for (const auto &[s, options] : certified) {
                     EXPECT_TRUE(
-                        verifyInLockstep(verifier, block, s, low).ok())
-                        << info->name;
-                    // Without an issue order the replay falls back to
-                    // (cycle, priority, index) order.
-                    BlockSchedule unordered = s;
-                    unordered.issue_order.clear();
-                    verifyInLockstep(verifier, block, unordered, low);
+                        verifyInLockstep(verifier, block, s, options, low)
+                            .ok());
+                    EXPECT_TRUE(sched::verifyScheduleEx(block, s, low).ok());
 
                     // Interleave one corruption, rotating through the
-                    // fault classes this block can show.
-                    for (size_t k = 0; k < kFaults.size(); ++k) {
-                        const size_t f = turn++ % kFaults.size();
+                    // ones this block can show.
+                    for (size_t k = 0; k < kCorruptions.size(); ++k) {
+                        const size_t c = turn++ % kCorruptions.size();
                         BlockSchedule bad = s;
-                        if (!corrupt(bad, kFaults[f], block, low))
+                        std::vector<uint32_t> bad_options = options;
+                        Expected want;
+                        if (!corrupt(kCorruptions[c], bad, bad_options,
+                                     block, low, want))
                             continue;
-                        EXPECT_EQ(
-                            verifyInLockstep(verifier, block, bad, low)
-                                .fault,
-                            kFaults[f])
-                            << info->name << " "
-                            << sched::verifyFaultName(kFaults[f]);
-                        ++hits[f];
+                        SCOPED_TRACE("corruption " + std::to_string(c));
+                        expectVerdict(verifyInLockstep(verifier, block, bad,
+                                                       bad_options, low),
+                                      want.certificate, "certificate");
+                        expectVerdict(sched::verifyScheduleEx(block, bad, low),
+                                      want.replay, "replay");
+                        ++hits[c];
                         break;
                     }
                 }
             }
         }
     }
-    for (size_t f = 0; f < kFaults.size(); ++f)
-        EXPECT_GT(hits[f], 0) << sched::verifyFaultName(kFaults[f]);
+    for (size_t c = 0; c < kCorruptions.size(); ++c)
+        EXPECT_GT(hits[c], 0) << "corruption " << c;
 }
 
 // -------------------------------------------------- SuperSPARC integration

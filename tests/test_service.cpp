@@ -328,6 +328,45 @@ TEST(Service, VerifyCoversModuloRequests)
     }
 }
 
+TEST(Service, PortfolioAdmitsCertifiedModuloCandidates)
+{
+    // Two branch-free Pentium bodies on which the modulo schedule's flat
+    // form is the shortest candidate. It is admitted by the options its
+    // modulo reservation table chose; a greedy replay in (cycle,
+    // priority) order picks other options on the second body and
+    // rejects its legal candidate.
+    service::MdesService svc({.num_workers = 1});
+    service::ScheduleRequest req;
+    req.machine = "Pentium";
+    req.sasm = R"(
+block
+    SAR r2 <- r1
+    SHL r5 <- r4
+    SHL r3 <- r0
+    MOV_RM r0 <- r6
+    ALU_RI r6 <- r1
+    SHL r4 <- r4
+    ALU_RR r6 <- r5, r6
+end
+block
+    ALU_RR r5 <- r2, r0
+    SHL r2 <- r6
+    STOS <- r6, r5
+end
+)";
+    req.scheduler = service::SchedulerKind::Portfolio;
+    req.verify = true;
+    req.exact_ms = 0; // node budget only: deterministic
+    req.exact_nodes = 2000;
+    auto r = svc.wait(svc.submit(req));
+    ASSERT_TRUE(r.ok()) << r.error.message;
+    EXPECT_EQ(r.exact.blocks, 2u);
+    EXPECT_EQ(r.exact.wins_modulo, 2u);
+    for (const service::BlockOutcome &out : r.outcomes)
+        EXPECT_EQ(out.winner, service::SchedulerKind::Modulo);
+    EXPECT_EQ(svc.metricsSnapshot().verify.count, 1u);
+}
+
 TEST(Service, FingerprintDistinguishesSchedules)
 {
     service::MdesService svc({.num_workers = 2});

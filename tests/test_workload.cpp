@@ -200,10 +200,12 @@ TEST(Workload, CascadableFlagPropagates)
     uint32_t sethi = low.findOpClass("SETHI");
     for (const auto &block : program.blocks) {
         for (const auto &in : block.instrs) {
-            if (in.op_class == add_i)
+            if (in.op_class == add_i) {
                 EXPECT_TRUE(in.cascadable);
-            if (in.op_class == sethi)
+            }
+            if (in.op_class == sethi) {
                 EXPECT_FALSE(in.cascadable);
+            }
         }
     }
 }

@@ -580,27 +580,34 @@ cmdSchedule(const std::vector<std::string> &args)
 
     sched::SchedStats stats;
     std::vector<sched::BlockSchedule> schedules;
+    // The options each kept schedule chose, checked before printing.
+    sched::Certificate certificate;
     // Per-block annotation for the exact/portfolio modes.
     std::vector<std::string> notes(program.blocks.size());
     if (mode == "backward") {
         sched::BackwardListScheduler scheduler(low);
-        schedules = scheduler.scheduleProgram(program, stats);
+        schedules = scheduler.scheduleProgram(program, stats, &certificate);
     } else {
         sched::ListScheduler scheduler(low);
-        schedules = scheduler.scheduleProgram(program, stats);
+        schedules = scheduler.scheduleProgram(program, stats, &certificate);
     }
     if (mode == "exact" || mode == "portfolio") {
         exact::ExactScheduler search(low);
         sched::BackwardListScheduler backward(low);
+        sched::Certificate kept;
+        std::vector<uint32_t> back_options;
         for (size_t b = 0; b < program.blocks.size(); ++b) {
             const auto &block = program.blocks[b];
             const char *winner = "list";
             sched::BlockSchedule best = schedules[b];
+            std::span<const uint32_t> best_options = certificate.block(b);
             if (mode == "portfolio") {
+                back_options.clear();
                 sched::BlockSchedule back =
-                    backward.scheduleBlock(block, stats);
+                    backward.scheduleBlock(block, stats, &back_options);
                 if (back.length < best.length) {
                     best = std::move(back);
+                    best_options = back_options;
                     winner = "backward";
                 }
             }
@@ -611,8 +618,12 @@ cmdSchedule(const std::vector<std::string> &args)
                 search.scheduleBlock(block, stats, eopts);
             if (er.schedule.length < best.length) {
                 best = er.schedule;
+                best_options = er.options;
                 winner = "exact";
             }
+            kept.options.insert(kept.options.end(), best_options.begin(),
+                                best_options.end());
+            kept.endBlock();
             char note[160];
             int32_t lb = std::min(er.lower_bound, best.length);
             std::snprintf(note, sizeof note,
@@ -627,12 +638,13 @@ cmdSchedule(const std::vector<std::string> &args)
             notes[b] = note;
             schedules[b] = std::move(best);
         }
+        certificate = std::move(kept);
     }
 
     sched::Verifier verifier(low);
     for (size_t b = 0; b < program.blocks.size(); ++b) {
-        sched::VerifyResult v =
-            verifier.verify(program.blocks[b], schedules[b]);
+        sched::VerifyResult v = verifier.verify(
+            program.blocks[b], schedules[b], certificate.block(b));
         if (!v.ok()) {
             std::fprintf(stderr, "block %zu: %s: %s\n", b,
                          sched::verifyFaultName(v.fault),
