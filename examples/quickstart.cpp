@@ -82,9 +82,9 @@ main()
     sched::ListScheduler scheduler(low);
     sched::SchedStats stats;
     sched::BlockSchedule sched = scheduler.scheduleBlock(block, stats);
-    std::string problem = sched::verifySchedule(block, sched, low);
-    if (!problem.empty()) {
-        std::fprintf(stderr, "schedule invalid: %s\n", problem.c_str());
+    sched::VerifyResult check = sched::verifyScheduleEx(block, sched, low);
+    if (!check.ok()) {
+        std::fprintf(stderr, "schedule invalid: %s\n", check.message.c_str());
         return 1;
     }
 

@@ -18,6 +18,7 @@
 #include "machines/machines.h"
 #include "sched/list_scheduler.h"
 #include "sched/modulo_scheduler.h"
+#include "sched/verify.h"
 
 using namespace mdes;
 
@@ -71,10 +72,10 @@ main()
         return 1;
     }
 
-    std::string problem = sched::verifyModuloSchedule(body, low, sched);
-    if (!problem.empty()) {
+    sched::VerifyResult check = sched::Verifier(low).verify(body, sched);
+    if (!check.ok()) {
         std::fprintf(stderr, "invalid modulo schedule: %s\n",
-                     problem.c_str());
+                     check.message.c_str());
         return 1;
     }
 

@@ -4,7 +4,7 @@
 /**
  * @file
  * The dependence graph of a basic block or a loop body: the one graph
- * the list, exact, verify and modulo passes read (DESIGN.md §2.7).
+ * the list, exact and modulo passes read (DESIGN.md §2.7).
  *
  * Edges:
  *  - RAW (flow): consumer no earlier than producer + producer latency.

@@ -239,7 +239,6 @@ ModuloScheduler::schedule(const Block &body, SchedStats &stats,
             result.success = true;
             result.ii = ii;
             result.times = std::move(times);
-            result.reservations = std::move(reservations);
             result.options = std::move(options);
             // Normalize so the earliest time is zero.
             int32_t min_t = *std::min_element(result.times.begin(),
@@ -261,38 +260,6 @@ ModuloScheduler::schedule(const Block &body, SchedStats &stats,
         }
     }
     return result; // success == false: no II within max_ii worked
-}
-
-std::string
-verifyModuloSchedule(const Block &body, const lmdes::LowMdes &low,
-                     const ModuloSchedule &sched)
-{
-    if (!sched.success)
-        return "schedule did not succeed";
-    const size_t n = body.instrs.size();
-    if (sched.times.size() != n || sched.reservations.size() != n)
-        return "schedule size mismatch";
-    if (sched.ii < std::max(sched.res_mii, sched.rec_mii))
-        return "II below its lower bounds";
-
-    const DepGraph graph = DepGraph::build(body, low, DepScope::Loop);
-    for (const DepEdge &e : graph.edges()) {
-        if (sched.times[e.succ] - sched.times[e.pred] <
-            e.min_dist - sched.ii * e.omega) {
-            return "dependence violated between operations " +
-                   std::to_string(e.pred) + " and " +
-                   std::to_string(e.succ);
-        }
-    }
-    // No two operations may collide in the modulo reservation table.
-    for (uint32_t a = 0; a < n; ++a) {
-        for (uint32_t b = a + 1; b < n; ++b) {
-            if (collide(sched.reservations[a], sched.reservations[b]))
-                return "modulo resource collision between operations " +
-                       std::to_string(a) + " and " + std::to_string(b);
-        }
-    }
-    return "";
 }
 
 } // namespace mdes::sched

@@ -44,12 +44,10 @@ struct ModuloSchedule
     int32_t rec_mii = 0;
     /** Issue time of each operation (within the flat schedule). */
     std::vector<int32_t> times;
-    /** Reservations per operation (modulo-II slots), for validation. */
-    std::vector<std::vector<rumap::Reservation>> reservations;
     /** The option chosen for each OR subtree of each operation's tree,
      * operations in order: the modulo reservation table's certificate
-     * (see Certificate). A forced placement takes each subtree's first
-     * option. */
+     * (see Certificate), which Verifier::verify() checks at the II. A
+     * forced placement takes each subtree's first option. */
     std::vector<uint32_t> options;
     /** Operations displaced (unscheduled) during the search. */
     uint64_t evictions = 0;
@@ -90,16 +88,6 @@ class ModuloScheduler
     /** Longest path from each op under one II (relaxHeights). */
     std::vector<int64_t> height_;
 };
-
-/**
- * Validate a modulo schedule of @p body under @p low: every edge of the
- * body's loop dependence graph satisfied at the achieved II, and no two
- * operations' recorded reservations collide in the modulo reservation
- * table. @return empty string when valid.
- */
-std::string verifyModuloSchedule(const Block &body,
-                                 const lmdes::LowMdes &low,
-                                 const ModuloSchedule &sched);
 
 } // namespace mdes::sched
 

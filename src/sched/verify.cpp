@@ -32,6 +32,8 @@ verifyFaultName(VerifyFault fault)
         return "option_not_in_subtree";
     case VerifyFault::CertificateLength:
         return "certificate_length";
+    case VerifyFault::IIBelowBound:
+        return "ii_below_bound";
     }
     return "unknown";
 }
@@ -170,19 +172,53 @@ Verifier::verify(const Block &block, const BlockSchedule &sched,
                  std::span<const uint32_t> options)
 {
     VerifyResult r = verifyDependences(block, sched);
-    if (!r.ok())
-        return r;
+    return r.ok() ? resources(block, sched, options, 0) : r;
+}
 
+VerifyResult
+Verifier::verify(const Block &body, const ModuloSchedule &sched)
+{
+    if (!sched.success)
+        return fail(VerifyFault::Unscheduled, kInvalidId,
+                    "schedule did not succeed");
+    if (sched.ii < std::max({sched.res_mii, sched.rec_mii, 1}))
+        return fail(VerifyFault::IIBelowBound, kInvalidId,
+                    "II below its lower bounds");
+    // Two iterations, the second II later: its ops meet the first's
+    // last reads and writes, so the flat scan also checks every
+    // dependence into the next iteration. Nothing cascades, and a
+    // body's branch has no control rule: it may issue early.
+    twice_.assign(body.instrs.begin(), body.instrs.end());
+    twice_.insert(twice_.end(), body.instrs.begin(), body.instrs.end());
+    for (Instr &in : twice_)
+        in.is_branch = false;
+    loop_.cycles = sched.times;
+    for (int32_t t : sched.times)
+        loop_.cycles.push_back(t + sched.ii);
+    loop_.used_cascade.assign(loop_.cycles.size(), 0);
+    VerifyResult r = verifyDependences(Block{twice_}, loop_);
+    return r.ok() ? resources(body, loop_, sched.options, sched.ii) : r;
+}
+
+VerifyResult
+Verifier::resources(const Block &block, const BlockSchedule &sched,
+                    std::span<const uint32_t> options, int32_t ii)
+{
     // Resources: no search and no order. Each certified option must be
     // one of its subtree's; OR its usages into the map at the
-    // instruction's cycle, and any overlap is a conflict. The map spans
-    // every slot the block's usages can reach.
+    // instruction's cycle, and any overlap is a conflict. A flat map
+    // spans every slot the block's usages can reach; a modulo one is
+    // II whole cycles, into which every slot folds (the -slot_lo_ shift
+    // is then one rotation, which keeps every overlap).
     const uint32_t n = uint32_t(block.instrs.size());
     const int32_t words = int32_t(low_.slotWords());
+    const size_t period = size_t(ii) * size_t(words);
     const int64_t last =
         n > 0 ? *std::max_element(sched.cycles.begin(), sched.cycles.end())
               : 0;
-    ru_.assign(size_t(last * words + slot_hi_ - slot_lo_ + 1), 0);
+    ru_.assign(period ? period
+                      : size_t(last * words + slot_hi_ - slot_lo_ + 1),
+               0);
     const auto trees = low_.trees();
     const auto or_trees = low_.orTrees();
     const auto or_refs = low_.orRefs();
@@ -219,7 +255,10 @@ Verifier::verify(const Block &block, const BlockSchedule &sched,
             const lmdes::LowOption &opt = all_options[id];
             for (const lmdes::Check &check :
                  checks.subspan(opt.first_check, opt.num_checks)) {
-                uint64_t &word = ru_[size_t(base + check.slot)];
+                size_t at = size_t(base + check.slot);
+                if (period)
+                    at %= period;
+                uint64_t &word = ru_[at];
                 if (word & check.mask)
                     return fail(VerifyFault::ResourceConflict, u,
                                 "resource conflict: instruction " +
@@ -279,13 +318,6 @@ verifyScheduleEx(const Block &block, const BlockSchedule &sched,
                             std::to_string(sched.cycles[u]));
     }
     return {};
-}
-
-std::string
-verifySchedule(const Block &block, const BlockSchedule &sched,
-               const lmdes::LowMdes &low)
-{
-    return verifyScheduleEx(block, sched, low).message;
 }
 
 } // namespace mdes::sched

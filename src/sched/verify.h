@@ -10,14 +10,15 @@
  *
  *  - Verifier::verify() checks a *certificate*: the option the
  *    scheduler chose for each OR subtree of each operation's AND/OR-tree
- *    (sched::Certificate). Dependences come straight from the block's
- *    register defs and uses, each certified option must belong to its
- *    subtree, and the options' usages, ORed into a plain RU map at each
- *    operation's cycle, must never overlap. There is no dependence
- *    graph, no checker, no search and no order, so a bug in the
- *    scheduler's own machinery cannot hide from it. The service runs it
- *    on every request that asks for verification and on each portfolio
- *    modulo candidate; `mdesc schedule` runs it on every block it prints.
+ *    (sched::Certificate, or a modulo schedule's own, at its II).
+ *    Dependences come straight from register defs and uses, each
+ *    certified option must belong to its subtree, and the options'
+ *    usages, ORed into a plain RU map at each operation's cycle, must
+ *    never overlap. There is no dependence graph, no checker, no search
+ *    and no order, so a bug in a scheduler's machinery cannot hide from
+ *    it. The service runs it on every request that asks for verification
+ *    and on each portfolio modulo candidate; `mdesc schedule` on every
+ *    block it prints.
  *  - verifyScheduleEx() is the greedy replay: the same dependence check,
  *    then a fresh checker re-reserves every operation in the schedule's
  *    issue_order. It needs no certificate, so it checks a schedule made
@@ -28,9 +29,7 @@
  * A Verifier is built once per (request, description) and checks any
  * number of blocks: its register table and RU map are reused, so a
  * block's check allocates nothing once they have grown. Both checks
- * return a typed verdict, so callers can branch on the failure class;
- * verifySchedule() keeps the original string contract - empty means
- * valid.
+ * return a typed verdict, so callers can branch on the failure class.
  */
 
 #include <cstdint>
@@ -41,6 +40,7 @@
 #include "lmdes/low_mdes.h"
 #include "sched/ir.h"
 #include "sched/list_scheduler.h"
+#include "sched/modulo_scheduler.h"
 
 namespace mdes::sched {
 
@@ -68,6 +68,8 @@ enum class VerifyFault : uint8_t
     /** The certificate holds fewer or more option ids than the block's
      * trees have OR subtrees. */
     CertificateLength,
+    /** A modulo schedule's II is below its own ResMII or RecMII. */
+    IIBelowBound,
 };
 
 /** Stable lowercase name for @p fault (metrics / CLI output). */
@@ -104,6 +106,13 @@ class Verifier
     VerifyResult verify(const Block &block, const BlockSchedule &sched,
                         std::span<const uint32_t> options);
 
+    /** Validate modulo schedule @p sched of loop body @p body against
+     * sched.options at sched.ii: verify() over two iterations (op n + i
+     * is op i of the next), without the control rule, on an RU map II
+     * cycles wide. A failed schedule (Unscheduled) or an II below its
+     * own ResMII or RecMII (IIBelowBound) fails first. */
+    VerifyResult verify(const Block &body, const ModuloSchedule &sched);
+
     /** Sizes, issue cycles and dependences only: verify() without the
      * certificate. verifyScheduleEx() runs it before its replay. */
     VerifyResult verifyDependences(const Block &block,
@@ -124,6 +133,11 @@ class Verifier
 
     RegUse &regUse(int32_t reg);
 
+    /** verify()'s certificate half over @p block's ops (a loop body's
+     * first iteration), on an RU map folded mod @p ii unless it is 0. */
+    VerifyResult resources(const Block &block, const BlockSchedule &sched,
+                           std::span<const uint32_t> options, int32_t ii);
+
     const lmdes::LowMdes &low_;
     /** Open-addressed by register number; entries of earlier blocks
      * are dead by stamp, so a block starts with one increment. */
@@ -132,8 +146,12 @@ class Verifier
     /** The description's lowest and highest check slots. */
     int32_t slot_lo_ = 0;
     int32_t slot_hi_ = 0;
-    /** A plain RU map over one block's slot window. */
+    /** A plain RU map over one block's slot window, or over II cycles. */
     std::vector<uint64_t> ru_;
+    /** A loop body twice (its operand spans are read only within
+     * verify()), and its two iterations' schedule. */
+    std::vector<Instr> twice_;
+    BlockSchedule loop_;
 };
 
 /**
@@ -144,13 +162,6 @@ class Verifier
  */
 VerifyResult verifyScheduleEx(const Block &block, const BlockSchedule &sched,
                               const lmdes::LowMdes &low);
-
-/**
- * The greedy replay as a string: empty when valid, else a description
- * of the first violation found.
- */
-std::string verifySchedule(const Block &block, const BlockSchedule &sched,
-                           const lmdes::LowMdes &low);
 
 } // namespace mdes::sched
 

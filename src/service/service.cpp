@@ -524,12 +524,10 @@ MdesService::process(Job &job, ServiceMetrics &metrics,
         sched::Certificate *const record =
             req.verify ? &certificate : nullptr;
         std::optional<sched::Verifier> verifier;
-        auto verify = [&](const sched::Block &block,
-                          const sched::BlockSchedule &s,
-                          std::span<const uint32_t> options) {
+        auto verify = [&](const sched::Block &block, const auto &...s) {
             if (!verifier)
                 verifier.emplace(*resp.low);
-            return verifier->verify(block, s, options);
+            return verifier->verify(block, s...);
         };
         t = Clock::now();
         try {
@@ -752,17 +750,16 @@ MdesService::process(Job &job, ServiceMetrics &metrics,
             t = Clock::now();
             for (size_t b = 0; b < program.blocks.size(); ++b) {
                 const sched::Block &block = program.blocks[b];
-                std::string problem =
-                    req.scheduler == SchedulerKind::Modulo
-                        ? sched::verifyModuloSchedule(block, *resp.low,
-                                                      resp.modulo[b])
-                        : verify(block, resp.schedules[b],
+                // A modulo schedule carries its own certificate.
+                const sched::VerifyResult v =
+                    resp.modulo.empty()
+                        ? verify(block, resp.schedules[b],
                                  certificate.block(b))
-                              .message;
-                if (!problem.empty())
+                        : verify(block, resp.modulo[b]);
+                if (!v.ok())
                     return fail(ErrorCode::ScheduleFailed,
                                 "block " + std::to_string(b) + ": " +
-                                    problem);
+                                    v.message);
             }
             verify_us = elapsedUs(t);
             timed_verify = true;

@@ -109,8 +109,8 @@ struct ScheduleRequest
     PipelineConfig transforms = PipelineConfig::all();
     bool bit_vector = true;
 
-    /** Re-verify the produced schedules (modulo ones against the
-     * body's loop dependence graph and modulo reservation table). */
+    /** Re-verify the produced schedules from their certificates with
+     * sched::Verifier (modulo ones at their II). */
     bool verify = false;
 
     /** Soft deadline in milliseconds from submission (0 = none). For

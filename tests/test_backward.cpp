@@ -57,7 +57,7 @@ TEST(Backward, PacksIndependentOps)
     SchedStats stats;
     BlockSchedule sched = s.scheduleBlock(b, stats);
     EXPECT_EQ(sched.length, 2);
-    EXPECT_EQ(sched::verifySchedule(b, sched, low), "");
+    EXPECT_EQ(sched::verifyScheduleEx(b, sched, low).message, "");
 }
 
 TEST(Backward, HonorsLatencyChains)
@@ -77,7 +77,7 @@ TEST(Backward, HonorsLatencyChains)
     EXPECT_EQ(sched.cycles[0], 0);
     EXPECT_GE(sched.cycles[1] - sched.cycles[0], 3);
     EXPECT_GE(sched.cycles[2] - sched.cycles[1], 1);
-    EXPECT_EQ(sched::verifySchedule(b, sched, low), "");
+    EXPECT_EQ(sched::verifyScheduleEx(b, sched, low).message, "");
 }
 
 TEST(Backward, NormalizesToCycleZero)
@@ -122,8 +122,9 @@ TEST(Backward, AllMachinesScheduleLegally)
         auto schedules = s.scheduleProgram(program, stats);
         ASSERT_EQ(schedules.size(), program.blocks.size());
         for (size_t b = 0; b < schedules.size(); ++b) {
-            ASSERT_EQ(sched::verifySchedule(program.blocks[b],
-                                            schedules[b], low),
+            ASSERT_EQ(sched::verifyScheduleEx(program.blocks[b],
+                                              schedules[b], low)
+                          .message,
                       "")
                 << "block " << b;
         }

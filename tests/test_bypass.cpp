@@ -71,7 +71,7 @@ TEST(Bypass, ShortensListSchedules)
     EXPECT_EQ(sched.cycles[0], 0);
     EXPECT_EQ(sched.cycles[1], 1); // forwarded: 1 cycle, not 3
     EXPECT_EQ(sched.cycles[2], 4); // no ST bypass: full FADD latency
-    EXPECT_EQ(sched::verifySchedule(b, sched, low), "");
+    EXPECT_EQ(sched::verifyScheduleEx(b, sched, low).message, "");
 }
 
 TEST(Bypass, TightensModuloRecurrences)

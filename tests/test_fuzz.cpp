@@ -100,8 +100,9 @@ TEST(Fuzz, DisjointMachinesFullInvariance)
                     for (size_t b = 0; b < program.blocks.size();
                          b += 7) {
                         ASSERT_EQ(
-                            sched::verifySchedule(program.blocks[b],
-                                                  schedules[b], low),
+                            sched::verifyScheduleEx(program.blocks[b],
+                                                    schedules[b], low)
+                                .message,
                             "")
                             << "block " << b;
                     }
@@ -222,8 +223,9 @@ TEST(Fuzz, OverlappingMachinesStaySafe)
                 lopts.pack_bit_vector = bv;
                 lmdes::LowMdes low = lmdes::LowMdes::lower(model, lopts);
                 for (size_t b = 0; b < program.blocks.size(); b += 5) {
-                    ASSERT_EQ(sched::verifySchedule(program.blocks[b],
-                                                    schedules[b], low),
+                    ASSERT_EQ(sched::verifyScheduleEx(program.blocks[b],
+                                                      schedules[b], low)
+                                  .message,
                               "")
                         << "block " << b;
                 }

@@ -159,8 +159,10 @@ TEST_P(ScheduleInvariance, SchedulesAreLegal)
 
     // Verifying every block is affordable at this size.
     for (size_t b = 0; b < program.blocks.size(); ++b) {
-        std::string problem = sched::verifySchedule(
-            program.blocks[b], result.schedules[b], result.low);
+        std::string problem =
+            sched::verifyScheduleEx(program.blocks[b], result.schedules[b],
+                                    result.low)
+                .message;
         ASSERT_EQ(problem, "") << "block " << b;
     }
 }

@@ -78,8 +78,9 @@ TEST(Sasm, ParsedStreamSchedulesAndVerifies)
     sched::SchedStats stats;
     auto schedules = scheduler.scheduleProgram(program, stats);
     for (size_t b = 0; b < program.blocks.size(); ++b) {
-        EXPECT_EQ(sched::verifySchedule(program.blocks[b], schedules[b],
-                                        low),
+        EXPECT_EQ(sched::verifyScheduleEx(program.blocks[b], schedules[b],
+                                          low)
+                      .message,
                   "");
     }
     // The cascadable ADD_R consumes the load result; it cannot cascade

@@ -692,7 +692,7 @@ TEST(Verify, AcceptsSchedulerOutput)
     SchedStats stats;
     std::vector<uint32_t> options;
     BlockSchedule sched = s.scheduleBlock(b, stats, &options);
-    EXPECT_EQ(sched::verifySchedule(b, sched, low), "");
+    EXPECT_EQ(sched::verifyScheduleEx(b, sched, low).message, "");
     EXPECT_TRUE(sched::Verifier(low).verify(b, sched, options).ok());
     EXPECT_EQ(options.size(), 4u); // one OR subtree per operation
 }
@@ -709,8 +709,8 @@ TEST(Verify, RejectsDependenceViolation)
     bad.cycles = {0, 1}; // needs distance 3
     bad.used_cascade = {0, 0};
     bad.length = 2;
-    EXPECT_NE(sched::verifySchedule(b, bad, low).find("dependence"),
-              std::string::npos);
+    EXPECT_EQ(sched::verifyScheduleEx(b, bad, low).fault,
+              sched::VerifyFault::DependenceViolated);
     sched::VerifyResult v = sched::Verifier(low).verify(b, bad, {});
     EXPECT_EQ(v.fault, sched::VerifyFault::DependenceViolated);
     EXPECT_EQ(v.instr, 1u);
@@ -731,8 +731,8 @@ TEST(Verify, RejectsResourceOversubscription)
     bad.used_cascade = {0, 0, 0};
     bad.length = 1;
     bad.issue_order = {0, 1, 2};
-    EXPECT_NE(sched::verifySchedule(b, bad, low).find("resource"),
-              std::string::npos);
+    EXPECT_EQ(sched::verifyScheduleEx(b, bad, low).fault,
+              sched::VerifyFault::ResourceConflict);
 
     // Whichever slots a certificate names, two operations share one.
     const uint32_t tree = low.opClasses()[ADD].tree;
@@ -759,11 +759,11 @@ TEST(Verify, RejectsUnscheduledAndSizeMismatch)
     BlockSchedule bad;
     bad.cycles = {-1};
     bad.used_cascade = {0};
-    EXPECT_NE(sched::verifySchedule(b, bad, low).find("never scheduled"),
-              std::string::npos);
+    EXPECT_EQ(sched::verifyScheduleEx(b, bad, low).fault,
+              sched::VerifyFault::Unscheduled);
     BlockSchedule wrong;
-    EXPECT_NE(sched::verifySchedule(b, wrong, low).find("size"),
-              std::string::npos);
+    EXPECT_EQ(sched::verifyScheduleEx(b, wrong, low).fault,
+              sched::VerifyFault::SizeMismatch);
 }
 
 TEST(Verify, RejectsBadIssueOrder)
@@ -1311,7 +1311,7 @@ TEST(Scheduler, SuperSparcCascadePairsIssueTogether)
     EXPECT_EQ(sched.cycles[0], 0);
     EXPECT_EQ(sched.cycles[1], 0);
     EXPECT_EQ(sched.used_cascade[1], 1);
-    EXPECT_EQ(sched::verifySchedule(b, sched, low), "");
+    EXPECT_EQ(sched::verifyScheduleEx(b, sched, low).message, "");
 }
 
 TEST(Scheduler, SuperSparcIssueWidthIsThree)

@@ -111,8 +111,9 @@ TEST(Wide, SchedulesLegallyThroughFullPipeline)
     sched::SchedStats stats;
     auto schedules = scheduler.scheduleProgram(program, stats);
     for (size_t b = 0; b < program.blocks.size(); ++b) {
-        ASSERT_EQ(sched::verifySchedule(program.blocks[b], schedules[b],
-                                        low),
+        ASSERT_EQ(sched::verifyScheduleEx(program.blocks[b], schedules[b],
+                                          low)
+                      .message,
                   "")
             << "block " << b;
     }
@@ -137,7 +138,7 @@ TEST(Wide, ModuloSchedulingWorks)
     auto sched = ms.schedule(body, stats);
     ASSERT_TRUE(sched.success);
     EXPECT_EQ(sched.ii, 2); // 4 ops, 2 cluster-0 ALUs
-    EXPECT_EQ(sched::verifyModuloSchedule(body, low, sched), "");
+    EXPECT_EQ(sched::Verifier(low).verify(body, sched).message, "");
 }
 
 TEST(Wide, SerializationRoundTrips)

@@ -304,8 +304,9 @@ TEST(Workload, ProgramSurvivesMoves)
             sched::ListScheduler(low).scheduleProgram(program, stats);
         ASSERT_EQ(schedules.size(), program.blocks.size());
         for (size_t b = 0; b < program.blocks.size(); ++b) {
-            EXPECT_EQ(sched::verifySchedule(program.blocks[b], schedules[b],
-                                            low),
+            EXPECT_EQ(sched::verifyScheduleEx(program.blocks[b],
+                                              schedules[b], low)
+                          .message,
                       "");
         }
     };

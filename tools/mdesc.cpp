@@ -601,10 +601,14 @@ cmdSchedule(const std::vector<std::string> &args)
             const char *winner = "list";
             sched::BlockSchedule best = schedules[b];
             std::span<const uint32_t> best_options = certificate.block(b);
+            // As in the service, the other candidates run on local
+            // stats: the list pass counted this block's ops once, and
+            // checks count all the work spent.
+            sched::SchedStats local;
             if (mode == "portfolio") {
                 back_options.clear();
                 sched::BlockSchedule back =
-                    backward.scheduleBlock(block, stats, &back_options);
+                    backward.scheduleBlock(block, local, &back_options);
                 if (back.length < best.length) {
                     best = std::move(back);
                     best_options = back_options;
@@ -615,12 +619,16 @@ cmdSchedule(const std::vector<std::string> &args)
             eopts.time_budget_us = exact_ms > 0 ? exact_ms * 1000 : 0;
             eopts.incumbent = &schedules[b];
             exact::ExactResult er =
-                search.scheduleBlock(block, stats, eopts);
+                search.scheduleBlock(block, local, eopts);
             if (er.schedule.length < best.length) {
                 best = er.schedule;
                 best_options = er.options;
                 winner = "exact";
             }
+            stats.checks.merge(local.checks);
+            stats.attempts_per_op.merge(local.attempts_per_op);
+            stats.total_schedule_length -=
+                uint64_t(schedules[b].length - best.length);
             kept.options.insert(kept.options.end(), best_options.begin(),
                                 best_options.end());
             kept.endBlock();
