@@ -4,6 +4,7 @@
 #include <bit>
 #include <chrono>
 #include <climits>
+#include <stdexcept>
 
 #include "support/trace.h"
 
@@ -48,7 +49,7 @@ subsetOf(const std::vector<uint64_t> &a, const std::vector<uint64_t> &b)
 } // namespace
 
 ExactScheduler::ExactScheduler(const lmdes::LowMdes &low)
-    : low_(low), checker_(low), list_(low)
+    : low_(low), checker_(low)
 {
     buildGroups();
 }
@@ -331,7 +332,7 @@ ExactScheduler::dfs(int32_t cycle, uint32_t floor)
         return false;
     }
     if ((res.nodes & 1023u) == 0) {
-        if (cancel_ && cancel_->cancelled()) {
+        if (*cancel_ && (*cancel_)()) {
             res.cancelled = true;
             return false;
         }
@@ -419,22 +420,17 @@ ExactScheduler::scheduleBlock(const sched::Block &block,
                               sched::SchedStats &stats,
                               const ExactOptions &opts)
 {
+    const sched::BlockSchedule *incumbent = opts.incumbent;
+    if (!incumbent || incumbent->cycles.size() != block.instrs.size())
+        throw std::invalid_argument(
+            "exact search needs an incumbent with one cycle per "
+            "instruction");
     TRACE_SPAN_F(span, "exact/search");
     ExactResult res;
     n_ = uint32_t(block.instrs.size());
     if (n_ == 0) {
         res.proven_optimal = true;
         return res;
-    }
-
-    sched::BlockSchedule seed;
-    const sched::BlockSchedule *incumbent = opts.incumbent;
-    if (!incumbent || incumbent->cycles.size() != n_) {
-        sched::SchedStats seed_stats;
-        seed = list_.scheduleBlock(block, seed_stats);
-        stats.checks.merge(seed_stats.checks);
-        stats.attempts_per_op.merge(seed_stats.attempts_per_op);
-        incumbent = &seed;
     }
 
     graph_.rebuild(block, low_);

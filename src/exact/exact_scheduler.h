@@ -36,11 +36,12 @@
  * deeper in the subtree, making probe-based es-bumping a sound monotone
  * propagator.
  *
- * The search is seeded with the list scheduler's result as the
- * incumbent and runs under a node and wall-time budget with cooperative
- * cancellation, so callers (the service's exact and portfolio modes)
- * always get the best schedule found so far - never worse than the list
- * scheduler - plus a proven lower bound for the optimality gap.
+ * The caller supplies the incumbent (normally the list schedule it
+ * already has) and the search runs under a node and wall-time budget
+ * with cooperative cancellation, so callers (the service's exact and
+ * portfolio modes) always get the best schedule found so far - never
+ * worse than the incumbent - plus a proven lower bound for the
+ * optimality gap.
  */
 
 #include <cstdint>
@@ -55,37 +56,21 @@
 
 namespace mdes::exact {
 
-/**
- * Cooperative cancellation handle, polled in the search loop the same
- * way the transform passes poll between passes. Default-constructed
- * tokens never cancel.
- */
-class CancelToken
-{
-  public:
-    CancelToken() = default;
-    explicit CancelToken(std::function<bool()> poll) : poll_(std::move(poll))
-    {
-    }
-
-    bool cancelled() const { return poll_ && poll_(); }
-
-  private:
-    std::function<bool()> poll_;
-};
-
-/** Search limits and seeding for one block. */
+/** Search limits and the incumbent for one block. */
 struct ExactOptions
 {
     /** Search-node budget; 0 = unbounded. */
     uint64_t max_nodes = 1u << 20;
     /** Wall-time budget per block in microseconds; 0 = unbounded. */
     int64_t time_budget_us = 50000;
-    /** Polled every kPollStride nodes; a cancelled search returns the
-     * incumbent with ExactResult::cancelled set. */
-    CancelToken cancel;
-    /** Optional incumbent (normally the list schedule). When null the
-     * scheduler runs its own list-scheduler seed pass. */
+    /** Cooperative cancellation, polled every 1024 nodes the way the
+     * transform passes poll between passes; when it returns true the
+     * search stops with ExactResult::cancelled set and returns the best
+     * schedule found so far. Empty = never cancelled. */
+    std::function<bool()> cancel;
+    /** Required: a schedule of the block (normally the list schedule),
+     * one cycle per instruction. The search only looks for a strictly
+     * shorter one, and returns this one when it finds none. */
     const sched::BlockSchedule *incumbent = nullptr;
 };
 
@@ -120,7 +105,7 @@ struct ExactResult
     /** Node or time budget ran out before the search space was
      * exhausted (the result may still be proven via the root bound). */
     bool budget_exhausted = false;
-    /** The cancel token fired mid-search. */
+    /** The cancel predicate fired mid-search. */
     bool cancelled = false;
 
     /** Length - lower_bound, the reportable optimality gap. */
@@ -139,10 +124,13 @@ class ExactScheduler
 
     /**
      * Find a minimum-length schedule for @p block under the budgets in
-     * @p opts. @p stats accumulates every probe the seed pass and the
-     * search make (CheckStats), while ops_scheduled and
-     * total_schedule_length reflect only the returned schedule, so the
-     * stats describe the delivered result plus the work spent on it.
+     * @p opts. @p stats accumulates every probe the search makes
+     * (CheckStats), while ops_scheduled and total_schedule_length
+     * reflect only the returned schedule, so the stats describe the
+     * delivered result plus the work spent on it.
+     *
+     * @throws std::invalid_argument when opts.incumbent is null or does
+     * not hold one cycle per instruction of @p block.
      */
     ExactResult scheduleBlock(const sched::Block &block,
                               sched::SchedStats &stats,
@@ -186,7 +174,6 @@ class ExactScheduler
 
     const lmdes::LowMdes &low_;
     rumap::Checker checker_;
-    sched::ListScheduler list_;
 
     // Machine-level precompute (constructor).
     std::vector<Group> groups_;
@@ -223,7 +210,7 @@ class ExactScheduler
     bool done_ = false;       ///< best_len_ hit the root bound: stop
     uint64_t node_limit_ = 0;
     int64_t deadline_us_ = 0;  ///< monotonic deadline, 0 = none
-    const CancelToken *cancel_ = nullptr;
+    const std::function<bool()> *cancel_ = nullptr;
     ExactResult *result_ = nullptr;
     sched::SchedStats *stats_ = nullptr;
 };

@@ -282,6 +282,49 @@ struct NetStats
     bool operator==(const NetStats &) const = default;
 };
 
+/** Search totals across exact/portfolio blocks: one request's (its
+ * response) or many requests' (ServiceMetrics). */
+struct ExactSearchTotals
+{
+    uint64_t blocks = 0;
+    /** Blocks whose delivered length matched the proven lower bound. */
+    uint64_t proven_optimal = 0;
+    /** Blocks whose search hit its node/time budget. */
+    uint64_t budget_exhausted = 0;
+    uint64_t nodes = 0;
+    uint64_t bound_prunes = 0;
+    uint64_t dominance_prunes = 0;
+    /** Pure wouldFit() propagation probes spent in searches. */
+    uint64_t probes = 0;
+    /** Sum over blocks of (delivered length - proven lower bound). */
+    uint64_t gap_cycles = 0;
+    /** Portfolio win counts by backend. */
+    uint64_t wins_list = 0;
+    uint64_t wins_backward = 0;
+    uint64_t wins_modulo = 0;
+    uint64_t wins_exact = 0;
+
+    ExactSearchTotals &
+    operator+=(const ExactSearchTotals &o)
+    {
+        blocks += o.blocks;
+        proven_optimal += o.proven_optimal;
+        budget_exhausted += o.budget_exhausted;
+        nodes += o.nodes;
+        bound_prunes += o.bound_prunes;
+        dominance_prunes += o.dominance_prunes;
+        probes += o.probes;
+        gap_cycles += o.gap_cycles;
+        wins_list += o.wins_list;
+        wins_backward += o.wins_backward;
+        wins_modulo += o.wins_modulo;
+        wins_exact += o.wins_exact;
+        return *this;
+    }
+
+    bool operator==(const ExactSearchTotals &) const = default;
+};
+
 /** Everything the service counts. */
 struct ServiceMetrics
 {
@@ -318,26 +361,9 @@ struct ServiceMetrics
     /** Attempts that took the checker's slot-addressed fast path. */
     uint64_t probe_fastpath = 0;
 
-    // --- Exact/portfolio search section -------------------------------
-    // Populated only by exact/portfolio requests; the text tables stay
-    // silent while exact_blocks is zero.
-    uint64_t exact_blocks = 0;
-    /** Blocks whose delivered length matched the proven lower bound. */
-    uint64_t exact_proven_optimal = 0;
-    /** Blocks whose search hit its node/time budget. */
-    uint64_t exact_budget_exhausted = 0;
-    uint64_t exact_nodes = 0;
-    uint64_t exact_bound_prunes = 0;
-    uint64_t exact_dominance_prunes = 0;
-    /** Pure wouldFit() propagation probes spent in searches. */
-    uint64_t exact_probes = 0;
-    /** Sum over blocks of (delivered length - proven lower bound). */
-    uint64_t exact_gap_cycles = 0;
-    /** Portfolio win counts by backend. */
-    uint64_t portfolio_wins_list = 0;
-    uint64_t portfolio_wins_backward = 0;
-    uint64_t portfolio_wins_modulo = 0;
-    uint64_t portfolio_wins_exact = 0;
+    /** Exact/portfolio search totals; the text tables stay silent
+     * while exact.blocks is zero. */
+    ExactSearchTotals exact;
 
     // --- Robustness section -------------------------------------------
 
@@ -490,19 +516,19 @@ visitMetrics(V &v, M &...m)
         v.count("probe_fastpath", m.probe_fastpath...);
     });
     section("exact", [&] {
-        v.count("blocks", m.exact_blocks...);
-        v.count("proven_optimal", m.exact_proven_optimal...);
-        v.count("budget_exhausted", m.exact_budget_exhausted...);
-        v.count("gap_cycles", m.exact_gap_cycles...);
-        v.count("nodes", m.exact_nodes...);
-        v.count("bound_prunes", m.exact_bound_prunes...);
-        v.count("dominance_prunes", m.exact_dominance_prunes...);
-        v.count("probes", m.exact_probes...);
+        v.count("blocks", m.exact.blocks...);
+        v.count("proven_optimal", m.exact.proven_optimal...);
+        v.count("budget_exhausted", m.exact.budget_exhausted...);
+        v.count("gap_cycles", m.exact.gap_cycles...);
+        v.count("nodes", m.exact.nodes...);
+        v.count("bound_prunes", m.exact.bound_prunes...);
+        v.count("dominance_prunes", m.exact.dominance_prunes...);
+        v.count("probes", m.exact.probes...);
         section("wins", [&] {
-            v.count("list", m.portfolio_wins_list...);
-            v.count("backward", m.portfolio_wins_backward...);
-            v.count("modulo", m.portfolio_wins_modulo...);
-            v.count("exact", m.portfolio_wins_exact...);
+            v.count("list", m.exact.wins_list...);
+            v.count("backward", m.exact.wins_backward...);
+            v.count("modulo", m.exact.wins_modulo...);
+            v.count("exact", m.exact.wins_exact...);
         });
     });
     section("trace", [&] {

@@ -105,18 +105,10 @@ parseRequestLine(const std::string &line, int lineno,
         } else if (key == "sasm") {
             req.sasm = file(key, value);
         } else if (key == "sched") {
-            if (value == "list")
-                req.scheduler = SchedulerKind::List;
-            else if (value == "backward")
-                req.scheduler = SchedulerKind::Backward;
-            else if (value == "modulo")
-                req.scheduler = SchedulerKind::Modulo;
-            else if (value == "exact")
-                req.scheduler = SchedulerKind::Exact;
-            else if (value == "portfolio")
-                req.scheduler = SchedulerKind::Portfolio;
-            else
+            std::optional<SchedulerKind> kind = parseSchedulerKind(value);
+            if (!kind)
                 bad("unknown scheduler '" + value + "'");
+            req.scheduler = *kind;
         } else if (key == "ops") {
             req.synth_ops = number(key, value);
         } else if (key == "seed") {

@@ -54,6 +54,17 @@ schedulerKindName(SchedulerKind kind)
     return "?";
 }
 
+std::optional<SchedulerKind>
+parseSchedulerKind(std::string_view name)
+{
+    for (SchedulerKind kind :
+         {SchedulerKind::List, SchedulerKind::Backward, SchedulerKind::Modulo,
+          SchedulerKind::Exact, SchedulerKind::Portfolio})
+        if (name == schedulerKindName(kind))
+            return kind;
+    return std::nullopt;
+}
+
 uint64_t
 scheduleFingerprint(const ScheduleResponse &response)
 {
@@ -370,22 +381,7 @@ MdesService::process(Job &job, ServiceMetrics &metrics,
         metrics.resource_checks += resp.stats.checks.resource_checks;
         metrics.prefilter_hits += resp.stats.checks.prefilter_hits;
         metrics.probe_fastpath += resp.stats.checks.probe_fastpath;
-        if (resp.exact.blocks) {
-            metrics.exact_blocks += resp.exact.blocks;
-            metrics.exact_proven_optimal += resp.exact.proven_optimal;
-            metrics.exact_budget_exhausted +=
-                resp.exact.budget_exhausted;
-            metrics.exact_nodes += resp.exact.nodes;
-            metrics.exact_bound_prunes += resp.exact.bound_prunes;
-            metrics.exact_dominance_prunes +=
-                resp.exact.dominance_prunes;
-            metrics.exact_probes += resp.exact.probes;
-            metrics.exact_gap_cycles += resp.exact.gap_cycles;
-            metrics.portfolio_wins_list += resp.exact.wins_list;
-            metrics.portfolio_wins_backward += resp.exact.wins_backward;
-            metrics.portfolio_wins_modulo += resp.exact.wins_modulo;
-            metrics.portfolio_wins_exact += resp.exact.wins_exact;
-        }
+        metrics.exact += resp.exact;
         if (compiled)
             metrics.transform_effects.add(pipeline_stats);
         metrics.attempts_per_op.merge(resp.stats.attempts_per_op);
@@ -570,10 +566,10 @@ MdesService::process(Job &job, ServiceMetrics &metrics,
                 sched::BackwardListScheduler backward(*resp.low);
                 sched::ModuloScheduler mod(*resp.low);
                 exact::ExactScheduler search(*resp.low);
-                exact::CancelToken token([&]() {
-                    return job.cancelled.load(std::memory_order_relaxed) ||
-                           Clock::now() > job.deadline;
-                });
+                exact::ExactOptions eopts;
+                if (req.exact_nodes)
+                    eopts.max_nodes = req.exact_nodes;
+                eopts.cancel = cancel;
                 // Each candidate's certificate; the winner's joins the
                 // request's.
                 std::vector<uint32_t> list_options, backward_options,
@@ -588,19 +584,22 @@ MdesService::process(Job &job, ServiceMetrics &metrics,
                     // ops_scheduled/total_schedule_length describe the kept
                     // schedules, checks describe all work spent.
                     sched::SchedStats local;
+                    // Each candidate keeps its own schedule; best points at
+                    // the shortest so far and is moved into the response.
                     sched::BlockSchedule incumbent = list.scheduleBlock(
                         block, local, recorded(list_options));
+                    sched::BlockSchedule back, flat;
 
                     SchedulerKind winner = SchedulerKind::List;
-                    sched::BlockSchedule best = incumbent;
+                    sched::BlockSchedule *best = &incumbent;
                     const std::vector<uint32_t> *best_options =
                         &list_options;
 
                     if (portfolio) {
-                        sched::BlockSchedule b = backward.scheduleBlock(
+                        back = backward.scheduleBlock(
                             block, local, recorded(backward_options));
-                        if (b.length < best.length) {
-                            best = std::move(b);
+                        if (back.length < best->length) {
+                            best = &back;
                             best_options = &backward_options;
                             winner = SchedulerKind::Backward;
                         }
@@ -617,8 +616,7 @@ MdesService::process(Job &job, ServiceMetrics &metrics,
                             sched::ModuloSchedule ms =
                                 mod.schedule(block, local);
                             if (ms.success && !ms.times.empty()) {
-                                sched::BlockSchedule flat;
-                                flat.cycles = ms.times;
+                                flat.cycles = std::move(ms.times);
                                 int32_t lo = *std::min_element(
                                     flat.cycles.begin(), flat.cycles.end());
                                 int32_t hi = *std::max_element(
@@ -628,9 +626,9 @@ MdesService::process(Job &job, ServiceMetrics &metrics,
                                 flat.used_cascade.assign(
                                     block.instrs.size(), 0);
                                 flat.length = hi - lo + 1;
-                                if (flat.length < best.length &&
+                                if (flat.length < best->length &&
                                     verify(block, flat, ms.options).ok()) {
-                                    best = std::move(flat);
+                                    best = &flat;
                                     modulo_options = std::move(ms.options);
                                     best_options = &modulo_options;
                                     winner = SchedulerKind::Modulo;
@@ -639,9 +637,6 @@ MdesService::process(Job &job, ServiceMetrics &metrics,
                         }
                     }
 
-                    exact::ExactOptions eopts;
-                    if (req.exact_nodes)
-                        eopts.max_nodes = req.exact_nodes;
                     eopts.time_budget_us =
                         req.exact_ms > 0 ? req.exact_ms * 1000 : 0;
                     if (job.deadline != Clock::time_point::max()) {
@@ -657,13 +652,12 @@ MdesService::process(Job &job, ServiceMetrics &metrics,
                                 ? std::min(eopts.time_budget_us, remain)
                                 : remain;
                     }
-                    eopts.cancel = token;
                     eopts.incumbent = &incumbent;
                     exact::ExactResult er =
                         search.scheduleBlock(block, local, eopts);
-                    if (er.schedule.length < best.length) {
+                    if (er.schedule.length < best->length) {
                         // Shorter than the incumbent: the search's own.
-                        best = er.schedule;
+                        best = &er.schedule;
                         best_options = &er.options;
                         winner = SchedulerKind::Exact;
                     }
@@ -681,9 +675,9 @@ MdesService::process(Job &job, ServiceMetrics &metrics,
 
                     BlockOutcome out;
                     out.winner = winner;
-                    out.length = best.length;
-                    out.lower_bound = std::min(er.lower_bound, best.length);
-                    out.proven_optimal = best.length <= er.lower_bound;
+                    out.length = best->length;
+                    out.lower_bound = std::min(er.lower_bound, best->length);
+                    out.proven_optimal = best->length <= er.lower_bound;
                     out.budget_exhausted = er.budget_exhausted;
                     out.nodes = er.nodes;
 
@@ -726,9 +720,10 @@ MdesService::process(Job &job, ServiceMetrics &metrics,
                     }
 
                     resp.stats.ops_scheduled += block.instrs.size();
-                    resp.stats.total_schedule_length += uint64_t(best.length);
+                    resp.stats.total_schedule_length +=
+                        uint64_t(best->length);
                     resp.outcomes.push_back(out);
-                    resp.schedules.push_back(std::move(best));
+                    resp.schedules.push_back(std::move(*best));
                 }
                 break;
             }

@@ -38,7 +38,9 @@
 #include <future>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <type_traits>
 #include <unordered_map>
@@ -70,6 +72,10 @@ enum class SchedulerKind { List, Backward, Modulo, Exact, Portfolio };
 
 /** Printable scheduler name. */
 const char *schedulerKindName(SchedulerKind kind);
+
+/** The kind schedulerKindName() prints as @p name; nullopt for any other
+ * name. */
+std::optional<SchedulerKind> parseSchedulerKind(std::string_view name);
 
 /** Typed failure carried in a ScheduleResponse. */
 struct ServiceError
@@ -131,8 +137,10 @@ struct ScheduleRequest
 /** Per-block outcome of an exact or portfolio request. */
 struct BlockOutcome
 {
-    /** Backend whose schedule was kept (Exact also stands for "the
-     * search's incumbent", i.e. list, when nothing improved it). */
+    /** Backend whose schedule was kept. Candidates race in the order
+     * list, backward, modulo, exact (exact mode runs only list and
+     * exact), and a later one wins only when strictly shorter, so List
+     * means nothing beat the list schedule. */
     SchedulerKind winner = SchedulerKind::List;
     /** Kept schedule length. */
     int32_t length = 0;
@@ -144,25 +152,6 @@ struct BlockOutcome
     bool budget_exhausted = false;
     /** Search nodes expanded for this block. */
     uint64_t nodes = 0;
-};
-
-/** Search totals across an exact/portfolio request's blocks. */
-struct ExactSearchTotals
-{
-    uint64_t blocks = 0;
-    uint64_t proven_optimal = 0;
-    uint64_t budget_exhausted = 0;
-    uint64_t nodes = 0;
-    uint64_t bound_prunes = 0;
-    uint64_t dominance_prunes = 0;
-    uint64_t probes = 0;
-    /** Sum over blocks of (length - lower_bound). */
-    uint64_t gap_cycles = 0;
-    /** Portfolio win counts by backend. */
-    uint64_t wins_list = 0;
-    uint64_t wins_backward = 0;
-    uint64_t wins_modulo = 0;
-    uint64_t wins_exact = 0;
 };
 
 /** What a request produces. */

@@ -605,28 +605,28 @@ renderStats(const StatsDocument &doc)
                   std::to_string(m.probe_fastpath)});
     out += sched.toString();
 
-    if (m.exact_blocks != 0) {
+    if (m.exact.blocks != 0) {
         TextTable ex;
         ex.setHeader({"Exact Blocks", "Proven Optimal", "Budget Out",
                       "Gap Cycles", "Nodes", "Bound Prunes",
                       "Dominance Prunes", "Probes"});
-        ex.addRow({std::to_string(m.exact_blocks),
-                   std::to_string(m.exact_proven_optimal),
-                   std::to_string(m.exact_budget_exhausted),
-                   std::to_string(m.exact_gap_cycles),
-                   std::to_string(m.exact_nodes),
-                   std::to_string(m.exact_bound_prunes),
-                   std::to_string(m.exact_dominance_prunes),
-                   std::to_string(m.exact_probes)});
+        ex.addRow({std::to_string(m.exact.blocks),
+                   std::to_string(m.exact.proven_optimal),
+                   std::to_string(m.exact.budget_exhausted),
+                   std::to_string(m.exact.gap_cycles),
+                   std::to_string(m.exact.nodes),
+                   std::to_string(m.exact.bound_prunes),
+                   std::to_string(m.exact.dominance_prunes),
+                   std::to_string(m.exact.probes)});
         out += ex.toString();
-        if (m.portfolio_wins_list + m.portfolio_wins_backward +
-                m.portfolio_wins_modulo + m.portfolio_wins_exact !=
+        if (m.exact.wins_list + m.exact.wins_backward +
+                m.exact.wins_modulo + m.exact.wins_exact !=
             0)
             out += nonZeroTable("Portfolio Winner", "Blocks",
-                                {{"list", m.portfolio_wins_list},
-                                 {"backward", m.portfolio_wins_backward},
-                                 {"modulo", m.portfolio_wins_modulo},
-                                 {"exact", m.portfolio_wins_exact}});
+                                {{"list", m.exact.wins_list},
+                                 {"backward", m.exact.wins_backward},
+                                 {"modulo", m.exact.wins_modulo},
+                                 {"exact", m.exact.wins_exact}});
     }
 
     const TransformEffects &fx = m.transform_effects;

@@ -11,6 +11,7 @@
 #include <climits>
 #include <cstdint>
 #include <functional>
+#include <stdexcept>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -461,7 +462,7 @@ TEST(ExactScheduler, CancellationStopsSearchCleanly)
     exact::ExactOptions opts;
     opts.time_budget_us = 0;
     opts.max_nodes = 1u << 22;
-    opts.cancel = exact::CancelToken([&polls] { return ++polls >= 2; });
+    opts.cancel = [&polls] { return ++polls >= 2; };
     opts.incumbent = &hard.list;
     exact::ExactResult er =
         search.scheduleBlock(*hard.block, stats, opts);
@@ -475,6 +476,34 @@ TEST(ExactScheduler, CancellationStopsSearchCleanly)
         sched::verifyScheduleEx(*hard.block, er.schedule, low);
     EXPECT_TRUE(v.ok()) << sched::verifyFaultName(v.fault) << ": "
                         << v.message;
+}
+
+TEST(ExactScheduler, RejectsMissingIncumbent)
+{
+    LowMdes low = twoWide();
+    uint32_t ADD = low.findOpClass("ADD");
+    sched::Program prog = oneBlock({
+        instr(ADD, {1}, {2}),
+        instr(ADD, {2}, {3}),
+        instr(ADD, {9}, {4}),
+    });
+    const Block &block = prog.blocks[0];
+    SchedStats stats;
+    BlockSchedule seed = ListScheduler(low).scheduleBlock(block, stats);
+
+    exact::ExactScheduler search(low);
+    exact::ExactOptions opts;
+    EXPECT_THROW(search.scheduleBlock(block, stats, opts),
+                 std::invalid_argument);
+    BlockSchedule short_seed = seed;
+    short_seed.cycles.pop_back();
+    opts.incumbent = &short_seed;
+    EXPECT_THROW(search.scheduleBlock(block, stats, opts),
+                 std::invalid_argument);
+
+    opts.incumbent = &seed;
+    EXPECT_LE(search.scheduleBlock(block, stats, opts).schedule.length,
+              seed.length);
 }
 
 // --------------------------------------------------- service portfolio

@@ -367,6 +367,20 @@ end
     EXPECT_EQ(svc.metricsSnapshot().verify.count, 1u);
 }
 
+TEST(Service, SchedulerKindNamesRoundTrip)
+{
+    for (service::SchedulerKind kind :
+         {service::SchedulerKind::List, service::SchedulerKind::Backward,
+          service::SchedulerKind::Modulo, service::SchedulerKind::Exact,
+          service::SchedulerKind::Portfolio})
+        EXPECT_EQ(service::parseSchedulerKind(
+                      service::schedulerKindName(kind)),
+                  kind);
+    EXPECT_EQ(service::parseSchedulerKind("greedy"), std::nullopt);
+    EXPECT_EQ(service::parseSchedulerKind(""), std::nullopt);
+    EXPECT_EQ(service::parseSchedulerKind("List"), std::nullopt);
+}
+
 TEST(Service, FingerprintDistinguishesSchedules)
 {
     service::MdesService svc({.num_workers = 2});

@@ -50,6 +50,7 @@
 #include <fstream>
 #include <iostream>
 #include <map>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -67,10 +68,6 @@
 #include "net/crash_chaos.h"
 #include "net/client.h"
 #include "net/server.h"
-#include "exact/exact_scheduler.h"
-#include "sched/backward_scheduler.h"
-#include "sched/list_scheduler.h"
-#include "sched/verify.h"
 #include "service/chaos.h"
 #include "service/request_parse.h"
 #include "service/service.h"
@@ -104,8 +101,6 @@ usage()
         "  mdesc schedule <machine-name | file.hmdes> <file.sasm>\n"
         "                [--mode list|backward|exact|portfolio]\n"
         "                [--exact-ms N]\n"
-        "                (portfolio: list, backward, exact; batch's\n"
-        "                portfolio also races a modulo candidate)\n"
         "  mdesc batch <file.req | --stdin> [--workers N] [--json]\n"
         "              [--mode list|backward|modulo|exact|portfolio]\n"
         "              [--store <dir>] [--store-max-bytes N]\n"
@@ -551,139 +546,88 @@ cmdSchedule(const std::vector<std::string> &args)
     }
     if (pos.size() != 2)
         return usage();
-    if (mode != "list" && mode != "backward" && mode != "exact" &&
-        mode != "portfolio") {
+    // Flat schedules only: a modulo request answers with loops.
+    std::optional<service::SchedulerKind> kind =
+        service::parseSchedulerKind(mode);
+    if (!kind || *kind == service::SchedulerKind::Modulo) {
         std::fprintf(stderr, "mdesc: unknown schedule mode '%s'\n",
                      mode.c_str());
         return usage();
     }
-    // The machine: a built-in name or a .hmdes file.
-    Mdes model = [&] {
-        const machines::MachineInfo *builtin = machines::byName(pos[0]);
-        if (builtin)
-            return hmdes::compileOrThrow(builtin->source);
-        return compileFile(pos[0]);
-    }();
-    runPipeline(model, PipelineConfig::all());
-    lmdes::LowerOptions lopts;
-    lopts.pack_bit_vector = true;
-    lmdes::LowMdes low = lmdes::LowMdes::lower(model, lopts);
-
-    std::string text = readFile(pos[1]);
-    DiagnosticEngine diags;
-    sched::Program program = workload::parseSasm(text, low, diags);
-    for (const auto &d : diags.diagnostics())
-        std::fprintf(stderr, "%s: %s\n", pos[1].c_str(),
-                     d.toString().c_str());
-    if (diags.hasErrors())
-        return 1;
-
-    sched::SchedStats stats;
-    std::vector<sched::BlockSchedule> schedules;
-    // The options each kept schedule chose, checked before printing.
-    sched::Certificate certificate;
-    // Per-block annotation for the exact/portfolio modes.
-    std::vector<std::string> notes(program.blocks.size());
-    if (mode == "backward") {
-        sched::BackwardListScheduler scheduler(low);
-        schedules = scheduler.scheduleProgram(program, stats, &certificate);
+    // One service request. The machine is a built-in name or a .hmdes
+    // file, compiled here once only to print its front-end warnings.
+    service::ScheduleRequest req;
+    if (machines::byName(pos[0])) {
+        req.machine = pos[0];
     } else {
-        sched::ListScheduler scheduler(low);
-        schedules = scheduler.scheduleProgram(program, stats, &certificate);
+        compileFile(pos[0]);
+        req.source = readFile(pos[0]);
     }
-    if (mode == "exact" || mode == "portfolio") {
-        exact::ExactScheduler search(low);
-        sched::BackwardListScheduler backward(low);
-        sched::Certificate kept;
-        std::vector<uint32_t> back_options;
-        for (size_t b = 0; b < program.blocks.size(); ++b) {
-            const auto &block = program.blocks[b];
-            const char *winner = "list";
-            sched::BlockSchedule best = schedules[b];
-            std::span<const uint32_t> best_options = certificate.block(b);
-            // As in the service, the other candidates run on local
-            // stats: the list pass counted this block's ops once, and
-            // checks count all the work spent.
-            sched::SchedStats local;
-            if (mode == "portfolio") {
-                back_options.clear();
-                sched::BlockSchedule back =
-                    backward.scheduleBlock(block, local, &back_options);
-                if (back.length < best.length) {
-                    best = std::move(back);
-                    best_options = back_options;
-                    winner = "backward";
-                }
-            }
-            exact::ExactOptions eopts;
-            eopts.time_budget_us = exact_ms > 0 ? exact_ms * 1000 : 0;
-            eopts.incumbent = &schedules[b];
-            exact::ExactResult er =
-                search.scheduleBlock(block, local, eopts);
-            if (er.schedule.length < best.length) {
-                best = er.schedule;
-                best_options = er.options;
-                winner = "exact";
-            }
-            stats.checks.merge(local.checks);
-            stats.attempts_per_op.merge(local.attempts_per_op);
-            stats.total_schedule_length -=
-                uint64_t(schedules[b].length - best.length);
-            kept.options.insert(kept.options.end(), best_options.begin(),
-                                best_options.end());
-            kept.endBlock();
-            char note[160];
-            int32_t lb = std::min(er.lower_bound, best.length);
-            std::snprintf(note, sizeof note,
-                          "  winner=%s lower_bound=%d gap=%d %s"
-                          " (nodes %llu)",
-                          winner, lb, best.length - lb,
-                          best.length <= er.lower_bound
-                              ? "proven-optimal"
-                              : er.budget_exhausted ? "budget-exhausted"
-                                                    : "unproven",
-                          (unsigned long long)er.nodes);
-            notes[b] = note;
-            schedules[b] = std::move(best);
-        }
-        certificate = std::move(kept);
+    const std::string text = readFile(pos[1]);
+    req.sasm = text;
+    req.scheduler = *kind;
+    req.exact_ms = exact_ms;
+    req.verify = true;
+    service::ServiceConfig config;
+    config.num_workers = 1;
+    service::MdesService svc(config);
+    const service::ScheduleResponse resp =
+        svc.wait(svc.submit(std::move(req)));
+
+    // The .sasm parsed again against the served description, for its
+    // warnings and the op names printed below.
+    sched::Program program;
+    if (resp.low) {
+        DiagnosticEngine diags;
+        program = workload::parseSasm(text, *resp.low, diags);
+        for (const auto &d : diags.diagnostics())
+            std::fprintf(stderr, "%s: %s\n", pos[1].c_str(),
+                         d.toString().c_str());
+        if (diags.hasErrors())
+            return 1;
+    }
+    if (!resp.ok()) {
+        std::fprintf(stderr, "mdesc: %s: %s\n",
+                     service::errorCodeName(resp.error.code),
+                     resp.error.message.c_str());
+        return 1;
     }
 
-    sched::Verifier verifier(low);
-    for (size_t b = 0; b < program.blocks.size(); ++b) {
-        sched::VerifyResult v = verifier.verify(
-            program.blocks[b], schedules[b], certificate.block(b));
-        if (!v.ok()) {
-            std::fprintf(stderr, "block %zu: %s: %s\n", b,
-                         sched::verifyFaultName(v.fault),
-                         v.message.c_str());
-            return 1;
-        }
-        std::printf("block %zu (%d cycles):\n", b,
-                    schedules[b].length);
-        for (int32_t cycle = 0; cycle < schedules[b].length; ++cycle) {
+    const lmdes::LowMdes &low = *resp.low;
+    for (size_t b = 0; b < resp.schedules.size(); ++b) {
+        const sched::BlockSchedule &schedule = resp.schedules[b];
+        const sched::Block &block = program.blocks[b];
+        std::printf("block %zu (%d cycles):\n", b, schedule.length);
+        for (int32_t cycle = 0; cycle < schedule.length; ++cycle) {
             std::printf("  %3d |", cycle);
-            for (size_t i = 0; i < program.blocks[b].instrs.size();
-                 ++i) {
-                if (schedules[b].cycles[i] != cycle)
+            for (size_t i = 0; i < block.instrs.size(); ++i) {
+                if (schedule.cycles[i] != cycle)
                     continue;
-                std::printf(
-                    " %s%s",
-                    low.opClasses()[program.blocks[b].instrs[i].op_class]
-                        .name.c_str(),
-                    schedules[b].used_cascade[i] ? "(cascaded)" : "");
+                std::printf(" %s%s",
+                            low.opClasses()[block.instrs[i].op_class]
+                                .name.c_str(),
+                            schedule.used_cascade[i] ? "(cascaded)" : "");
             }
             std::printf("\n");
         }
-        if (!notes[b].empty())
-            std::printf("%s\n", notes[b].c_str());
+        if (b < resp.outcomes.size()) {
+            const service::BlockOutcome &out = resp.outcomes[b];
+            std::printf("  winner=%s lower_bound=%d gap=%d %s"
+                        " (nodes %llu)\n",
+                        service::schedulerKindName(out.winner),
+                        out.lower_bound, out.length - out.lower_bound,
+                        out.proven_optimal     ? "proven-optimal"
+                        : out.budget_exhausted ? "budget-exhausted"
+                                               : "unproven",
+                        (unsigned long long)out.nodes);
+        }
     }
     std::printf("\n%llu operations, %llu scheduling attempts (%.2f per "
                 "op), %.2f checks per attempt.\n",
-                (unsigned long long)stats.ops_scheduled,
-                (unsigned long long)stats.checks.attempts,
-                stats.avgAttemptsPerOp(),
-                stats.checks.avgChecksPerAttempt());
+                (unsigned long long)resp.stats.ops_scheduled,
+                (unsigned long long)resp.stats.checks.attempts,
+                resp.stats.avgAttemptsPerOp(),
+                resp.stats.checks.avgChecksPerAttempt());
     return 0;
 }
 
@@ -770,24 +714,15 @@ cmdBatch(const std::vector<std::string> &args)
     }
     if (!mode.empty()) {
         // Override every request's scheduler from the command line.
-        service::SchedulerKind kind;
-        if (mode == "list")
-            kind = service::SchedulerKind::List;
-        else if (mode == "backward")
-            kind = service::SchedulerKind::Backward;
-        else if (mode == "modulo")
-            kind = service::SchedulerKind::Modulo;
-        else if (mode == "exact")
-            kind = service::SchedulerKind::Exact;
-        else if (mode == "portfolio")
-            kind = service::SchedulerKind::Portfolio;
-        else {
+        std::optional<service::SchedulerKind> kind =
+            service::parseSchedulerKind(mode);
+        if (!kind) {
             std::fprintf(stderr, "mdesc: unknown batch mode '%s'\n",
                          mode.c_str());
             return usage();
         }
         for (auto &req : requests)
-            req.scheduler = kind;
+            req.scheduler = *kind;
     }
 
     // ...answer with M threads.
