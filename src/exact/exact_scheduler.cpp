@@ -36,14 +36,36 @@ decomposeSlot(int32_t slot, uint32_t words, int32_t &cycle, uint32_t &word)
     word = uint32_t(slot - c * w);
 }
 
-/** a is a subset of b (per-word mask inclusion). */
-bool
-subsetOf(const std::vector<uint64_t> &a, const std::vector<uint64_t> &b)
+/** Usage masks at one (offset, word) of an option. */
+struct Usage
 {
-    for (size_t i = 0; i < a.size(); ++i)
-        if (a[i] & ~b[i])
-            return false;
-    return true;
+    int32_t offset;
+    uint32_t word;
+    uint64_t mask;
+};
+
+/** One option's usages, one entry per (offset, word). */
+using OptionUsages = std::vector<Usage>;
+
+/** A candidate group: instances @p key at offsets [lo, hi]. */
+struct Candidate
+{
+    std::vector<uint64_t> key;
+    int32_t lo = 0;
+    int32_t hi = 0;
+
+    bool operator==(const Candidate &) const = default;
+};
+
+/** The distinct (instance, offset) usages of @p opt inside @p c. */
+uint32_t
+usagesInside(const OptionUsages &opt, const Candidate &c)
+{
+    uint32_t count = 0;
+    for (const Usage &u : opt)
+        if (u.offset >= c.lo && u.offset <= c.hi)
+            count += uint32_t(std::popcount(u.mask & c.key[u.word]));
+    return count;
 }
 
 } // namespace
@@ -58,143 +80,166 @@ void
 ExactScheduler::buildGroups()
 {
     const uint32_t words = low_.slotWords();
-    const uint32_t num_res = low_.numResources();
-    std::vector<int32_t> min_off(num_res, INT32_MAX);
-    std::vector<int32_t> max_off(num_res, INT32_MIN);
 
-    std::vector<uint32_t> used_trees;
-    auto note_tree = [&](uint32_t t) {
-        if (t == kInvalidId)
-            return;
-        if (std::find(used_trees.begin(), used_trees.end(), t)
-            == used_trees.end())
-            used_trees.push_back(t);
-    };
-    for (const auto &cls : low_.opClasses()) {
-        note_tree(cls.tree);
-        note_tree(cls.cascade_tree);
-    }
-
-    // Pass 1: intern every OR subtree's mandatory instance group and
-    // record each resource's usage-offset spread.
-    std::vector<uint64_t> key(words);
-    for (uint32_t t : used_trees) {
-        const auto &tree = low_.trees()[t];
-        for (uint32_t s = 0; s < tree.num_or_trees; ++s) {
-            const auto &sub =
-                low_.orTrees()[low_.orRefs()[tree.first_or_ref + s]];
-            std::fill(key.begin(), key.end(), 0);
-            uint32_t mandatory = UINT32_MAX;
-            for (uint32_t o = 0; o < sub.num_options; ++o) {
-                const auto &opt =
-                    low_.options()
-                        [low_.optionRefs()[sub.first_option_ref + o]];
-                uint32_t count = 0;
-                for (uint32_t ci = 0; ci < opt.num_checks; ++ci) {
-                    const auto &chk = low_.checks()[opt.first_check + ci];
-                    int32_t cyc;
-                    uint32_t word;
-                    decomposeSlot(chk.slot, words, cyc, word);
-                    key[word] |= chk.mask;
-                    count += uint32_t(std::popcount(chk.mask));
-                    for (uint64_t bits = chk.mask; bits;
-                         bits &= bits - 1) {
-                        uint32_t r = word * 64
-                                     + uint32_t(std::countr_zero(bits));
-                        if (r >= num_res)
-                            continue;
-                        min_off[r] = std::min(min_off[r], cyc);
-                        max_off[r] = std::max(max_off[r], cyc);
-                    }
-                }
-                mandatory = std::min(mandatory, count);
-            }
-            if (mandatory == 0 || mandatory == UINT32_MAX)
-                continue;
-            bool known = false;
-            for (const auto &g : groups_)
-                if (g.key == key) {
-                    known = true;
-                    break;
-                }
-            if (!known) {
-                Group g;
-                g.key = key;
-                groups_.push_back(std::move(g));
-            }
-        }
-    }
-
-    for (auto &g : groups_) {
-        int32_t lo = INT32_MAX, hi = INT32_MIN, size = 0;
-        for (uint32_t w = 0; w < words; ++w) {
-            for (uint64_t bits = g.key[w]; bits; bits &= bits - 1) {
-                uint32_t r = w * 64 + uint32_t(std::countr_zero(bits));
-                if (r >= num_res)
-                    continue;
-                ++size;
-                lo = std::min(lo, min_off[r]);
-                hi = std::max(hi, max_off[r]);
-            }
-        }
-        g.size = size ? size : 1;
-        g.width = lo <= hi ? hi - lo : 0;
-    }
-
-    // Pass 2: per-class demand against the interned groups.
-    class_demand_.resize(low_.opClasses().size());
-    for (size_t i = 0; i < low_.opClasses().size(); ++i) {
-        const auto &cls = low_.opClasses()[i];
-        auto &cd = class_demand_[i];
-        cd.normal = treeDemand(cls.tree);
-        if (cls.cascade_tree != kInvalidId) {
-            cd.either = treeDemand(cls.cascade_tree);
-            for (size_t g = 0; g < cd.either.size(); ++g)
-                cd.either[g] = std::min(cd.either[g], cd.normal[g]);
-        } else {
-            cd.either = cd.normal;
-        }
-    }
-}
-
-std::vector<uint32_t>
-ExactScheduler::treeDemand(uint32_t tree_id) const
-{
-    std::vector<uint32_t> demand(groups_.size(), 0);
-    if (tree_id == kInvalidId)
-        return demand;
-    const uint32_t words = low_.slotWords();
-    const auto &tree = low_.trees()[tree_id];
-    std::vector<uint64_t> key(words);
-    for (uint32_t s = 0; s < tree.num_or_trees; ++s) {
-        const auto &sub =
-            low_.orTrees()[low_.orRefs()[tree.first_or_ref + s]];
-        std::fill(key.begin(), key.end(), 0);
-        uint32_t mandatory = UINT32_MAX;
+    // Every OR subtree the op classes' trees reference, each option
+    // folded to one mask per (offset, word).
+    std::vector<uint32_t> sub_ids;
+    std::vector<std::vector<OptionUsages>> subs;
+    auto intern_sub = [&](uint32_t or_id) {
+        size_t s = std::find(sub_ids.begin(), sub_ids.end(), or_id)
+                   - sub_ids.begin();
+        if (s < sub_ids.size())
+            return s;
+        sub_ids.push_back(or_id);
+        const auto &sub = low_.orTrees()[or_id];
+        auto &opts = subs.emplace_back(sub.num_options);
         for (uint32_t o = 0; o < sub.num_options; ++o) {
             const auto &opt =
                 low_.options()[low_.optionRefs()[sub.first_option_ref + o]];
-            uint32_t count = 0;
             for (uint32_t ci = 0; ci < opt.num_checks; ++ci) {
                 const auto &chk = low_.checks()[opt.first_check + ci];
-                int32_t cyc;
-                uint32_t word;
-                decomposeSlot(chk.slot, words, cyc, word);
-                key[word] |= chk.mask;
-                count += uint32_t(std::popcount(chk.mask));
+                Usage u;
+                decomposeSlot(chk.slot, words, u.offset, u.word);
+                auto same = std::find_if(
+                    opts[o].begin(), opts[o].end(), [&](const Usage &v) {
+                        return v.offset == u.offset && v.word == u.word;
+                    });
+                if (same != opts[o].end())
+                    same->mask |= chk.mask;
+                else
+                    opts[o].push_back({u.offset, u.word, chk.mask});
             }
-            mandatory = std::min(mandatory, count);
         }
-        if (mandatory == 0 || mandatory == UINT32_MAX)
-            continue;
-        // A subtree's guaranteed usage also satisfies every group that
-        // contains its instances, so charge all supersets: that is what
-        // lets a cascade tree's demand line up with the normal tree's.
-        for (size_t g = 0; g < groups_.size(); ++g)
-            if (subsetOf(key, groups_[g].key))
-                demand[g] += mandatory;
+        return s;
+    };
+    // Each tree as its subtrees' indices into subs.
+    auto tree_subs = [&](uint32_t t) {
+        std::vector<size_t> out;
+        if (t == kInvalidId)
+            return out;
+        const auto &tree = low_.trees()[t];
+        for (uint32_t k = 0; k < tree.num_or_trees; ++k)
+            out.push_back(intern_sub(low_.orRefs()[tree.first_or_ref + k]));
+        return out;
+    };
+    const auto &classes = low_.opClasses();
+    std::vector<std::vector<size_t>> normal_subs(classes.size());
+    std::vector<std::vector<size_t>> cascade_subs(classes.size());
+    for (size_t c = 0; c < classes.size(); ++c) {
+        normal_subs[c] = tree_subs(classes[c].tree);
+        cascade_subs[c] = tree_subs(classes[c].cascade_tree);
     }
-    return demand;
+
+    // Candidates: each subtree's instances over its whole offset spread,
+    // and the instances it uses at each single offset.
+    std::vector<Candidate> cands;
+    auto add = [&](Candidate c) {
+        if (std::find(cands.begin(), cands.end(), c) == cands.end())
+            cands.push_back(std::move(c));
+    };
+    for (const auto &opts : subs) {
+        Candidate whole{std::vector<uint64_t>(words), INT32_MAX, INT32_MIN};
+        for (const auto &opt : opts)
+            for (const Usage &u : opt) {
+                whole.key[u.word] |= u.mask;
+                whole.lo = std::min(whole.lo, u.offset);
+                whole.hi = std::max(whole.hi, u.offset);
+            }
+        if (whole.lo > whole.hi)
+            continue;
+        for (int32_t d = whole.lo; d <= whole.hi; ++d) {
+            Candidate at{std::vector<uint64_t>(words), d, d};
+            for (const auto &opt : opts)
+                for (const Usage &u : opt)
+                    if (u.offset == d)
+                        at.key[u.word] |= u.mask;
+            if (at.key != std::vector<uint64_t>(words))
+                add(std::move(at));
+        }
+        add(std::move(whole));
+    }
+
+    // A subtree's demand on a candidate: the fewest usages any of its
+    // options places inside it. The options chosen in one attempt never
+    // share a slot (the checker's pending overlay), and no two ops do,
+    // so the demands of a tree's subtrees and of many ops add up.
+    std::vector<std::vector<uint32_t>> sub_demand(subs.size());
+    for (size_t s = 0; s < subs.size(); ++s) {
+        sub_demand[s].resize(cands.size());
+        for (size_t g = 0; g < cands.size(); ++g) {
+            uint32_t fewest = subs[s].empty() ? 0 : UINT32_MAX;
+            for (const auto &opt : subs[s])
+                fewest = std::min(fewest, usagesInside(opt, cands[g]));
+            sub_demand[s][g] = fewest;
+        }
+    }
+    auto tree_demand = [&](const std::vector<size_t> &tsubs) {
+        std::vector<uint32_t> dem(cands.size(), 0);
+        for (size_t s : tsubs)
+            for (size_t g = 0; g < cands.size(); ++g)
+                dem[g] += sub_demand[s][g];
+        return dem;
+    };
+    class_demand_.resize(classes.size());
+    for (size_t c = 0; c < classes.size(); ++c) {
+        auto &cd = class_demand_[c];
+        cd.normal = tree_demand(normal_subs[c]);
+        cd.either = cd.normal;
+        if (classes[c].cascade_tree != kInvalidId) {
+            std::vector<uint32_t> casc = tree_demand(cascade_subs[c]);
+            for (size_t g = 0; g < cands.size(); ++g)
+                cd.either[g] = std::min(cd.either[g], casc[g]);
+        }
+    }
+
+    std::vector<Group> all(cands.size());
+    for (size_t g = 0; g < cands.size(); ++g) {
+        int32_t size = 0;
+        for (uint64_t w : cands[g].key)
+            size += std::popcount(w);
+        all[g].size = size;
+        all[g].width = cands[g].hi - cands[g].lo;
+    }
+
+    // Keep a group only if some class demands it and no other group
+    // dominates it: no wider, and no smaller demand per instance for
+    // any class, cascading or not. Such a group bounds every block at
+    // least as high. Of two equal groups the earlier stays.
+    auto dominates = [&](size_t a, size_t b) {
+        if (all[a].width > all[b].width)
+            return false;
+        const uint64_t sa = uint64_t(all[a].size);
+        const uint64_t sb = uint64_t(all[b].size);
+        for (const auto &cd : class_demand_)
+            if (cd.normal[a] * sb < cd.normal[b] * sa
+                || cd.either[a] * sb < cd.either[b] * sa)
+                return false;
+        return true;
+    };
+    std::vector<size_t> kept;
+    for (size_t g = 0; g < cands.size(); ++g) {
+        bool demanded = false;
+        for (const auto &cd : class_demand_)
+            demanded |= cd.normal[g] != 0;
+        if (!demanded)
+            continue;
+        bool dominated = false;
+        for (size_t o = 0; o < cands.size() && !dominated; ++o)
+            dominated = o != g && dominates(o, g)
+                        && (o < g || !dominates(g, o));
+        if (!dominated)
+            kept.push_back(g);
+    }
+    for (size_t k = 0; k < kept.size(); ++k)
+        groups_.push_back(all[kept[k]]);
+    for (auto &cd : class_demand_) {
+        for (size_t k = 0; k < kept.size(); ++k) {
+            cd.normal[k] = cd.normal[kept[k]];
+            cd.either[k] = cd.either[kept[k]];
+        }
+        cd.normal.resize(kept.size());
+        cd.either.resize(kept.size());
+    }
 }
 
 int32_t
@@ -285,6 +330,48 @@ ExactScheduler::computeBound(int32_t cycle)
             break;
         ++est_[crit];
         lb = std::max(lb, est_[crit] + h_[crit] + 1);
+    }
+    return lb;
+}
+
+int32_t
+ExactScheduler::energeticBound()
+{
+    // A schedule of length L issues each op u inside
+    // [est_[u], L - 1 - h_[u]]; est_ holds the root's earliest starts.
+    // The ops released at a or later whose tail is at least t all issue
+    // inside [a, L - 1 - t], so their usages of a group fit into
+    // L - a - t + width of its cycles. Hence
+    // L >= a + t - width + ceil(demand / size) for every a and t.
+    // Walking the ops by descending tail visits every threshold t.
+    by_tail_.resize(n_);
+    for (uint32_t u = 0; u < n_; ++u)
+        by_tail_[u] = u;
+    std::sort(by_tail_.begin(), by_tail_.end(),
+              [&](uint32_t x, uint32_t y) { return h_[x] > h_[y]; });
+    releases_.assign(est_.begin(), est_.begin() + n_);
+    std::sort(releases_.begin(), releases_.end());
+    releases_.erase(std::unique(releases_.begin(), releases_.end()),
+                    releases_.end());
+
+    int32_t lb = 0;
+    for (size_t g = 0; g < groups_.size(); ++g) {
+        if (!rem_demand_[g])
+            continue;
+        const Group &grp = groups_[g];
+        for (int32_t a : releases_) {
+            uint64_t dem = 0;
+            for (uint32_t k = 0; k < n_; ++k) {
+                const uint32_t u = by_tail_[k];
+                if (est_[u] >= a)
+                    dem += (*op_demand_[u])[g];
+                if (!dem || (k + 1 < n_ && h_[by_tail_[k + 1]] == h_[u]))
+                    continue;
+                int32_t need = int32_t((dem + uint64_t(grp.size) - 1)
+                                       / uint64_t(grp.size));
+                lb = std::max(lb, a + h_[u] + need - grp.width);
+            }
+        }
     }
     return lb;
 }
@@ -484,6 +571,8 @@ ExactScheduler::scheduleBlock(const sched::Block &block,
     best_len_ = incumbent->length;
 
     root_lb_ = std::max(computeBound(0), 1);
+    if (root_lb_ < best_len_)
+        root_lb_ = std::max(root_lb_, energeticBound());
     res.lower_bound = root_lb_;
 
     bool completed = true;

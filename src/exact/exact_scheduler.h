@@ -25,10 +25,26 @@
  *    unplaced operation (cascade-relaxable edges count as zero);
  *  - earliest start: a forward pass propagating placed issue cycles
  *    through the remaining dependences;
- *  - resource height: for every *mandatory resource group* - the union
- *    of instances that every option of some OR subtree must take one
- *    of - the remaining demand divided by the group's per-cycle
- *    capacity, corrected by the group's usage-offset spread.
+ *  - resource height: for every *mandatory resource group* - a set of
+ *    instances plus a window of usage offsets - the remaining demand
+ *    divided by the group's per-cycle capacity, less the window's span.
+ *
+ * The candidate groups are each OR subtree's instances over its whole
+ * offset spread, and the instances it uses at each single offset. An
+ * op's demand on a group is the sum, over its tree's OR subtrees, of the
+ * fewest distinct (instance, offset) usages any of the subtree's options
+ * places inside the group. The demands add up because the checker never
+ * lets two options chosen in one attempt share a slot, and no two ops
+ * share one either. Groups no op class demands, and groups another group
+ * dominates (no wider, and no smaller demand per instance for any
+ * class), are dropped.
+ *
+ * At the root only, an energetic test raises the bound: an op issues
+ * between its release (longest relaxed path from the block entry) and
+ * its deadline (length - 1 - its tail), so the ops whose whole interval
+ * lies inside a window must fit their demand on each group into the
+ * window's cycles. A list schedule that meets this bound is proven
+ * optimal without a search node.
  *
  * The earliest-start estimate is sharpened with the checker's pure
  * wouldFit() probe: within one search subtree the RU map only grows, so
@@ -90,7 +106,8 @@ struct ExactResult
     /** The search found a schedule strictly shorter than the incumbent. */
     bool improved = false;
     /** Proven lower bound on the block's schedule length: the root
-     * static bound, or the optimum itself when the search completed. */
+     * bound (the static bounds and the energetic test), or the optimum
+     * itself when the search completed. */
     int32_t lower_bound = 0;
 
     /** Search nodes expanded. */
@@ -137,16 +154,14 @@ class ExactScheduler
                               const ExactOptions &opts = {});
 
   private:
-    /** One mandatory resource group (see file comment). */
+    /** One mandatory resource group (see file comment): a set of
+     * instances and a window of usage offsets. */
     struct Group
     {
-        /** Instance-set key, one word per RU-map slot word. */
-        std::vector<uint64_t> key;
         /** Instances in the group (per-cycle capacity). */
         int32_t size = 0;
-        /** Usage-offset spread (max offset - min offset) across the
-         * group's instances, widening the cycle window demand may
-         * occupy. */
+        /** The window's span (last offset - first offset), widening the
+         * cycle range its usages may occupy. */
         int32_t width = 0;
     };
 
@@ -162,7 +177,7 @@ class ExactScheduler
     };
 
     void buildGroups();
-    std::vector<uint32_t> treeDemand(uint32_t tree) const;
+    int32_t energeticBound();
 
     bool dfs(int32_t cycle, uint32_t floor);
     int32_t computeBound(int32_t cycle);
@@ -193,6 +208,8 @@ class ExactScheduler
     std::vector<uint32_t> order_;  ///< placement stack (canonical order)
     std::vector<uint64_t> rem_demand_;  ///< per group
     std::vector<const std::vector<uint32_t> *> op_demand_;
+    std::vector<uint32_t> by_tail_;   ///< ops by descending h_
+    std::vector<int32_t> releases_;   ///< distinct root earliest starts
     std::vector<std::vector<rumap::Reservation>> reserved_pool_;
     /** The options chosen at each placement depth. */
     std::vector<std::vector<uint32_t>> chosen_pool_;

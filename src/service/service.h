@@ -206,7 +206,7 @@ struct ServiceConfig
      * across service instances and process restarts. Created if
      * absent; the constructor throws MdesError when it cannot be.
      */
-    std::string store_dir;
+    std::string store_dir{};
     /** Disk-store size budget in bytes (0 = unbounded); publishes over
      * budget trigger an LRU eviction sweep. */
     uint64_t store_max_bytes = 0;

@@ -192,7 +192,7 @@ struct StoreConfig
     /** Recorded in each artifact's creation metadata. */
     std::string creator = "mdes";
     /** Backoff schedule for transient I/O failures. */
-    RetryPolicy retry;
+    RetryPolicy retry{};
 };
 
 /** The persistent content-addressed artifact store. */

@@ -1,8 +1,10 @@
 /**
  * @file
  * Branch-and-bound exact scheduler tests: lockstep against an
- * independent exhaustive enumerator on tiny blocks (handcrafted and
- * random), wouldFit() purity under millions of probes, budget
+ * independent exhaustive enumerator on tiny blocks (handcrafted, and
+ * random on every paper machine in each lowering the system schedules
+ * against), root proofs pinned on handcrafted blocks, wouldFit()
+ * purity under millions of probes, budget
  * exhaustion falling back to the list incumbent, cooperative
  * cancellation, and the service-level portfolio guarantee that it never
  * returns a schedule longer than plain list scheduling.
@@ -17,6 +19,7 @@
 #include <gtest/gtest.h>
 
 #include "exact/exact_scheduler.h"
+#include "exp/runner.h"
 #include "hmdes/compile.h"
 #include "lmdes/low_mdes.h"
 #include "machines/machines.h"
@@ -103,6 +106,7 @@ class BruteForce
                                : 0;
         }
         cycles_.assign(n_, -1);
+        pool_.resize(n_);
         pending_.assign(n_, 0);
         for (uint32_t u = 0; u < n_; ++u)
             pending_[u] = uint32_t(graph_.preds(u).size());
@@ -148,9 +152,9 @@ class BruteForce
             bool cascade = can_casc_[u] && cycle < normal;
             const auto &cls = low_.opClasses()[classes_[u]];
             uint32_t tree = cascade ? cls.cascade_tree : cls.tree;
-            rumap::CheckStats ignore;
-            std::vector<rumap::Reservation> reserved;
-            if (!checker_.tryReserve(tree, cycle, ru_, ignore, nullptr,
+            std::vector<rumap::Reservation> &reserved = pool_[placed_];
+            reserved.clear();
+            if (!checker_.tryReserve(tree, cycle, ru_, ignore_, nullptr,
                                      &reserved))
                 continue;
             int32_t prev_len = len_;
@@ -175,6 +179,8 @@ class BruteForce
 
     const LowMdes &low_;
     rumap::Checker checker_;
+    rumap::CheckStats ignore_;
+    std::vector<std::vector<rumap::Reservation>> pool_;
     rumap::RuMap ru_;
     sched::DepGraph graph_;
     std::vector<uint32_t> classes_;
@@ -215,6 +221,15 @@ expectMatchesBruteForce(const LowMdes &low, const Block &block,
 
     int32_t truth = BruteForce(low).shortest(block, seed.length);
     truth = std::min(truth, seed.length);
+
+    // The root bound alone (a one-node budget) never exceeds the optimum.
+    exact::ExactOptions root_only;
+    root_only.time_budget_us = 0;
+    root_only.max_nodes = 1;
+    root_only.incumbent = &seed;
+    EXPECT_LE(search.scheduleBlock(block, stats, root_only).lower_bound,
+              truth)
+        << what;
 
     EXPECT_TRUE(er.proven_optimal) << what;
     EXPECT_EQ(er.schedule.length, truth) << what;
@@ -292,23 +307,118 @@ TEST(ExactScheduler, MatchesBruteForceHandcrafted)
     }
 }
 
+/** A paper machine as the service compiles it: every transform, packed
+ * into bit vectors. */
+LowMdes
+servedMachine(const char *name)
+{
+    const machines::MachineInfo *info = machines::byName(name);
+    EXPECT_NE(info, nullptr) << name;
+    return exp::compileSourceToLow(info->source, PipelineConfig::all(),
+                                   /*bit_vector=*/true);
+}
+
 TEST(ExactScheduler, MatchesBruteForceRandomTinyBlocks)
 {
-    LowMdes low = machineByName("SuperSPARC");
-    workload::WorkloadSpec spec = machines::superSparc().workload;
-    spec.num_ops = 64;
-    spec.min_block_size = 3;
-    spec.max_block_size = 6;
-    for (uint64_t seed = 1; seed <= 4; ++seed) {
-        spec.seed = seed;
-        sched::Program program = workload::generate(spec, low);
-        ASSERT_FALSE(program.blocks.empty());
-        for (size_t b = 0; b < program.blocks.size(); ++b) {
-            std::string what = "seed " + std::to_string(seed)
-                               + " block " + std::to_string(b);
-            expectMatchesBruteForce(low, program.blocks[b],
-                                    what.c_str());
+    // Each paper machine in three lowerings: raw, as the service compiles
+    // it, and unoptimized and unpacked, as perfbench's list-schedule
+    // oracle compiles it. Every bound is checked against the
+    // brute-force optimum on 3-7-op blocks.
+    for (const char *name : {"PA7100", "Pentium", "SuperSPARC", "K5"}) {
+        const machines::MachineInfo *info = machines::byName(name);
+        ASSERT_NE(info, nullptr) << name;
+        const LowMdes lows[] = {
+            machineByName(name),
+            servedMachine(name),
+            exp::compileSourceToLow(info->source, PipelineConfig::none(),
+                                    /*bit_vector=*/false),
+        };
+        const char *lowering[] = {"raw", "served", "unoptimized"};
+        for (size_t l = 0; l < 3; ++l) {
+            workload::WorkloadSpec spec = info->workload;
+            spec.num_ops = 200;
+            spec.min_block_size = 3;
+            spec.max_block_size = 7;
+            for (uint64_t seed = 1; seed <= 3; ++seed) {
+                spec.seed = seed;
+                sched::Program program = workload::generate(spec, lows[l]);
+                ASSERT_FALSE(program.blocks.empty());
+                for (size_t b = 0; b < program.blocks.size(); ++b) {
+                    std::string what = std::string(name) + " "
+                                       + lowering[l] + " seed "
+                                       + std::to_string(seed) + " block "
+                                       + std::to_string(b);
+                    expectMatchesBruteForce(lows[l], program.blocks[b],
+                                            what.c_str());
+                }
+            }
         }
+    }
+}
+
+// ---------------------------------------------------- root proofs
+
+/** The search proves @p block's list schedule, of @p list_length
+ * cycles, optimal from its root bound alone: no search node. */
+void
+expectProvenAtRoot(const LowMdes &low, const Block &block,
+                   int32_t list_length)
+{
+    SchedStats stats;
+    BlockSchedule list = ListScheduler(low).scheduleBlock(block, stats);
+    ASSERT_EQ(list.length, list_length);
+    exact::ExactScheduler search(low);
+    exact::ExactResult er = exactOn(search, block, list);
+    EXPECT_TRUE(er.proven_optimal);
+    EXPECT_EQ(er.lower_bound, list.length);
+    EXPECT_EQ(er.nodes, 0u);
+}
+
+TEST(ExactScheduler, RootBoundProvesListSchedules)
+{
+    {
+        // Pentium: four independent moves. Either option of a move takes
+        // a decode slot, a pipe, its ALU and a writeback slot: four of the
+        // eight instances its subtree spans, so four moves need two
+        // cycles.
+        SCOPED_TRACE("Pentium MOV_RR x4");
+        LowMdes low = servedMachine("Pentium");
+        uint32_t MOV_RR = low.findOpClass("MOV_RR");
+        std::vector<testing::Op> ops;
+        for (int32_t i = 0; i < 4; ++i)
+            ops.push_back(instr(MOV_RR, {10 + i}, {i}));
+        sched::Program prog = oneBlock(ops);
+        expectProvenAtRoot(low, prog.blocks[0], 2);
+    }
+    {
+        // K5: three ops that each need an ALU at their dispatch cycle.
+        // Two ALUs give two cycles, but only in a group that counts the
+        // offset-0 ALU usages alone: the late ALU usages of other tables
+        // would widen it by a cycle.
+        SCOPED_TRACE("K5 INC, ALU_RI, CMP_BR");
+        LowMdes low = servedMachine("K5");
+        sched::Program prog = oneBlock({
+            instr(low.findOpClass("INC"), {3}, {26}),
+            instr(low.findOpClass("ALU_RI"), {0}, {11}),
+            instr(low.findOpClass("CMP_BR"), {24, 22}, {}, false,
+                  /*is_branch=*/true),
+        });
+        expectProvenAtRoot(low, prog.blocks[0], 2);
+    }
+    {
+        // Pentium: the ALU op waits a cycle for the shift, and the
+        // branch bundle issues alone no earlier than it. The groups
+        // alone give 2; the root's energetic test sees that both must
+        // issue in cycle 1 and cannot share it.
+        SCOPED_TRACE("Pentium SHR, ALU_RR, CMP_BR");
+        LowMdes low = servedMachine("Pentium");
+        sched::Program prog = oneBlock({
+            instr(low.findOpClass("SHR"), {3}, {4}),
+            instr(low.findOpClass("ALU_RR"), {0, 4}, {4}),
+            instr(low.findOpClass("CMP_BR"), {1, 5}, {}, false,
+                  /*is_branch=*/true),
+        });
+        expectProvenAtRoot(low, prog.blocks[0], 3);
     }
 }
 
