@@ -167,18 +167,7 @@ lintOverlaps(const Mdes &m, std::vector<LintFinding> &findings)
         const auto &subtrees = m.tree(t).or_trees;
         for (size_t i = 0; i < subtrees.size(); ++i) {
             for (size_t j = i + 1; j < subtrees.size(); ++j) {
-                bool overlap = false;
-                for (OptionId oi : m.orTree(subtrees[i]).options) {
-                    for (OptionId oj : m.orTree(subtrees[j]).options) {
-                        for (const auto &ui : m.option(oi).usages) {
-                            for (const auto &uj :
-                                 m.option(oj).usages) {
-                                overlap |= ui == uj;
-                            }
-                        }
-                    }
-                }
-                if (overlap) {
+                if (m.orTreesOverlap(subtrees[i], subtrees[j])) {
                     findings.push_back(
                         {LintKind::OverlappingSubtrees,
                          "table '" + m.tree(t).name +

@@ -158,6 +158,34 @@ Mdes::earliestTimeTree(TreeId id) const
     return best;
 }
 
+bool
+Mdes::orTreesOverlap(OrTreeId a, OrTreeId b) const
+{
+    for (OptionId oa : or_trees_[a].options) {
+        for (OptionId ob : or_trees_[b].options) {
+            for (const auto &ua : options_[oa].usages) {
+                const auto &ub = options_[ob].usages;
+                if (std::find(ub.begin(), ub.end(), ua) != ub.end())
+                    return true;
+            }
+        }
+    }
+    return false;
+}
+
+bool
+Mdes::subtreesOverlap(TreeId tree) const
+{
+    const auto &subtrees = trees_[tree].or_trees;
+    for (size_t i = 0; i < subtrees.size(); ++i) {
+        for (size_t j = i + 1; j < subtrees.size(); ++j) {
+            if (orTreesOverlap(subtrees[i], subtrees[j]))
+                return true;
+        }
+    }
+    return false;
+}
+
 std::vector<uint32_t>
 Mdes::orTreeShareCounts() const
 {

@@ -229,6 +229,19 @@ class Mdes
     int32_t earliestTimeTree(TreeId id) const;
 
     /**
+     * True when some option of @p a and some option of @p b use the same
+     * resource instance at the same time, so two AND subtrees holding
+     * them can collide with each other.
+     */
+    bool orTreesOverlap(OrTreeId a, OrTreeId b) const;
+
+    /**
+     * True when two of @p tree's AND subtrees overlap (orTreesOverlap).
+     * The Section 8 passes assume they never do, and skip such a tree.
+     */
+    bool subtreesOverlap(TreeId tree) const;
+
+    /**
      * Number of AND/OR-trees (reachable from operation classes) that
      * reference each OR-tree; used by the OR-tree sorting heuristic.
      */

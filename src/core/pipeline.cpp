@@ -81,7 +81,8 @@ runPipeline(Mdes &m, const PipelineConfig &config,
     if (config.hoist) {
         checkpoint();
         TRACE_SPAN_F(span, "pass/hoist");
-        stats.usages_hoisted = hoistCommonUsages(m);
+        stats.usages_hoisted =
+            hoistCommonUsages(m, &stats.hoist_skipped_overlapping);
         span.counter("usages_hoisted", stats.usages_hoisted);
         if (stats.usages_hoisted > 0) {
             // Re-merge clones created by hoisting and drop the originals
@@ -101,7 +102,8 @@ runPipeline(Mdes &m, const PipelineConfig &config,
     if (config.sort_or_trees) {
         checkpoint();
         TRACE_SPAN_F(span, "pass/sort-or-trees");
-        stats.trees_reordered = sortOrSubtrees(m);
+        stats.trees_reordered =
+            sortOrSubtrees(m, &stats.sort_skipped_overlapping);
         span.counter("trees_reordered", stats.trees_reordered);
     }
     return stats;

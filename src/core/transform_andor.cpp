@@ -13,7 +13,7 @@
 namespace mdes {
 
 size_t
-sortOrSubtrees(Mdes &m)
+sortOrSubtrees(Mdes &m, size_t *skipped_overlapping)
 {
     auto shares = m.orTreeShareCounts();
     size_t changed = 0;
@@ -22,6 +22,13 @@ sortOrSubtrees(Mdes &m)
         auto &subtrees = m.tree(t).or_trees;
         if (subtrees.size() < 2)
             continue;
+        // Checking overlapping subtrees in another order can change
+        // which option each one picks, and so the schedule.
+        if (m.subtreesOverlap(t)) {
+            if (skipped_overlapping)
+                ++*skipped_overlapping;
+            continue;
+        }
 
         struct Key
         {
@@ -102,11 +109,16 @@ usagesAtTime(const Mdes &m, OptionId o, int32_t time)
 } // namespace
 
 size_t
-hoistCommonUsages(Mdes &m)
+hoistCommonUsages(Mdes &m, size_t *skipped_overlapping)
 {
     size_t hoisted = 0;
 
     for (TreeId t = 0; t < m.trees().size(); ++t) {
+        if (m.subtreesOverlap(t)) {
+            if (skipped_overlapping)
+                ++*skipped_overlapping;
+            continue;
+        }
         for (size_t p = 0; p < m.tree(t).or_trees.size(); ++p) {
             OrTreeId s = m.tree(t).or_trees[p];
             if (m.orTree(s).options.size() < 2)

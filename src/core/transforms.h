@@ -89,10 +89,12 @@ void sortUsageChecks(Mdes &m,
  * Sort the OR subtrees of every AND/OR-tree so the subtree most likely to
  * reveal a resource conflict is checked first. Heuristic keys, in order
  * (Section 8): earliest usage time in the subtree; fewest options; shared
- * by the most AND/OR-trees; original position.
+ * by the most AND/OR-trees; original position. A tree whose subtrees
+ * overlap (Mdes::subtreesOverlap) keeps its order, and counts in
+ * @p skipped_overlapping when given.
  * @return number of AND/OR-trees whose subtree order changed.
  */
-size_t sortOrSubtrees(Mdes &m);
+size_t sortOrSubtrees(Mdes &m, size_t *skipped_overlapping = nullptr);
 
 /**
  * Hoist resource usages common to all options of an OR subtree into a
@@ -103,10 +105,12 @@ size_t sortOrSubtrees(Mdes &m);
  * (2) hoist into a new one-option subtree when the common usage is the
  * only usage at its time in every option. Entities shared with other
  * trees are cloned before modification (run eliminateRedundantInfo()
- * afterwards to re-merge).
+ * afterwards to re-merge). A tree whose subtrees overlap
+ * (Mdes::subtreesOverlap) is left as written, and counts in
+ * @p skipped_overlapping when given.
  * @return number of usages hoisted.
  */
-size_t hoistCommonUsages(Mdes &m);
+size_t hoistCommonUsages(Mdes &m, size_t *skipped_overlapping = nullptr);
 
 /** Which transformations to run, in the paper's order. */
 struct PipelineConfig
@@ -136,6 +140,10 @@ struct PipelineStats
     size_t redundant_options_removed = 0;
     size_t trees_reordered = 0;
     size_t usages_hoisted = 0;
+    /** AND/OR-trees that hoisting and subtree sorting each left as
+     * written because their subtrees overlap. */
+    size_t hoist_skipped_overlapping = 0;
+    size_t sort_skipped_overlapping = 0;
     /** Resource instances the time-shift pass actually moved (nonzero
      * shift constants returned by shiftUsageTimes()). */
     size_t resources_shifted = 0;

@@ -308,22 +308,12 @@ Builder::declareTable(const TableDecl &d)
     // AND subtrees that can touch the same resource instance at the same
     // time make the greedy AND-level evaluation weaker than the full
     // cross-product (the checker stays safe via its pending overlay, but
-    // a schedulable combination may be missed, and the Section 8
-    // reorderings assume independence). Warn the description writer.
+    // a schedulable combination may be missed). The Section 8 passes
+    // assume independence, so they leave such a table as written. Warn
+    // the description writer.
     for (size_t i = 0; i < tree.or_trees.size(); ++i) {
         for (size_t j = i + 1; j < tree.or_trees.size(); ++j) {
-            bool overlap = false;
-            for (OptionId oi : mdes_.orTree(tree.or_trees[i]).options) {
-                for (OptionId oj :
-                     mdes_.orTree(tree.or_trees[j]).options) {
-                    for (const auto &ui : mdes_.option(oi).usages) {
-                        for (const auto &uj : mdes_.option(oj).usages) {
-                            overlap |= ui == uj;
-                        }
-                    }
-                }
-            }
-            if (overlap) {
+            if (mdes_.orTreesOverlap(tree.or_trees[i], tree.or_trees[j])) {
                 diags_.warning(
                     d.loc,
                     "table '" + d.name + "': AND subtrees '" +

@@ -6,6 +6,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 
@@ -136,286 +137,139 @@ writeAll(int fd, const std::string &data)
 
 } // namespace
 
-NetResponse
-BlockingClient::request(const std::string &line, uint32_t deadline_ms,
-                        uint64_t route)
+void
+BlockingClient::disconnect()
 {
-    NetResponse fail; // transport_ok == false
-    if (fd_ < 0)
-        return fail;
-    uint64_t id = next_id_++;
-    std::string wire;
-    if (json_mode_) {
-        JsonWriter w;
-        w.beginObject();
-        w.key("id").value(id);
-        w.key("req").value(line);
-        if (deadline_ms)
-            w.key("deadline_ms").value(uint64_t(deadline_ms));
-        if (route)
-            w.key("route").value(route);
-        w.endObject();
-        wire = w.str() + "\n";
-    } else {
-        Frame f;
-        f.type = FrameType::Request;
-        f.id = id;
-        f.deadline_ms = deadline_ms;
-        f.route = route;
-        f.payload = line;
-        wire = encodeFrame(f);
-    }
-    if (!writeAll(fd_, wire)) {
-        ::close(fd_);
-        fd_ = -1;
-        return fail;
-    }
-    return readResponse(id);
+    ::close(fd_);
+    fd_ = -1;
 }
 
-NetResponse
-BlockingClient::readResponse(uint64_t want_id)
+bool
+BlockingClient::send(const Frame &frame)
 {
-    NetResponse fail;
-    FrameDecoder decoder;
-    decoder.feed(inbuf_.data(), inbuf_.size());
-    std::string jsonbuf = std::move(inbuf_);
-    inbuf_.clear();
+    if (fd_ < 0)
+        return false;
+    std::string wire;
+    if (!json_mode_) {
+        wire = encodeFrame(frame);
+    } else {
+        JsonWriter w;
+        w.beginObject();
+        w.key("id").value(frame.id);
+        if (frame.type == FrameType::Stat) {
+            w.key("op").value("stats");
+        } else if (frame.type == FrameType::Health) {
+            w.key("op").value("health");
+        } else {
+            w.key("req").value(frame.payload);
+            if (frame.deadline_ms)
+                w.key("deadline_ms").value(uint64_t(frame.deadline_ms));
+            if (frame.route)
+                w.key("route").value(frame.route);
+        }
+        w.endObject();
+        wire = w.str() + "\n";
+    }
+    if (writeAll(fd_, wire))
+        return true;
+    disconnect();
+    return false;
+}
+
+bool
+BlockingClient::receive(uint64_t id, std::initializer_list<FrameType> types,
+                        Frame *out)
+{
     char buf[16384];
     for (;;) {
         if (json_mode_) {
-            size_t nl = jsonbuf.find('\n');
+            // A line has no header: it answers the one message
+            // outstanding.
+            size_t nl = lines_.find('\n');
             if (nl != std::string::npos) {
-                std::string body = jsonbuf.substr(0, nl);
-                inbuf_ = jsonbuf.substr(nl + 1);
-                try {
-                    return parseResponseJson(body);
-                } catch (const MdesError &) {
-                    ::close(fd_);
-                    fd_ = -1;
-                    return fail;
-                }
+                out->type = FrameType::Response;
+                out->id = id;
+                out->payload = lines_.substr(0, nl);
+                lines_.erase(0, nl + 1);
+                return true;
             }
         } else {
-            Frame frame;
-            FrameDecoder::Status st = decoder.next(&frame);
-            if (st == FrameDecoder::Status::Error) {
-                ::close(fd_);
-                fd_ = -1;
-                return fail;
-            }
+            FrameDecoder::Status st = decoder_.next(out);
+            if (st == FrameDecoder::Status::Error)
+                break;
             if (st == FrameDecoder::Status::Ready) {
-                if (frame.type == FrameType::Pong ||
-                    frame.id != want_id)
-                    continue; // not ours; keep reading
-                // Bytes decoded past our frame (pipelined traffic)
-                // go back to inbuf_ for the next reader.
-                inbuf_ = decoder.takeResidue();
-                try {
-                    return parseResponseJson(frame.payload);
-                } catch (const MdesError &) {
-                    ::close(fd_);
-                    fd_ = -1;
-                    return fail;
-                }
+                if (out->id == id &&
+                    std::find(types.begin(), types.end(), out->type) !=
+                        types.end())
+                    return true;
+                continue; // an earlier reply or a pong; keep reading
             }
         }
         ssize_t n = ::read(fd_, buf, sizeof(buf));
         if (n > 0) {
             if (json_mode_)
-                jsonbuf.append(buf, size_t(n));
+                lines_.append(buf, size_t(n));
             else
-                decoder.feed(buf, size_t(n));
+                decoder_.feed(buf, size_t(n));
             continue;
         }
         if (n < 0 && errno == EINTR)
             continue;
-        ::close(fd_);
-        fd_ = -1;
-        return fail; // EOF or reset before our response
+        break; // EOF or reset before the reply
+    }
+    disconnect();
+    return false;
+}
+
+NetResponse
+BlockingClient::request(const std::string &line, uint32_t deadline_ms,
+                        uint64_t route)
+{
+    Frame f{.type = FrameType::Request,
+            .deadline_ms = deadline_ms,
+            .id = next_id_++,
+            .route = route,
+            .payload = line};
+    Frame reply;
+    if (!send(f) ||
+        !receive(f.id, {FrameType::Response, FrameType::Error}, &reply))
+        return {};
+    try {
+        return parseResponseJson(reply.payload);
+    } catch (const MdesError &) {
+        disconnect();
+        return {};
     }
 }
 
 std::string
 BlockingClient::stats()
 {
-    if (fd_ < 0)
-        return "";
-    uint64_t id = next_id_++;
-    std::string wire;
-    if (json_mode_) {
-        wire = "{\"id\":" + std::to_string(id) + ",\"op\":\"stats\"}\n";
-    } else {
-        Frame f;
-        f.type = FrameType::Stat;
-        f.id = id;
-        wire = encodeFrame(f);
-    }
-    if (!writeAll(fd_, wire)) {
-        ::close(fd_);
-        fd_ = -1;
-        return "";
-    }
-    char buf[16384];
-    if (json_mode_) {
-        std::string jsonbuf = std::move(inbuf_);
-        inbuf_.clear();
-        for (;;) {
-            size_t nl = jsonbuf.find('\n');
-            if (nl != std::string::npos) {
-                inbuf_ = jsonbuf.substr(nl + 1);
-                return jsonbuf.substr(0, nl);
-            }
-            ssize_t n = ::read(fd_, buf, sizeof(buf));
-            if (n > 0) {
-                jsonbuf.append(buf, size_t(n));
-                continue;
-            }
-            if (n < 0 && errno == EINTR)
-                continue;
-            ::close(fd_);
-            fd_ = -1;
-            return "";
-        }
-    }
-    FrameDecoder decoder;
-    decoder.feed(inbuf_.data(), inbuf_.size());
-    inbuf_.clear();
-    for (;;) {
-        Frame frame;
-        FrameDecoder::Status st = decoder.next(&frame);
-        if (st == FrameDecoder::Status::Error)
-            break;
-        if (st == FrameDecoder::Status::Ready) {
-            if (frame.type != FrameType::Response || frame.id != id)
-                continue; // a pong or an earlier response; keep reading
-            // Restore any decoded-but-unconsumed bytes so a response
-            // to a request still in flight is not dropped.
-            inbuf_ = decoder.takeResidue();
-            return frame.payload;
-        }
-        ssize_t n = ::read(fd_, buf, sizeof(buf));
-        if (n > 0) {
-            decoder.feed(buf, size_t(n));
-            continue;
-        }
-        if (n < 0 && errno == EINTR)
-            continue;
-        break;
-    }
-    ::close(fd_);
-    fd_ = -1;
-    return "";
+    Frame f{.type = FrameType::Stat, .id = next_id_++};
+    Frame reply;
+    return send(f) && receive(f.id, {FrameType::Response}, &reply)
+               ? reply.payload
+               : "";
 }
 
 std::string
 BlockingClient::health()
 {
-    if (fd_ < 0)
-        return "";
-    uint64_t id = next_id_++;
-    std::string wire;
-    if (json_mode_) {
-        wire = "{\"id\":" + std::to_string(id) + ",\"op\":\"health\"}\n";
-    } else {
-        Frame f;
-        f.type = FrameType::Health;
-        f.id = id;
-        wire = encodeFrame(f);
-    }
-    if (!writeAll(fd_, wire)) {
-        ::close(fd_);
-        fd_ = -1;
-        return "";
-    }
-    char buf[16384];
-    if (json_mode_) {
-        std::string jsonbuf = std::move(inbuf_);
-        inbuf_.clear();
-        for (;;) {
-            size_t nl = jsonbuf.find('\n');
-            if (nl != std::string::npos) {
-                inbuf_ = jsonbuf.substr(nl + 1);
-                return jsonbuf.substr(0, nl);
-            }
-            ssize_t n = ::read(fd_, buf, sizeof(buf));
-            if (n > 0) {
-                jsonbuf.append(buf, size_t(n));
-                continue;
-            }
-            if (n < 0 && errno == EINTR)
-                continue;
-            ::close(fd_);
-            fd_ = -1;
-            return "";
-        }
-    }
-    FrameDecoder decoder;
-    decoder.feed(inbuf_.data(), inbuf_.size());
-    inbuf_.clear();
-    for (;;) {
-        Frame frame;
-        FrameDecoder::Status st = decoder.next(&frame);
-        if (st == FrameDecoder::Status::Error)
-            break;
-        if (st == FrameDecoder::Status::Ready) {
-            if (frame.type != FrameType::Response || frame.id != id)
-                continue; // a pong or an earlier response; keep reading
-            inbuf_ = decoder.takeResidue();
-            return frame.payload;
-        }
-        ssize_t n = ::read(fd_, buf, sizeof(buf));
-        if (n > 0) {
-            decoder.feed(buf, size_t(n));
-            continue;
-        }
-        if (n < 0 && errno == EINTR)
-            continue;
-        break;
-    }
-    ::close(fd_);
-    fd_ = -1;
-    return "";
+    Frame f{.type = FrameType::Health, .id = next_id_++};
+    Frame reply;
+    return send(f) && receive(f.id, {FrameType::Response}, &reply)
+               ? reply.payload
+               : "";
 }
 
 bool
 BlockingClient::ping()
 {
-    if (fd_ < 0 || json_mode_)
-        return false;
-    Frame f;
-    f.type = FrameType::Ping;
-    f.id = next_id_++;
-    if (!writeAll(fd_, encodeFrame(f))) {
-        ::close(fd_);
-        fd_ = -1;
-        return false;
-    }
-    FrameDecoder decoder;
-    decoder.feed(inbuf_.data(), inbuf_.size());
-    inbuf_.clear();
-    char buf[4096];
-    for (;;) {
-        Frame frame;
-        FrameDecoder::Status st = decoder.next(&frame);
-        if (st == FrameDecoder::Status::Error)
-            break;
-        if (st == FrameDecoder::Status::Ready) {
-            inbuf_ = decoder.takeResidue();
-            return frame.type == FrameType::Pong;
-        }
-        ssize_t n = ::read(fd_, buf, sizeof(buf));
-        if (n > 0) {
-            decoder.feed(buf, size_t(n));
-            continue;
-        }
-        if (n < 0 && errno == EINTR)
-            continue;
-        break;
-    }
-    ::close(fd_);
-    fd_ = -1;
-    return false;
+    if (json_mode_)
+        return false; // JSON lines have no ping
+    Frame f{.type = FrameType::Ping, .id = next_id_++};
+    Frame reply;
+    return send(f) && receive(f.id, {FrameType::Pong}, &reply);
 }
 
 } // namespace mdes::net

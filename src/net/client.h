@@ -6,7 +6,9 @@
  * Blocking client for the mdes::net protocol - the counterpart the
  * tools (mdesc netbatch), the chaos harness, and the network bench
  * drive the server with. One connection, one outstanding request at a
- * time; pipelined load is produced by running several clients.
+ * time; pipelined load is produced by running several clients. Every
+ * call is one send() of a frame (or the JSON line that decodes to it)
+ * and one receive() loop that waits for the reply.
  *
  * Transport failures (connect refused, reset, EOF mid-response) are
  * not exceptions: they come back as NetResponse::transport_ok == false
@@ -16,8 +18,10 @@
  */
 
 #include <cstdint>
+#include <initializer_list>
 #include <string>
 
+#include "net/frame.h"
 #include "service/service.h"
 
 namespace mdes::net {
@@ -119,12 +123,29 @@ class BlockingClient
     std::string health();
 
   private:
-    NetResponse readResponse(uint64_t want_id);
+    /** Write @p frame in this connection's wire mode: the frame itself,
+     * or the JSON line that decodes to it ({"op":"stats"} for a Stat,
+     * {"op":"health"} for a Health, {"req":..} for a Request). False,
+     * with the connection closed, when it cannot be sent. */
+    bool send(const Frame &frame);
+
+    /** The one read loop: block until the reply to @p id arrives as a
+     * frame of one of @p types, skipping any other frame. A JSON line
+     * has no header, so it is the reply to the one message outstanding
+     * and arrives as a Response. Bytes past the reply stay buffered for
+     * the next call. False, with the connection closed, on EOF, reset
+     * or a framing error. */
+    bool receive(uint64_t id, std::initializer_list<FrameType> types,
+                 Frame *out);
+
+    void disconnect();
 
     int fd_ = -1;
     bool json_mode_ = false;
     uint64_t next_id_ = 1;
-    std::string inbuf_;
+    /** Inbound bytes not yet consumed: frames, or JSON lines. */
+    FrameDecoder decoder_;
+    std::string lines_;
 };
 
 } // namespace mdes::net

@@ -83,7 +83,7 @@ struct Frame
     /** Wire-format header field, ignored by the server (kept for
      * compatibility; see routeKey()). */
     uint64_t route = 0;
-    std::string payload;
+    std::string payload{};
 };
 
 /** Typed framing violations (each maps to ErrorCode::BadRequest with a

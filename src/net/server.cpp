@@ -245,7 +245,7 @@ struct Conn
 
     bool paused = false;    // EPOLLIN dropped (backpressure)
     bool closing = false;   // flush out, then close
-    bool framed = false;    // a binary frame has been decoded
+    bool framed = false;    // a message has been dispatched
     uint32_t epoll_events = 0;
 
     /** STAT coalescing: at most one stats response may occupy `out` at
@@ -289,6 +289,38 @@ truncateErrorMessage(const std::string &msg)
     if (msg.size() <= kMaxErrorMessage)
         return msg;
     return msg.substr(0, kMaxErrorMessage) + "... [truncated]";
+}
+
+/**
+ * The one reply writer for both wire modes: @p body, a JSON object, as
+ * the payload of a @p type frame, or as one JSON line. A line has no
+ * header to carry the id, so a body without an id of its own (a stats
+ * or health document: @p splice_id) gets it spliced in front.
+ */
+std::string
+encodeReply(Conn::Mode mode, FrameType type, uint64_t id, std::string body,
+            bool splice_id = false)
+{
+    if (mode == Conn::Mode::Json) {
+        if (splice_id)
+            body = "{\"id\":" + std::to_string(id) + "," + body.substr(1);
+        return body + "\n";
+    }
+    Frame f;
+    f.type = type;
+    f.id = id;
+    f.payload = std::move(body);
+    return encodeFrame(f);
+}
+
+/** A reply carrying only the typed error @p code and @p message. */
+std::string
+errorReply(Conn::Mode mode, FrameType type, uint64_t id, ErrorCode code,
+           std::string message)
+{
+    ScheduleResponse resp;
+    resp.error = {code, std::move(message)};
+    return encodeReply(mode, type, id, serializeResponse(id, resp));
 }
 
 /** Sentinel a completion leaves in its request-id holder to record
@@ -509,9 +541,11 @@ struct Server::Impl
                 if (conn.stat_waiting) {
                     conn.stat_waiting = false;
                     conn.stat_inflight = true;
-                    enqueueOut(conn,
-                               statResponseBytes(conn,
-                                                 conn.stat_waiting_id));
+                    enqueueOut(conn, encodeReply(conn.mode,
+                                                 FrameType::Response,
+                                                 conn.stat_waiting_id,
+                                                 statsJson(),
+                                                 /*splice_id=*/true));
                     continue; // try to write it out right now
                 }
             }
@@ -547,7 +581,7 @@ struct Server::Impl
             conn.paused = false;
     }
 
-    // --- inbound path -------------------------------------------------
+    // --- replies -------------------------------------------------------
 
     /** Respond to a malformed-but-framed request: typed BadRequest, the
      * connection survives. */
@@ -555,18 +589,8 @@ struct Server::Impl
     sendBadRequest(Conn &conn, uint64_t wire_id, const std::string &msg)
     {
         counters.bad_requests.fetch_add(1, std::memory_order_relaxed);
-        ScheduleResponse resp;
-        resp.error = {ErrorCode::BadRequest, msg};
-        std::string body = serializeResponse(wire_id, resp);
-        if (conn.mode == Conn::Mode::Json) {
-            enqueueOut(conn, body + "\n");
-        } else {
-            Frame f;
-            f.type = FrameType::Error;
-            f.id = wire_id;
-            f.payload = std::move(body);
-            enqueueOut(conn, encodeFrame(f));
-        }
+        enqueueOut(conn, errorReply(conn.mode, FrameType::Error, wire_id,
+                                    ErrorCode::BadRequest, msg));
     }
 
     /** Shed one request arriving after beginDrain(): a typed Draining
@@ -577,70 +601,45 @@ struct Server::Impl
     sendDraining(Conn &conn, uint64_t wire_id)
     {
         counters.draining_shed.fetch_add(1, std::memory_order_relaxed);
-        ScheduleResponse resp;
-        resp.error = {ErrorCode::Draining,
-                      "server draining; retry another instance"};
-        std::string body = serializeResponse(wire_id, resp);
-        if (conn.mode == Conn::Mode::Json) {
-            enqueueOut(conn, body + "\n");
-        } else {
-            Frame f;
-            f.type = FrameType::Response;
-            f.id = wire_id;
-            f.payload = std::move(body);
-            enqueueOut(conn, encodeFrame(f));
-        }
+        enqueueOut(conn, errorReply(conn.mode, FrameType::Response, wire_id,
+                                    ErrorCode::Draining,
+                                    "server draining; retry another instance"));
     }
 
-    /** One health answer ({"op":"health"} or a Health frame): the
-     * process's own lifecycle state. The shard parent answers fleet
-     * Health frames itself with the supervision view; this one is what
-     * a single server or an individual shard reports. */
-    std::string
-    healthResponseBytes(const Conn &conn, uint64_t wire_id)
-    {
-        const char *state =
-            drain_requested.load(std::memory_order_acquire) ? "draining"
-                                                            : "ready";
-        std::string doc = std::string("{\"health\":\"") + state + "\"}";
-        if (conn.mode == Conn::Mode::Json)
-            return "{\"id\":" + std::to_string(wire_id) + "," +
-                   doc.substr(1) + "\n";
-        Frame f;
-        f.type = FrameType::Response;
-        f.id = wire_id;
-        f.payload = std::move(doc);
-        return encodeFrame(f);
-    }
-
-    /** A framing violation: emit one typed Error frame naming the
-     * ProtoError, then flush and close (the stream has no trustworthy
-     * resync point). */
+    /** A framing violation: one typed id-0 error naming the ProtoError,
+     * then flush and close (the stream has no trustworthy resync
+     * point). */
     void
     sendProtocolError(Conn &conn, ProtoError err)
     {
         counters.protocol_errors.fetch_add(1, std::memory_order_relaxed);
-        ScheduleResponse resp;
-        resp.error = {ErrorCode::BadRequest,
-                      std::string("protocol error: ") +
-                          protoErrorName(err)};
-        std::string body = serializeResponse(0, resp);
-        if (conn.mode == Conn::Mode::Json) {
-            enqueueOut(conn, body + "\n");
-        } else {
-            Frame f;
-            f.type = FrameType::Error;
-            f.payload = std::move(body);
-            enqueueOut(conn, encodeFrame(f));
-        }
+        enqueueOut(conn, errorReply(conn.mode, FrameType::Error, 0,
+                                    ErrorCode::BadRequest,
+                                    std::string("protocol error: ") +
+                                        protoErrorName(err)));
         conn.closing = true;
+    }
+
+    /** One health answer: the process's own lifecycle state. The shard
+     * parent answers fleet Health frames itself with the supervision
+     * view; this one is what a single server or an individual shard
+     * reports. */
+    void
+    sendHealth(Conn &conn, uint64_t wire_id)
+    {
+        const bool draining = drain_requested.load(std::memory_order_acquire);
+        enqueueOut(conn, encodeReply(conn.mode, FrameType::Response,
+                                     wire_id,
+                                     draining ? "{\"health\":\"draining\"}"
+                                              : "{\"health\":\"ready\"}",
+                                     /*splice_id=*/true));
     }
 
     void
     submitRequest(Conn &conn, uint64_t wire_id, ScheduleRequest req)
     {
         ++conn.inflight;
-        bool json = conn.mode == Conn::Mode::Json;
+        const Conn::Mode mode = conn.mode;
         uint64_t conn_id = conn.id;
         Impl *self = this;
         // The completion may run before submit() returns (shed path).
@@ -651,7 +650,7 @@ struct Server::Impl
         auto rid_holder = std::make_shared<std::atomic<uint64_t>>(0);
         uint64_t rid = svc->submit(
             std::move(req),
-            [self, conn_id, wire_id, json, rid_holder](
+            [self, conn_id, wire_id, mode, rid_holder](
                 ScheduleResponse resp) {
                 Completion c;
                 c.conn_id = conn_id;
@@ -662,31 +661,13 @@ struct Server::Impl
                 // unwind: fall back to a minimal typed error if the
                 // response cannot be framed.
                 try {
-                    std::string body = serializeResponse(wire_id, resp);
-                    if (json) {
-                        c.bytes = body + "\n";
-                    } else {
-                        Frame f;
-                        f.type = FrameType::Response;
-                        f.id = wire_id;
-                        f.payload = std::move(body);
-                        c.bytes = encodeFrame(f);
-                    }
+                    c.bytes = encodeReply(mode, FrameType::Response, wire_id,
+                                          serializeResponse(wire_id, resp));
                 } catch (const std::exception &) {
-                    ScheduleResponse min;
-                    min.error = {ErrorCode::Internal,
-                                 "response serialization failed"};
-                    c.code = min.error.code;
-                    std::string body = serializeResponse(wire_id, min);
-                    if (json) {
-                        c.bytes = body + "\n";
-                    } else {
-                        Frame f;
-                        f.type = FrameType::Error;
-                        f.id = wire_id;
-                        f.payload = std::move(body);
-                        c.bytes = encodeFrame(f);
-                    }
+                    c.code = ErrorCode::Internal;
+                    c.bytes = errorReply(mode, FrameType::Error, wire_id,
+                                         c.code,
+                                         "response serialization failed");
                 }
                 {
                     std::lock_guard<std::mutex> lock(self->comp_mu);
@@ -710,26 +691,6 @@ struct Server::Impl
         return service::statsToJson(doc);
     }
 
-    /** Serialize one live stats answer for @p conn's wire mode. Binary
-     * mode: a Response frame whose payload is the stats document; JSON
-     * mode: the document itself with an "id" field prepended. */
-    std::string
-    statResponseBytes(const Conn &conn, uint64_t wire_id)
-    {
-        std::string doc = statsJson();
-        if (conn.mode == Conn::Mode::Json) {
-            // Splice the id into the document so JSON-lines pollers get
-            // the same schema as the frame payload, plus correlation.
-            return "{\"id\":" + std::to_string(wire_id) + "," +
-                   doc.substr(1) + "\n";
-        }
-        Frame f;
-        f.type = FrameType::Response;
-        f.id = wire_id;
-        f.payload = std::move(doc);
-        return encodeFrame(f);
-    }
-
     /** One STAT poll (either wire mode). Serialized per connection:
      * while a stats response is still draining, further polls coalesce
      * into one pending answer with the latest id. */
@@ -746,10 +707,15 @@ struct Server::Impl
             return;
         }
         conn.stat_inflight = true;
-        enqueueOut(conn, statResponseBytes(conn, wire_id));
+        enqueueOut(conn, encodeReply(conn.mode, FrameType::Response,
+                                     wire_id, statsJson(),
+                                     /*splice_id=*/true));
     }
 
-    /** Handle one decoded binary frame. Returns false when the
+    // --- inbound path -------------------------------------------------
+
+    /** The one dispatcher: handle one decoded message, a binary frame
+     * or a JSON line decoded to the same Frame. Returns false when the
      * connection was torn down. */
     bool
     handleFrame(Conn &conn, Frame &frame)
@@ -757,7 +723,8 @@ struct Server::Impl
         faultsim::TokenScope scope(conn.id);
         const bool opening = !conn.framed;
         conn.framed = true;
-        if (opening && feed_fd >= 0 && frame.payload.empty() &&
+        if (opening && feed_fd >= 0 && conn.mode == Conn::Mode::Binary &&
+            frame.payload.empty() &&
             (frame.type == FrameType::Stat ||
              frame.type == FrameType::Health) &&
             escalate(conn, frame))
@@ -766,20 +733,17 @@ struct Server::Impl
         // frame is the supervisor's, and it counts neither end.
         counters.frames_in.fetch_add(1, std::memory_order_relaxed);
         switch (frame.type) {
-        case FrameType::Ping: {
-            Frame pong;
-            pong.type = FrameType::Pong;
-            pong.id = frame.id;
-            enqueueOut(conn, encodeFrame(pong));
+        case FrameType::Ping:
+            enqueueOut(conn,
+                       encodeReply(conn.mode, FrameType::Pong, frame.id, ""));
             return true;
-        }
         case FrameType::Pong:
             return true;
         case FrameType::Stat:
             handleStat(conn, frame.id);
             return true;
         case FrameType::Health:
-            enqueueOut(conn, healthResponseBytes(conn, frame.id));
+            sendHealth(conn, frame.id);
             return true;
         case FrameType::Response:
         case FrameType::Error:
@@ -794,8 +758,8 @@ struct Server::Impl
             return true;
         }
         // Injected peer reset: evaluated exactly once per decoded
-        // request frame (a protocol event, not a syscall), so replays
-        // of the same connection stream make the same decision.
+        // request (a protocol event, not a syscall), so replays of the
+        // same connection stream make the same decision.
         if (faultsim::probe(faultsim::Site::NetPeerReset).fired) {
             closeConn(conn, /*abrupt=*/true);
             return false;
@@ -815,20 +779,18 @@ struct Server::Impl
         return true;
     }
 
-    /** Handle one newline-delimited JSON request. Returns false when
-     * the connection was torn down. */
+    /** Decode one JSON line into the frame the binary decoder would
+     * yield - {"op":"stats"} a Stat, {"op":"health"} a Health, anything
+     * else a Request carrying "req", "deadline_ms" and the id - and
+     * dispatch it. A line that does not decode is a BadRequest echoing
+     * whatever id was read. Returns false when the connection was torn
+     * down. */
     bool
     handleJsonLine(Conn &conn, const std::string &line)
     {
         if (line.empty())
             return true;
-        counters.frames_in.fetch_add(1, std::memory_order_relaxed);
-        faultsim::TokenScope scope(conn.id);
-        uint64_t wire_id = 0;
-        std::string reqline;
-        uint32_t deadline_ms = 0;
-        bool is_stats = false;
-        bool is_health = false;
+        Frame frame;
         try {
             JsonValue doc = parseJson(line);
             if (doc.kind != JsonValue::Kind::Object)
@@ -836,15 +798,15 @@ struct Server::Impl
             // jsonU64: the wire id is a full u64 and must not round
             // through the parser's double above 2^53.
             if (const JsonValue *id = doc.find("id"))
-                wire_id = jsonU64(*id);
+                frame.id = jsonU64(*id);
             if (const JsonValue *op = doc.find("op")) {
                 if (op->kind != JsonValue::Kind::String)
                     throw MdesError(
                         "unknown op (\"stats\" or \"health\")");
                 if (op->string == "stats")
-                    is_stats = true;
+                    frame.type = FrameType::Stat;
                 else if (op->string == "health")
-                    is_health = true;
+                    frame.type = FrameType::Health;
                 else
                     throw MdesError(
                         "unknown op (\"stats\" or \"health\")");
@@ -852,49 +814,22 @@ struct Server::Impl
                 const JsonValue *req = doc.find("req");
                 if (!req || req->kind != JsonValue::Kind::String)
                     throw MdesError("missing string field 'req'");
-                reqline = req->string;
+                frame.payload = req->string;
                 if (const JsonValue *dl = doc.find("deadline_ms")) {
                     const uint64_t ms = jsonU64(*dl);
                     if (ms > UINT32_MAX)
                         throw MdesError("deadline_ms above 2^32-1");
-                    deadline_ms = uint32_t(ms);
+                    frame.deadline_ms = uint32_t(ms);
                 }
                 // "route" is accepted and ignored, as in the frame
                 // header.
             }
         } catch (const MdesError &e) {
-            sendBadRequest(conn, wire_id, e.what());
+            counters.frames_in.fetch_add(1, std::memory_order_relaxed);
+            sendBadRequest(conn, frame.id, e.what());
             return true;
         }
-        if (is_stats) {
-            handleStat(conn, wire_id);
-            return true;
-        }
-        if (is_health) {
-            enqueueOut(conn, healthResponseBytes(conn, wire_id));
-            return true;
-        }
-        if (drain_requested.load(std::memory_order_acquire)) {
-            sendDraining(conn, wire_id);
-            return true;
-        }
-        if (faultsim::probe(faultsim::Site::NetPeerReset).fired) {
-            closeConn(conn, /*abrupt=*/true);
-            return false;
-        }
-        ScheduleRequest req;
-        try {
-            service::RequestParseOptions opts;
-            opts.allow_files = false;
-            req = service::parseRequestLine(reqline, 0, opts);
-        } catch (const MdesError &e) {
-            sendBadRequest(conn, wire_id, e.what());
-            return true;
-        }
-        if (deadline_ms)
-            req.deadline_ms = int64_t(deadline_ms);
-        submitRequest(conn, wire_id, std::move(req));
-        return true;
+        return handleFrame(conn, frame);
     }
 
     /** Feed freshly read bytes through the mode-appropriate parser.

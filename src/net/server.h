@@ -16,8 +16,12 @@
  * Two wire modes share one connection handler, distinguished by the
  * first byte a client sends: 'M' (the frame magic) selects the binary
  * length-prefixed protocol (frame.h), '{' selects newline-delimited
- * JSON for humans and scripts. Responses use one serializer for both -
- * the JSON object is the binary frame's payload.
+ * JSON for humans and scripts. A JSON line is a second encoding of a
+ * Frame: the loop decodes each line into the Request, Stat or Health
+ * frame the binary decoder would yield, and one dispatcher handles
+ * both. Every reply leaves through one writer, which wraps the JSON
+ * body in a frame or ends it with a newline by the connection's mode,
+ * splicing the id into a stats or health document on a line.
  *
  * Backpressure composes with the service's admission control rather
  * than duplicating it: a connection that exceeds its in-flight cap or

@@ -569,6 +569,10 @@ MdesService::process(Job &job, ServiceMetrics &metrics,
                 exact::ExactOptions eopts;
                 if (req.exact_nodes)
                     eopts.max_nodes = req.exact_nodes;
+                eopts.time_budget_us =
+                    req.exact_ms > 0 ? req.exact_ms * 1000 : 0;
+                // The deadline needs no budget of its own: cancel() is
+                // true once it passes, and the search polls it first.
                 eopts.cancel = cancel;
                 // Each candidate's certificate; the winner's joins the
                 // request's.
@@ -637,21 +641,6 @@ MdesService::process(Job &job, ServiceMetrics &metrics,
                         }
                     }
 
-                    eopts.time_budget_us =
-                        req.exact_ms > 0 ? req.exact_ms * 1000 : 0;
-                    if (job.deadline != Clock::time_point::max()) {
-                        int64_t remain =
-                            std::chrono::duration_cast<
-                                std::chrono::microseconds>(job.deadline -
-                                                           Clock::now())
-                                .count();
-                        if (remain < 1)
-                            remain = 1;
-                        eopts.time_budget_us =
-                            eopts.time_budget_us > 0
-                                ? std::min(eopts.time_budget_us, remain)
-                                : remain;
-                    }
                     eopts.incumbent = &incumbent;
                     exact::ExactResult er =
                         search.scheduleBlock(block, local, eopts);

@@ -34,8 +34,11 @@ constexpr char kStoreMagic[4] = {'M', 'D', 'S', 'T'};
 // Version 2 appended the whole-file integrity trailer. Version 3 pads
 // the header to kImageAlign and stores the LMDES payload as the
 // position-independent v7 image, so a load can mmap the file and serve
-// it in place with zero deserialization.
-constexpr uint32_t kStoreVersion = 3;
+// it in place with zero deserialization. Version 4 keeps the layout:
+// its artifacts come from a pipeline whose Section 8 passes skip tables
+// with overlapping subtrees, which earlier ones may have reordered
+// under the same key.
+constexpr uint32_t kStoreVersion = 4;
 /** The v7 image starts on this boundary so its 64-byte-aligned internal
  * sections stay aligned within the file (and within any page-aligned
  * mapping of it). */
@@ -47,6 +50,8 @@ constexpr size_t kImageAlign = lmdes::v7::kAlign;
 constexpr size_t kTrailerBytes = 8;
 /** Header strings (creator, machine) are short labels, not payloads. */
 constexpr uint32_t kMaxHeaderString = 4096;
+/** The longest header: magic, version, three u64s, two strings. */
+constexpr size_t kMaxHeaderBytes = 4 + 4 + 3 * 8 + 2 * (4 + kMaxHeaderString);
 
 constexpr uint64_t kFnvOffset = 1469598103934665603ull;
 constexpr uint64_t kFnvPrime = 1099511628211ull;
@@ -112,43 +117,6 @@ writeStr(std::ostream &os, const std::string &s)
     os.write(s.data(), std::streamsize(s.size()));
 }
 
-uint32_t
-readU32(std::istream &is, const char *what)
-{
-    uint32_t v = 0;
-    is.read(reinterpret_cast<char *>(&v), sizeof(v));
-    if (!is)
-        throw MdesError(std::string("truncated store header reading ") +
-                        what);
-    return v;
-}
-
-uint64_t
-readU64(std::istream &is, const char *what)
-{
-    uint64_t v = 0;
-    is.read(reinterpret_cast<char *>(&v), sizeof(v));
-    if (!is)
-        throw MdesError(std::string("truncated store header reading ") +
-                        what);
-    return v;
-}
-
-std::string
-readStr(std::istream &is, const char *what)
-{
-    uint32_t n = readU32(is, what);
-    if (n > kMaxHeaderString)
-        throw MdesError(std::string("implausible store header string (") +
-                        what + "): " + std::to_string(n) + " bytes");
-    std::string s(n, '\0');
-    is.read(s.data(), std::streamsize(n));
-    if (!is)
-        throw MdesError(std::string("truncated store header reading ") +
-                        what);
-    return s;
-}
-
 /**
  * A refcounted MAP_PRIVATE read-only mapping of one artifact file.
  * Handed to LowMdes::fromImage as the backing, so the munmap happens
@@ -171,8 +139,8 @@ struct Mapping
     }
 };
 
-/** Bounds-checked cursor over an in-memory artifact (the mmap'ed file
- * or a fault-mangled copy); mirrors the istream helpers above. */
+/** Bounds-checked cursor over an in-memory artifact: the mmap'ed file,
+ * a fault-mangled copy, or the header prefix list() reads. */
 class MemReader
 {
   public:
@@ -297,40 +265,34 @@ struct ArtifactStore::Header
         writeStr(os, machine);
     }
 
-    /**
-     * Throws MdesError when the header is not a valid store header for
-     * @p expected_key. With @p version_out, headers of *older* known
-     * versions (whose field layout is unchanged) parse too and report
-     * their version, so list() can flag stale entries; without it the
-     * read is strict about the current version.
-     */
-    static Header
-    read(std::istream &is, uint64_t expected_key,
-         uint32_t *version_out = nullptr)
+    /** Read the magic and return the container version; throws
+     * MdesError on a bad magic or truncation. */
+    static uint32_t
+    readVersion(MemReader &r)
     {
         char magic[4] = {};
-        is.read(magic, 4);
-        if (!is || std::memcmp(magic, kStoreMagic, 4) != 0)
+        r.readBytes(magic, 4, "magic");
+        if (std::memcmp(magic, kStoreMagic, 4) != 0)
             throw MdesError("not a store artifact (bad MDST magic)");
-        uint32_t version = readU32(is, "version");
-        const bool known_old =
-            version_out && version >= 1 && version < kStoreVersion;
-        if (version != kStoreVersion && !known_old)
-            throw MdesError("store artifact version " +
-                            std::to_string(version) + ", expected " +
-                            std::to_string(kStoreVersion));
-        if (version_out)
-            *version_out = version;
+        return r.readU32("version");
+    }
+
+    /** Read the fields after the version (the layout of every known
+     * version); throws MdesError on truncation or a key other than
+     * @p expected_key. */
+    static Header
+    readFields(MemReader &r, uint64_t expected_key)
+    {
         Header h;
-        h.key = readU64(is, "key");
+        h.key = r.readU64("key");
         if (h.key != expected_key)
             throw MdesError("store artifact labeled with key " +
                             hexKey(h.key) + ", expected " +
                             hexKey(expected_key));
-        h.config_fingerprint = readU64(is, "config fingerprint");
-        h.created_unix = readU64(is, "creation time");
-        h.creator = readStr(is, "creator");
-        h.machine = readStr(is, "machine");
+        h.config_fingerprint = r.readU64("config fingerprint");
+        h.created_unix = r.readU64("creation time");
+        h.creator = r.readStr("creator");
+        h.machine = r.readStr("machine");
         return h;
     }
 };
@@ -421,21 +383,9 @@ ArtifactStore::parseArtifact(const char *data, size_t size, uint64_t key,
     const size_t body_size = size - kTrailerBytes;
     try {
         MemReader r(data, body_size);
-        char magic[4] = {};
-        r.readBytes(magic, 4, "magic");
-        if (std::memcmp(magic, kStoreMagic, 4) != 0)
-            return LoadOutcome::Corrupt;
-        const uint32_t version = r.readU32("version");
-        if (version != kStoreVersion)
+        if (Header::readVersion(r) != kStoreVersion)
             return LoadOutcome::Stale;
-        Header h;
-        h.key = r.readU64("key");
-        if (h.key != key)
-            return LoadOutcome::Corrupt;
-        h.config_fingerprint = r.readU64("config fingerprint");
-        h.created_unix = r.readU64("creation time");
-        h.creator = r.readStr("creator");
-        h.machine = r.readStr("machine");
+        Header h = Header::readFields(r, key);
         const size_t img_off =
             (r.offset() + kImageAlign - 1) / kImageAlign * kImageAlign;
         if (img_off > body_size)
@@ -836,18 +786,24 @@ ArtifactStore::list() const
         info.bytes = uint64_t(de.file_size(ec));
         info.quarantined = bad;
         std::ifstream in(p, std::ios::binary);
-        if (in) {
-            try {
-                uint32_t version = 0;
-                Header h = Header::read(in, info.key, &version);
-                info.config_fingerprint = h.config_fingerprint;
-                info.created_unix = h.created_unix;
-                info.creator = h.creator;
-                info.machine = h.machine;
-                info.stale = !bad && version != kStoreVersion;
-            } catch (const std::exception &) {
-                // Unreadable header: report the file with bare sizes.
-            }
+        std::string head(kMaxHeaderBytes, '\0');
+        in.read(head.data(), std::streamsize(head.size()));
+        head.resize(size_t(in.gcount()));
+        try {
+            MemReader r(head.data(), head.size());
+            // Older versions share the current field layout; a newer
+            // one's is unknown.
+            const uint32_t version = Header::readVersion(r);
+            if (version < 1 || version > kStoreVersion)
+                throw MdesError("unknown store artifact version");
+            Header h = Header::readFields(r, info.key);
+            info.config_fingerprint = h.config_fingerprint;
+            info.created_unix = h.created_unix;
+            info.creator = h.creator;
+            info.machine = h.machine;
+            info.stale = !bad && version != kStoreVersion;
+        } catch (const std::exception &) {
+            // Unreadable header: report the file with bare sizes.
         }
         auto mtime = fs::last_write_time(
             (fs::path(config_.dir) / metaFileName(info.key)), ec);

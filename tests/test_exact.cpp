@@ -672,6 +672,32 @@ TEST(ExactService, PortfolioNeverLongerThanList)
     }
 }
 
+TEST(ExactService, DeadlineInsideTheSearchStillAnswersOk)
+{
+    // K5 seed 1 holds a block whose unbounded search runs for seconds,
+    // so a 300 ms deadline lapses inside the exact stage. The search is
+    // cancelled there, and the response keeps each block's best
+    // schedule so far.
+    service::MdesService svc({.num_workers = 1});
+    const auto lst = svc.wait(svc.submit(
+        syntheticRequest("K5", 2000, 1, service::SchedulerKind::List)));
+    ASSERT_TRUE(lst.ok()) << lst.error.message;
+    service::ScheduleRequest req =
+        syntheticRequest("K5", 2000, 1, service::SchedulerKind::Portfolio);
+    req.exact_nodes = uint64_t(1) << 40; // only the deadline stops it
+    req.deadline_ms = 300;
+    req.verify = true;
+    const auto pf = svc.wait(svc.submit(req));
+    ASSERT_TRUE(pf.ok()) << pf.error.message;
+    ASSERT_EQ(pf.schedules.size(), lst.schedules.size());
+    ASSERT_EQ(pf.outcomes.size(), pf.schedules.size());
+    for (size_t b = 0; b < pf.schedules.size(); ++b)
+        EXPECT_LE(pf.schedules[b].length, lst.schedules[b].length)
+            << "block " << b;
+    EXPECT_LT(pf.exact.proven_optimal, pf.exact.blocks)
+        << "the deadline cut no search short";
+}
+
 TEST(ExactService, PortfolioDeterministicAcrossWorkerCounts)
 {
     auto run = [](unsigned workers) {

@@ -8,8 +8,9 @@
  *    representations, every transformation level, and both check
  *    encodings; all schedules legal under replay.
  *  - Overlapping-subtree machines: the greedy AND/OR evaluation stays
- *    safe (never produces an illegal schedule) and the semantics-
- *    preserving subset of transformations keeps schedules identical.
+ *    safe (never produces an illegal schedule), and the full pipeline,
+ *    whose Section 8 passes skip overlapping tables, keeps schedules
+ *    identical.
  *  - The lexer/parser never crash on mutated description text.
  */
 
@@ -165,8 +166,13 @@ TEST(Fuzz, WideDisjointMachinesFullInvariance)
 
 TEST(Fuzz, OverlappingMachinesStaySafe)
 {
+    // The Section 8 passes skip every table whose subtrees overlap, so
+    // the whole pipeline keeps every schedule on such machines too.
     Rng rng(0xF0222);
-    for (int trial = 0; trial < 30; ++trial) {
+    int machines = 0;
+    size_t skipped = 0;
+    for (int trial = 0; machines < 200; ++trial) {
+        ASSERT_LT(trial, 400) << "too few machines with issuable classes";
         SCOPED_TRACE("trial " + std::to_string(trial));
         mdes::testing::RandomMdesOptions opts;
         opts.disjoint_subtrees = false;
@@ -190,23 +196,18 @@ TEST(Fuzz, OverlappingMachinesStaySafe)
         });
         if (spec.classes.empty())
             continue;
+        ++machines;
         sched::Program program = workload::generate(spec, low0);
-
-        // The semantics-preserving subset for overlapping subtrees:
-        // everything except the Section 8 reorderings.
-        PipelineConfig safe;
-        safe.cse = true;
-        safe.redundant_options = true;
-        safe.time_shift = true;
-        safe.sort_usages = true;
 
         std::vector<sched::BlockSchedule> baseline;
         bool first = true;
         for (bool transform : {false, true}) {
             for (bool bv : {false, true}) {
                 Mdes model = base;
-                if (transform)
-                    runPipeline(model, safe);
+                if (transform) {
+                    skipped += runPipeline(model, PipelineConfig::all())
+                                   .sort_skipped_overlapping;
+                }
                 auto schedules = scheduleAll(model, program, bv);
                 if (first) {
                     baseline = schedules;
@@ -232,6 +233,7 @@ TEST(Fuzz, OverlappingMachinesStaySafe)
             }
         }
     }
+    EXPECT_GT(skipped, 0u) << "no table exercised the overlap guard";
 }
 
 TEST(Fuzz, CseIsAlwaysIdempotentAndShrinking)

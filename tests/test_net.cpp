@@ -1075,6 +1075,269 @@ TEST(NetServer, DrainAnswersConnectionsWaitingInTheBacklog)
     EXPECT_EQ(server.metrics().net.draining_shed, fds.size());
 }
 
+/** One reply as a raw peer saw it: a frame, or a JSON line (kept whole
+ * in `body`, with type Response). */
+struct WireReply
+{
+    FrameType type = FrameType::Response;
+    uint64_t id = 0;
+    std::string body;
+};
+
+/** A raw loopback peer in one wire mode, reading replies with a
+ * timeout so a missing answer fails the test instead of hanging it. */
+class RawPeer
+{
+  public:
+    RawPeer(uint16_t port, bool json) : fd_(rawConnect(port)), json_(json)
+    {
+    }
+    ~RawPeer()
+    {
+        if (fd_ >= 0)
+            close(fd_);
+    }
+
+    bool connected() const { return fd_ >= 0; }
+
+    bool
+    send(const std::string &bytes)
+    {
+        size_t off = 0;
+        while (off < bytes.size()) {
+            ssize_t n = ::send(fd_, bytes.data() + off, bytes.size() - off,
+                               MSG_NOSIGNAL);
+            if (n <= 0)
+                return false;
+            off += size_t(n);
+        }
+        return true;
+    }
+
+    /** The next reply; false on EOF, reset or a 10 s timeout. */
+    bool
+    next(WireReply *out)
+    {
+        for (;;) {
+            if (json_) {
+                size_t nl = lines_.find('\n');
+                if (nl != std::string::npos) {
+                    out->body = lines_.substr(0, nl);
+                    lines_.erase(0, nl + 1);
+                    JsonValue doc = parseJson(out->body);
+                    const JsonValue *id = doc.find("id");
+                    out->id = id ? jsonU64(*id) : ~uint64_t(0);
+                    return true;
+                }
+            } else {
+                Frame f;
+                FrameDecoder::Status st = dec_.next(&f);
+                if (st == FrameDecoder::Status::Error)
+                    return false;
+                if (st == FrameDecoder::Status::Ready) {
+                    out->type = f.type;
+                    out->id = f.id;
+                    out->body = std::move(f.payload);
+                    return true;
+                }
+            }
+            if (!fill())
+                return false;
+        }
+    }
+
+    /** True when the server closed the connection with nothing more
+     * to say. */
+    bool
+    closedByServer()
+    {
+        WireReply r;
+        return !next(&r) && !timed_out_;
+    }
+
+  private:
+    bool
+    fill()
+    {
+        pollfd p{fd_, POLLIN, 0};
+        if (poll(&p, 1, 10000) <= 0) {
+            timed_out_ = true;
+            return false;
+        }
+        char buf[16384];
+        ssize_t n = recv(fd_, buf, sizeof(buf), 0);
+        if (n <= 0)
+            return false;
+        if (json_)
+            lines_.append(buf, size_t(n));
+        else
+            dec_.feed(buf, size_t(n));
+        return true;
+    }
+
+    int fd_ = -1;
+    bool json_ = false;
+    bool timed_out_ = false;
+    FrameDecoder dec_;
+    std::string lines_;
+};
+
+/** The numeric "code" of the reply body @p body. */
+uint64_t
+replyCode(const std::string &body)
+{
+    JsonValue doc = parseJson(body);
+    const JsonValue *code = doc.find("code");
+    return code ? jsonU64(*code) : ~uint64_t(0);
+}
+
+TEST(NetServer, EveryReplyEnvelopeInBothWireModes)
+{
+    // Pins what each kind of message gets back in each wire mode: the
+    // frame type, id and JSON code of a binary reply, the id and code
+    // of a JSON line (or the spliced {"id":N, prefix of a stats or
+    // health document), and which replies close the connection.
+    net::ServerConfig sc;
+    sc.service.num_workers = 1;
+    net::Server server(sc);
+    server.start();
+    RawPeer bin(server.port(), false);
+    RawPeer json(server.port(), true);
+    ASSERT_TRUE(bin.connected());
+    ASSERT_TRUE(json.connected());
+
+    const uint64_t kOk = uint64_t(service::ErrorCode::Ok);
+    const uint64_t kBad = uint64_t(service::ErrorCode::BadRequest);
+    const uint64_t kDraining = uint64_t(service::ErrorCode::Draining);
+    auto frame = [](FrameType type, uint64_t id, std::string payload) {
+        Frame f;
+        f.type = type;
+        f.id = id;
+        f.payload = std::move(payload);
+        return net::encodeFrame(f);
+    };
+    const std::string good = "machine=K5 ops=20 seed=1";
+    const std::string bad = "machine=K5 ops=banana";
+    WireReply r;
+
+    // A good request.
+    ASSERT_TRUE(bin.send(frame(FrameType::Request, 11, good)));
+    ASSERT_TRUE(bin.next(&r));
+    EXPECT_EQ(r.type, FrameType::Response);
+    EXPECT_EQ(r.id, 11u);
+    EXPECT_EQ(replyCode(r.body), kOk) << r.body;
+    ASSERT_TRUE(json.send("{\"id\":11,\"req\":\"" + good + "\"}\n"));
+    ASSERT_TRUE(json.next(&r));
+    EXPECT_EQ(r.id, 11u);
+    EXPECT_EQ(replyCode(r.body), kOk) << r.body;
+
+    // A bad request line.
+    ASSERT_TRUE(bin.send(frame(FrameType::Request, 12, bad)));
+    ASSERT_TRUE(bin.next(&r));
+    EXPECT_EQ(r.type, FrameType::Error);
+    EXPECT_EQ(r.id, 12u);
+    EXPECT_EQ(replyCode(r.body), kBad) << r.body;
+    ASSERT_TRUE(json.send("{\"id\":12,\"req\":\"" + bad + "\"}\n"));
+    ASSERT_TRUE(json.next(&r));
+    EXPECT_EQ(r.id, 12u);
+    EXPECT_EQ(replyCode(r.body), kBad) << r.body;
+
+    // A malformed message: a frame type only servers send, a line that
+    // is not JSON, and a JSON object naming no known op.
+    ASSERT_TRUE(bin.send(frame(FrameType::Response, 13, "")));
+    ASSERT_TRUE(bin.next(&r));
+    EXPECT_EQ(r.type, FrameType::Error);
+    EXPECT_EQ(r.id, 13u);
+    EXPECT_EQ(replyCode(r.body), kBad) << r.body;
+    ASSERT_TRUE(json.send("{oops\n"));
+    ASSERT_TRUE(json.next(&r));
+    EXPECT_EQ(r.id, 0u);
+    EXPECT_EQ(replyCode(r.body), kBad) << r.body;
+    ASSERT_TRUE(json.send("{\"id\":13,\"op\":\"nope\"}\n"));
+    ASSERT_TRUE(json.next(&r));
+    EXPECT_EQ(r.id, 13u);
+    EXPECT_EQ(replyCode(r.body), kBad) << r.body;
+
+    // A Stat: the stats document, id spliced into a JSON line.
+    ASSERT_TRUE(bin.send(frame(FrameType::Stat, 14, "")));
+    ASSERT_TRUE(bin.next(&r));
+    EXPECT_EQ(r.type, FrameType::Response);
+    EXPECT_EQ(r.id, 14u);
+    EXPECT_EQ(r.body.rfind("{\"id\":", 0), std::string::npos) << r.body;
+    EXPECT_EQ(service::parseStats(r.body).metrics.ok, 2u);
+    ASSERT_TRUE(json.send("{\"id\":14,\"op\":\"stats\"}\n"));
+    ASSERT_TRUE(json.next(&r));
+    EXPECT_EQ(r.body.rfind("{\"id\":14,\"", 0), 0u) << r.body;
+    EXPECT_EQ(r.body.find("\"code\""), std::string::npos) << r.body;
+
+    // A Health: {"health":"ready"}, id spliced into a JSON line.
+    ASSERT_TRUE(bin.send(frame(FrameType::Health, 15, "")));
+    ASSERT_TRUE(bin.next(&r));
+    EXPECT_EQ(r.type, FrameType::Response);
+    EXPECT_EQ(r.id, 15u);
+    EXPECT_EQ(r.body, "{\"health\":\"ready\"}");
+    ASSERT_TRUE(json.send("{\"id\":15,\"op\":\"health\"}\n"));
+    ASSERT_TRUE(json.next(&r));
+    EXPECT_EQ(r.body, "{\"id\":15,\"health\":\"ready\"}");
+
+    // A Ping: a payload-less Pong; JSON lines have no ping op.
+    ASSERT_TRUE(bin.send(frame(FrameType::Ping, 16, "")));
+    ASSERT_TRUE(bin.next(&r));
+    EXPECT_EQ(r.type, FrameType::Pong);
+    EXPECT_EQ(r.id, 16u);
+    EXPECT_EQ(r.body, "");
+    ASSERT_TRUE(json.send("{\"id\":16,\"op\":\"ping\"}\n"));
+    ASSERT_TRUE(json.next(&r));
+    EXPECT_EQ(r.id, 16u);
+    EXPECT_EQ(replyCode(r.body), kBad) << r.body;
+
+    // A request after beginDrain(): a typed Draining reply, as a
+    // Response frame; health reports the flip.
+    server.beginDrain(10000);
+    ASSERT_TRUE(bin.send(frame(FrameType::Request, 17, good)));
+    ASSERT_TRUE(bin.next(&r));
+    EXPECT_EQ(r.type, FrameType::Response);
+    EXPECT_EQ(r.id, 17u);
+    EXPECT_EQ(replyCode(r.body), kDraining) << r.body;
+    ASSERT_TRUE(json.send("{\"id\":17,\"req\":\"" + good + "\"}\n"));
+    ASSERT_TRUE(json.next(&r));
+    EXPECT_EQ(r.id, 17u);
+    EXPECT_EQ(replyCode(r.body), kDraining) << r.body;
+    ASSERT_TRUE(json.send("{\"id\":18,\"op\":\"health\"}\n"));
+    ASSERT_TRUE(json.next(&r));
+    EXPECT_EQ(r.body, "{\"id\":18,\"health\":\"draining\"}");
+
+    // A framing violation: one id-0 BadRequest naming it, then close.
+    // Every byte sent is read before the server decides, so it closes
+    // with a FIN rather than a reset.
+    std::string violation = frame(FrameType::Request, 19, "");
+    violation[4] = 3; // bad version
+    ASSERT_TRUE(bin.send(violation));
+    ASSERT_TRUE(bin.next(&r));
+    EXPECT_EQ(r.type, FrameType::Error);
+    EXPECT_EQ(r.id, 0u);
+    EXPECT_EQ(replyCode(r.body), kBad) << r.body;
+    EXPECT_NE(r.body.find("bad-version"), std::string::npos) << r.body;
+    EXPECT_TRUE(bin.closedByServer());
+    ASSERT_TRUE(json.send(std::string(net::kMaxPayload + 1, 'x')));
+    ASSERT_TRUE(json.next(&r));
+    EXPECT_EQ(r.id, 0u);
+    EXPECT_EQ(replyCode(r.body), kBad) << r.body;
+    EXPECT_NE(r.body.find("oversized-payload"), std::string::npos)
+        << r.body;
+    EXPECT_TRUE(json.closedByServer());
+
+    server.waitUntilStopped();
+    server.stop();
+    service::ServiceMetrics m = server.metrics();
+    EXPECT_EQ(m.net.protocol_errors, 2u);
+    EXPECT_EQ(m.net.bad_requests, 6u);
+    EXPECT_EQ(m.net.draining_shed, 2u);
+    EXPECT_EQ(m.net.stats_requests, 2u);
+    EXPECT_EQ(m.net.frames_in, 16u);
+    EXPECT_EQ(m.net.frames_out, 18u);
+}
+
 /**
  * A `--shards 2` fleet under test: runServe in a child forked while
  * this process runs no other thread (every earlier test joined its

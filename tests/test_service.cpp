@@ -245,6 +245,52 @@ machine "stuck" {
     }
 }
 
+TEST(Service, OptimizerLeavesOverlappingTablesAsWritten)
+{
+    // X and Y can both claim R[0] and R[5] at time 0. Sorting would
+    // check Y first (fewer options), and Y's first option then blocks
+    // all three of X's, so no cycle could issue OP. The Section 8
+    // passes skip a table whose subtrees overlap instead.
+    static const char *src = R"(
+machine "Trap" {
+    resource R[6];
+    ortree X {
+        option { use R[0] at 0; use R[2] at 0; }
+        option { use R[5] at 0; use R[3] at 0; }
+        option { use R[0] at 0; use R[4] at 0; }
+    }
+    ortree Y {
+        option { use R[0] at 0; use R[5] at 0; }
+        option { use R[1] at 0; }
+    }
+    table T = and(X, Y);
+    operation OP { table T; latency 1; }
+}
+)";
+    service::MdesService svc({.num_workers = 1});
+    for (auto kind :
+         {service::SchedulerKind::List, service::SchedulerKind::Backward,
+          service::SchedulerKind::Exact,
+          service::SchedulerKind::Portfolio}) {
+        SCOPED_TRACE(service::schedulerKindName(kind));
+        service::ScheduleRequest req;
+        req.source = src;
+        req.scheduler = kind;
+        req.sasm = "block\n    OP r1 <- r2\nend\n";
+        req.verify = true;
+        auto optimized = svc.wait(svc.submit(req));
+        req.transforms = PipelineConfig::none();
+        auto original = svc.wait(svc.submit(req));
+        ASSERT_TRUE(optimized.ok()) << optimized.error.message;
+        ASSERT_TRUE(original.ok()) << original.error.message;
+        ASSERT_EQ(optimized.schedules.size(), 1u);
+        EXPECT_EQ(optimized.schedules[0].cycles,
+                  original.schedules[0].cycles);
+        EXPECT_EQ(service::scheduleFingerprint(optimized),
+                  service::scheduleFingerprint(original));
+    }
+}
+
 TEST(Service, DeadlineExceededWhileQueued)
 {
     // One worker, blocked by a large request: the deadline of the

@@ -150,6 +150,41 @@ readFile(const std::string &path)
     return buf.str();
 }
 
+/** Parse all of @p text as a number into @p out; false, with the
+ * message every flag shares, when it is not one or does not fit. */
+template <typename T>
+bool
+parseNumber(const std::string &flag, const std::string &text, T &out)
+{
+    auto [end, ec] =
+        std::from_chars(text.data(), text.data() + text.size(), out);
+    if (ec == std::errc() && end == text.data() + text.size())
+        return true;
+    std::fprintf(stderr, "mdesc: bad %s value '%s'\n", flag.c_str(),
+                 text.c_str());
+    return false;
+}
+
+/** Split "host:port"; false (with a message) on malformed input. */
+bool
+parseEndpoint(const std::string &ep, std::string *host, uint16_t *port)
+{
+    size_t colon = ep.rfind(':');
+    if (colon == std::string::npos) {
+        std::fprintf(stderr, "mdesc: endpoint wants host:port, got '%s'\n",
+                     ep.c_str());
+        return false;
+    }
+    *host = ep.substr(0, colon);
+    std::string w = ep.substr(colon + 1);
+    auto [end, ec] = std::from_chars(w.data(), w.data() + w.size(), *port);
+    if (ec != std::errc() || end != w.data() + w.size()) {
+        std::fprintf(stderr, "mdesc: bad port '%s'\n", w.c_str());
+        return false;
+    }
+    return true;
+}
+
 bool
 looksLikeLmdes(const std::string &data)
 {
@@ -511,10 +546,21 @@ cmdLint(const std::vector<std::string> &args)
         std::printf("[%s] %s\n", lintKindName(f.kind),
                     f.message.c_str());
     }
-    std::printf("%zu finding(s). The translator's transformations fix "
-                "all of these at\ncompile time; fixing the source keeps "
-                "the description honest.\n",
-                findings.size());
+    const bool overlaps = std::any_of(
+        findings.begin(), findings.end(), [](const LintFinding &f) {
+            return f.kind == LintKind::OverlappingSubtrees;
+        });
+    if (overlaps)
+        std::printf("%zu finding(s). The translator's transformations "
+                    "leave tables whose\nsubtrees overlap as written and "
+                    "fix the rest at compile time; fixing\nthe source "
+                    "keeps the description honest.\n",
+                    findings.size());
+    else
+        std::printf("%zu finding(s). The translator's transformations fix "
+                    "all of these at\ncompile time; fixing the source "
+                    "keeps the description honest.\n",
+                    findings.size());
     return 0;
 }
 
@@ -528,14 +574,9 @@ cmdSchedule(const std::vector<std::string> &args)
         if (args[i] == "--mode" && i + 1 < args.size()) {
             mode = args[++i];
         } else if (args[i] == "--exact-ms" && i + 1 < args.size()) {
-            const std::string &w = args[++i];
-            auto [end, ec] =
-                std::from_chars(w.data(), w.data() + w.size(), exact_ms);
-            if (ec != std::errc() || end != w.data() + w.size()) {
-                std::fprintf(stderr, "mdesc: bad --exact-ms value '%s'\n",
-                             w.c_str());
+            if (!parseNumber(args[i], args[i + 1], exact_ms))
                 return 1;
-            }
+            ++i;
         } else if (!args[i].empty() && args[i][0] == '-') {
             std::fprintf(stderr, "unknown option '%s'\n",
                          args[i].c_str());
@@ -647,36 +688,19 @@ cmdBatch(const std::vector<std::string> &args)
         } else if (args[i] == "--faults" && i + 1 < args.size()) {
             faults_spec = args[++i];
         } else if (args[i] == "--workers" && i + 1 < args.size()) {
-            const std::string &w = args[++i];
-            auto [end, ec] =
-                std::from_chars(w.data(), w.data() + w.size(), workers);
-            if (ec != std::errc() || end != w.data() + w.size()) {
-                std::fprintf(stderr, "mdesc: bad --workers value '%s'\n",
-                             w.c_str());
+            if (!parseNumber(args[i], args[i + 1], workers))
                 return 1;
-            }
+            ++i;
         } else if (args[i] == "--max-queue" && i + 1 < args.size()) {
-            const std::string &w = args[++i];
-            auto [end, ec] =
-                std::from_chars(w.data(), w.data() + w.size(), max_queue);
-            if (ec != std::errc() || end != w.data() + w.size()) {
-                std::fprintf(stderr,
-                             "mdesc: bad --max-queue value '%s'\n",
-                             w.c_str());
+            if (!parseNumber(args[i], args[i + 1], max_queue))
                 return 1;
-            }
+            ++i;
         } else if (args[i] == "--store" && i + 1 < args.size()) {
             store_dir = args[++i];
         } else if (args[i] == "--store-max-bytes" && i + 1 < args.size()) {
-            const std::string &w = args[++i];
-            auto [end, ec] = std::from_chars(
-                w.data(), w.data() + w.size(), store_max_bytes);
-            if (ec != std::errc() || end != w.data() + w.size()) {
-                std::fprintf(stderr,
-                             "mdesc: bad --store-max-bytes value '%s'\n",
-                             w.c_str());
+            if (!parseNumber(args[i], args[i + 1], store_max_bytes))
                 return 1;
-            }
+            ++i;
         } else if (args[i] == "--json") {
             json = true;
         } else if (args[i] == "--stdin" || args[i] == "-") {
@@ -795,40 +819,29 @@ cmdCrashChaos(const std::vector<std::string> &args)
 {
     net::CrashChaosConfig config;
     std::string report_path;
-    auto number = [](const std::string &flag, const std::string &w,
-                     auto &out) {
-        auto [end, ec] =
-            std::from_chars(w.data(), w.data() + w.size(), out);
-        if (ec != std::errc() || end != w.data() + w.size()) {
-            std::fprintf(stderr, "mdesc: bad %s value '%s'\n",
-                         flag.c_str(), w.c_str());
-            return false;
-        }
-        return true;
-    };
     for (size_t i = 0; i < args.size(); ++i) {
         if (args[i] == "--seeds" && i + 1 < args.size()) {
-            if (!number(args[i], args[i + 1], config.num_seeds))
+            if (!parseNumber(args[i], args[i + 1], config.num_seeds))
                 return 1;
             ++i;
         } else if (args[i] == "--first-seed" && i + 1 < args.size()) {
-            if (!number(args[i], args[i + 1], config.first_seed))
+            if (!parseNumber(args[i], args[i + 1], config.first_seed))
                 return 1;
             ++i;
         } else if (args[i] == "--shards" && i + 1 < args.size()) {
-            if (!number(args[i], args[i + 1], config.shards))
+            if (!parseNumber(args[i], args[i + 1], config.shards))
                 return 1;
             ++i;
         } else if (args[i] == "--workers" && i + 1 < args.size()) {
-            if (!number(args[i], args[i + 1], config.workers))
+            if (!parseNumber(args[i], args[i + 1], config.workers))
                 return 1;
             ++i;
         } else if (args[i] == "--requests" && i + 1 < args.size()) {
-            if (!number(args[i], args[i + 1], config.requests))
+            if (!parseNumber(args[i], args[i + 1], config.requests))
                 return 1;
             ++i;
         } else if (args[i] == "--kill-rounds" && i + 1 < args.size()) {
-            if (!number(args[i], args[i + 1], config.kill_rounds))
+            if (!parseNumber(args[i], args[i + 1], config.kill_rounds))
                 return 1;
             ++i;
         } else if (args[i] == "--store-dir" && i + 1 < args.size()) {
@@ -880,32 +893,21 @@ cmdChaos(const std::vector<std::string> &args)
     service::chaos::ChaosConfig config;
     std::string report_path;
     std::string flightrec_dir = "flightrec";
-    auto number = [](const std::string &flag, const std::string &w,
-                     auto &out) {
-        auto [end, ec] =
-            std::from_chars(w.data(), w.data() + w.size(), out);
-        if (ec != std::errc() || end != w.data() + w.size()) {
-            std::fprintf(stderr, "mdesc: bad %s value '%s'\n",
-                         flag.c_str(), w.c_str());
-            return false;
-        }
-        return true;
-    };
     for (size_t i = 0; i < args.size(); ++i) {
         if (args[i] == "--seeds" && i + 1 < args.size()) {
-            if (!number(args[i], args[i + 1], config.num_seeds))
+            if (!parseNumber(args[i], args[i + 1], config.num_seeds))
                 return 1;
             ++i;
         } else if (args[i] == "--first-seed" && i + 1 < args.size()) {
-            if (!number(args[i], args[i + 1], config.first_seed))
+            if (!parseNumber(args[i], args[i + 1], config.first_seed))
                 return 1;
             ++i;
         } else if (args[i] == "--workers" && i + 1 < args.size()) {
-            if (!number(args[i], args[i + 1], config.workers))
+            if (!parseNumber(args[i], args[i + 1], config.workers))
                 return 1;
             ++i;
         } else if (args[i] == "--requests" && i + 1 < args.size()) {
-            if (!number(args[i], args[i + 1], config.requests))
+            if (!parseNumber(args[i], args[i + 1], config.requests))
                 return 1;
             ++i;
         } else if (args[i] == "--store-dir" && i + 1 < args.size()) {
@@ -970,17 +972,6 @@ cmdServe(const std::vector<std::string> &args)
 {
     net::ServeOptions opts;
     opts.server.port = 7433; // default mdesc port
-    auto number = [](const std::string &flag, const std::string &w,
-                     auto &out) {
-        auto [end, ec] =
-            std::from_chars(w.data(), w.data() + w.size(), out);
-        if (ec != std::errc() || end != w.data() + w.size()) {
-            std::fprintf(stderr, "mdesc: bad %s value '%s'\n",
-                         flag.c_str(), w.c_str());
-            return false;
-        }
-        return true;
-    };
     for (size_t i = 0; i < args.size(); ++i) {
         if (args[i] == "--listen" && i + 1 < args.size()) {
             std::string ep = args[++i];
@@ -993,16 +984,16 @@ cmdServe(const std::vector<std::string> &args)
                 return 1;
             }
             opts.server.host = ep.substr(0, colon);
-            if (!number("--listen", ep.substr(colon + 1),
+            if (!parseNumber("--listen", ep.substr(colon + 1),
                         opts.server.port))
                 return 1;
         } else if (args[i] == "--workers" && i + 1 < args.size()) {
-            if (!number(args[i], args[i + 1],
+            if (!parseNumber(args[i], args[i + 1],
                         opts.server.service.num_workers))
                 return 1;
             ++i;
         } else if (args[i] == "--max-queue" && i + 1 < args.size()) {
-            if (!number(args[i], args[i + 1],
+            if (!parseNumber(args[i], args[i + 1],
                         opts.server.service.max_queue))
                 return 1;
             ++i;
@@ -1010,16 +1001,16 @@ cmdServe(const std::vector<std::string> &args)
             opts.server.service.store_dir = args[++i];
         } else if (args[i] == "--store-max-bytes" &&
                    i + 1 < args.size()) {
-            if (!number(args[i], args[i + 1],
+            if (!parseNumber(args[i], args[i + 1],
                         opts.server.service.store_max_bytes))
                 return 1;
             ++i;
         } else if (args[i] == "--shards" && i + 1 < args.size()) {
-            if (!number(args[i], args[i + 1], opts.shards))
+            if (!parseNumber(args[i], args[i + 1], opts.shards))
                 return 1;
             ++i;
         } else if (args[i] == "--max-inflight" && i + 1 < args.size()) {
-            if (!number(args[i], args[i + 1],
+            if (!parseNumber(args[i], args[i + 1],
                         opts.server.max_inflight_per_conn))
                 return 1;
             ++i;
@@ -1031,49 +1022,49 @@ cmdServe(const std::vector<std::string> &args)
             opts.flightrec_dir.clear();
         } else if (args[i] == "--flightrec-max-bytes" &&
                    i + 1 < args.size()) {
-            if (!number(args[i], args[i + 1], opts.flightrec_max_bytes))
+            if (!parseNumber(args[i], args[i + 1], opts.flightrec_max_bytes))
                 return 1;
             ++i;
         } else if (args[i] == "--flightrec-slow-ms" &&
                    i + 1 < args.size()) {
-            if (!number(args[i], args[i + 1], opts.flightrec_slow_ms))
+            if (!parseNumber(args[i], args[i + 1], opts.flightrec_slow_ms))
                 return 1;
             ++i;
         } else if (args[i] == "--drain-ms" && i + 1 < args.size()) {
-            if (!number(args[i], args[i + 1], opts.drain_deadline_ms))
+            if (!parseNumber(args[i], args[i + 1], opts.drain_deadline_ms))
                 return 1;
             ++i;
         } else if (args[i] == "--backoff-base-ms" &&
                    i + 1 < args.size()) {
-            if (!number(args[i], args[i + 1],
+            if (!parseNumber(args[i], args[i + 1],
                         opts.restart_backoff_base_ms))
                 return 1;
             ++i;
         } else if (args[i] == "--backoff-max-ms" &&
                    i + 1 < args.size()) {
-            if (!number(args[i], args[i + 1],
+            if (!parseNumber(args[i], args[i + 1],
                         opts.restart_backoff_max_ms))
                 return 1;
             ++i;
         } else if (args[i] == "--rapid-window-ms" &&
                    i + 1 < args.size()) {
-            if (!number(args[i], args[i + 1],
+            if (!parseNumber(args[i], args[i + 1],
                         opts.rapid_crash_window_ms))
                 return 1;
             ++i;
         } else if (args[i] == "--quarantine-after" &&
                    i + 1 < args.size()) {
-            if (!number(args[i], args[i + 1], opts.quarantine_after))
+            if (!parseNumber(args[i], args[i + 1], opts.quarantine_after))
                 return 1;
             ++i;
         } else if (args[i] == "--heartbeat-ms" && i + 1 < args.size()) {
-            if (!number(args[i], args[i + 1],
+            if (!parseNumber(args[i], args[i + 1],
                         opts.heartbeat_interval_ms))
                 return 1;
             ++i;
         } else if (args[i] == "--heartbeat-timeout-ms" &&
                    i + 1 < args.size()) {
-            if (!number(args[i], args[i + 1],
+            if (!parseNumber(args[i], args[i + 1],
                         opts.heartbeat_timeout_ms))
                 return 1;
             ++i;
@@ -1104,15 +1095,9 @@ cmdNetbatch(const std::vector<std::string> &args)
         } else if (args[i] == "--check-inprocess") {
             check_inprocess = true;
         } else if (args[i] == "--deadline-ms" && i + 1 < args.size()) {
-            const std::string &w = args[++i];
-            auto [end, ec] = std::from_chars(
-                w.data(), w.data() + w.size(), deadline_ms);
-            if (ec != std::errc() || end != w.data() + w.size()) {
-                std::fprintf(stderr,
-                             "mdesc: bad --deadline-ms value '%s'\n",
-                             w.c_str());
+            if (!parseNumber(args[i], args[i + 1], deadline_ms))
                 return 1;
-            }
+            ++i;
         } else if (args[i] == "--stdin" || args[i] == "-") {
             input = "-";
         } else if (!args[i].empty() && args[i][0] == '-') {
@@ -1129,23 +1114,10 @@ cmdNetbatch(const std::vector<std::string> &args)
     }
     if (endpoint.empty() || input.empty())
         return usage();
-    size_t colon = endpoint.rfind(':');
-    if (colon == std::string::npos) {
-        std::fprintf(stderr, "mdesc: endpoint wants host:port, got '%s'\n",
-                     endpoint.c_str());
-        return 1;
-    }
-    std::string host = endpoint.substr(0, colon);
+    std::string host;
     uint16_t port = 0;
-    {
-        std::string w = endpoint.substr(colon + 1);
-        auto [end, ec] =
-            std::from_chars(w.data(), w.data() + w.size(), port);
-        if (ec != std::errc() || end != w.data() + w.size()) {
-            std::fprintf(stderr, "mdesc: bad port '%s'\n", w.c_str());
-            return 1;
-        }
-    }
+    if (!parseEndpoint(endpoint, &host, &port))
+        return 1;
 
     std::string text;
     if (input == "-") {
@@ -1235,26 +1207,6 @@ cmdNetbatch(const std::vector<std::string> &args)
     return failures == 0 ? 0 : 1;
 }
 
-/** Split "host:port"; false (with a message) on malformed input. */
-bool
-parseEndpoint(const std::string &ep, std::string *host, uint16_t *port)
-{
-    size_t colon = ep.rfind(':');
-    if (colon == std::string::npos) {
-        std::fprintf(stderr, "mdesc: endpoint wants host:port, got '%s'\n",
-                     ep.c_str());
-        return false;
-    }
-    *host = ep.substr(0, colon);
-    std::string w = ep.substr(colon + 1);
-    auto [end, ec] = std::from_chars(w.data(), w.data() + w.size(), *port);
-    if (ec != std::errc() || end != w.data() + w.size()) {
-        std::fprintf(stderr, "mdesc: bad port '%s'\n", w.c_str());
-        return false;
-    }
-    return true;
-}
-
 /** One stats poll over a fresh connection (the shard parent closes a
  * STAT connection after answering, so per-poll connects work against
  * every serve mode). Empty string on failure. */
@@ -1321,24 +1273,13 @@ cmdTop(const std::vector<std::string> &args)
 {
     std::string endpoint;
     uint64_t interval_ms = 1000, count = 0;
-    auto number = [](const std::string &flag, const std::string &w,
-                     auto &out) {
-        auto [end, ec] =
-            std::from_chars(w.data(), w.data() + w.size(), out);
-        if (ec != std::errc() || end != w.data() + w.size()) {
-            std::fprintf(stderr, "mdesc: bad %s value '%s'\n",
-                         flag.c_str(), w.c_str());
-            return false;
-        }
-        return true;
-    };
     for (size_t i = 0; i < args.size(); ++i) {
         if (args[i] == "--interval-ms" && i + 1 < args.size()) {
-            if (!number(args[i], args[i + 1], interval_ms))
+            if (!parseNumber(args[i], args[i + 1], interval_ms))
                 return 1;
             ++i;
         } else if (args[i] == "--count" && i + 1 < args.size()) {
-            if (!number(args[i], args[i + 1], count))
+            if (!parseNumber(args[i], args[i + 1], count))
                 return 1;
             ++i;
         } else if (args[i] == "--socket" && i + 1 < args.size()) {
@@ -1486,15 +1427,9 @@ cmdStorePrune(const std::string &dir,
     bool have_budget = false;
     for (size_t i = 0; i < args.size(); ++i) {
         if (args[i] == "--max-bytes" && i + 1 < args.size()) {
-            const std::string &w = args[++i];
-            auto [end, ec] =
-                std::from_chars(w.data(), w.data() + w.size(), max_bytes);
-            if (ec != std::errc() || end != w.data() + w.size()) {
-                std::fprintf(stderr,
-                             "mdesc: bad --max-bytes value '%s'\n",
-                             w.c_str());
+            if (!parseNumber(args[i], args[i + 1], max_bytes))
                 return 1;
-            }
+            ++i;
             have_budget = true;
         } else {
             return usage();
