@@ -93,26 +93,6 @@ Mdes::findOpClass(const std::string &name) const
     return kInvalidId;
 }
 
-TreeId
-Mdes::findTree(const std::string &name) const
-{
-    for (size_t i = 0; i < trees_.size(); ++i) {
-        if (trees_[i].name == name)
-            return TreeId(i);
-    }
-    return kInvalidId;
-}
-
-OrTreeId
-Mdes::findOrTree(const std::string &name) const
-{
-    for (size_t i = 0; i < or_trees_.size(); ++i) {
-        if (or_trees_[i].name == name)
-            return OrTreeId(i);
-    }
-    return kInvalidId;
-}
-
 uint64_t
 Mdes::expandedOptionCount(TreeId tree) const
 {

@@ -204,12 +204,6 @@ class Mdes
     /** Find an operation class by name; kInvalidId if absent. */
     OpClassId findOpClass(const std::string &name) const;
 
-    /** Find an AND/OR-tree by name; kInvalidId if absent. */
-    TreeId findTree(const std::string &name) const;
-
-    /** Find an OR-tree by name; kInvalidId if absent. */
-    OrTreeId findOrTree(const std::string &name) const;
-
     // --- Structural queries -----------------------------------------
 
     /**

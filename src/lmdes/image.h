@@ -15,9 +15,12 @@
  * variable length. The whole image is relocatable: it contains offsets,
  * never pointers, so N server processes can map one physical copy.
  *
- * The layout is declared here (rather than buried in serialize.cpp) so
- * tests can craft and patch images precisely - the v7 analogue of
- * fuzzing v4's length prefixes.
+ * The image is the only form of a LowMdes (see low_mdes.h): lower()
+ * writes one with v7::writeImage and attaches it, and save() and the
+ * artifact store write those bytes as they are. The layout is declared
+ * here (rather than buried in serialize.cpp) so tests can craft and
+ * patch images precisely - the v7 analogue of fuzzing v4's length
+ * prefixes.
  *
  * Layout:
  *
@@ -28,12 +31,18 @@
  * Header::checksum is FNV-1a64 over bytes [sizeof(Header), image_bytes)
  * - everything except the header itself - verified once at open. All
  * integers are little-endian as written by the host (same-host caching,
- * not interchange).
+ * not interchange). Every byte is determined by the description: padding
+ * inside and between records is zero, so two lowerings of one
+ * description save identical files.
  */
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
+#include <string>
+#include <vector>
 
+#include "lmdes/low_mdes.h"
 #include "support/diagnostics.h"
 
 namespace mdes::lmdes {
@@ -138,14 +147,44 @@ static_assert(kDataStart == 256);
  * able to drive a multi-GB RU-map overlay allocation in the checker. */
 constexpr int64_t kMaxSlotMagnitude = int64_t(1) << 20;
 
+/** Everything one image holds: the scalars, the text, and the POD pools
+ * in section order. lower() fills one and writes it. */
+struct Contents
+{
+    std::string machine_name;
+    uint32_t num_resources = 0;
+    uint32_t slot_words = 1;
+    bool packed = false;
+    std::vector<std::string> resource_names;
+    std::vector<LowOpClass> op_classes;
+    std::vector<Check> checks;
+    std::vector<LowOption> options;
+    std::vector<uint32_t> option_refs;
+    std::vector<LowOrTree> or_trees;
+    std::vector<uint32_t> or_refs;
+    std::vector<LowTree> trees;
+    std::vector<LowBypass> bypasses;
+    std::vector<TreeSummary> tree_summaries;
+    std::vector<Check> prefilter;
+};
+
+/**
+ * Lay @p desc out as an image filling a fresh zeroed buffer (uint64_t,
+ * so 8-byte aligned). Records with padding (Check, LowOption, LowOrTree,
+ * LowTree) are written field by field, so no indeterminate byte reaches
+ * the image.
+ */
+std::shared_ptr<const std::vector<uint64_t>>
+writeImage(const Contents &desc);
+
 } // namespace v7
 
 /**
- * Process-wide count of *full* LMDES deserializations: loads that
- * materialized every pool into heap vectors (the v6-era cost the mmap
- * path exists to avoid). Zero-copy image attach does not count.
- * bench_store_coldstart asserts this stays flat across a disk-warm
- * sweep.
+ * Process-wide count of *full* LMDES deserializations: LowMdes::load
+ * calls, each of which reads a whole image from a stream into the heap
+ * (the cost the store's mmap path exists to avoid). Attaching an image
+ * in place does not count. bench_store_coldstart asserts this stays flat
+ * across a disk-warm sweep.
  */
 uint64_t fullDeserializations();
 

@@ -17,19 +17,14 @@
  * cycle merge into a single check word, so one AND against the RU map
  * probes them all.
  *
- * Since format v7 a LowMdes has two backing modes, invisible to callers:
- *
- *  - *owned*: every pool lives in this object's heap vectors (the
- *    result of lower(), load(), or a deep copy);
- *  - *mapped*: the POD pools are spans straight into a refcounted
- *    position-independent image (typically an mmap'ed store artifact;
- *    see image.h), validated once at attach time. Only the small text
- *    pieces (machine name, resource names, op-class names/comments) are
- *    materialized, so attaching is O(validation), not O(image).
- *
- * Accessors return std::span either way; the span for an owned pool
- * views the member vector, so construction and mutation order never
- * leave a dangling view. Copies of a mapped LowMdes share the backing.
+ * Every LowMdes is one v7 image (see image.h): the POD pools are spans
+ * into a refcounted, position-independent byte image that fromImage
+ * validated once. lower() writes a fresh image and attaches it, load()
+ * attaches the bytes it read, and the artifact store attaches its
+ * mmap'ed file, so every description passes the same validation. Only
+ * the small text pieces (machine name, resource names, op-class
+ * names/comments) are materialized. Copies share the image, and save()
+ * writes it unchanged.
  *
  * Memory accounting model (documented in DESIGN.md §2.3): check entries
  * and descriptors are 8 bytes, membership list entries 4 bytes. The
@@ -177,20 +172,21 @@ struct LowerOptions
     bool prefilter = true;
 };
 
-/** How LowMdes::fromImage should relate to the caller's image bytes. */
+/** What LowMdes::fromImage borrows besides the image bytes. */
 struct ImageSource
 {
     /**
-     * Keeps the image alive for as long as any copy of the resulting
-     * LowMdes exists (e.g. an munmap-on-release mapping handle). Null
-     * means "the bytes are transient": the pools are deep-copied into
-     * owned vectors instead of borrowed.
+     * Owns the image bytes and keeps them alive for as long as any copy
+     * of the resulting LowMdes exists: a heap buffer, or an
+     * munmap-on-release mapping handle. Required, since fromImage never
+     * copies the image.
      */
     std::shared_ptr<const void> backing;
     /**
      * Verify Header::checksum before parsing. The store's mmap path
      * passes false because the whole-file trailer it just verified
-     * already covers the image ("checksum verified once at open").
+     * already covers the image ("checksum verified once at open"), and
+     * lower() passes false for the image it has just written.
      */
     bool verify_checksum = true;
 };
@@ -202,8 +198,10 @@ struct ImageSource
 class LowMdes
 {
   public:
-    /** Lower the structured model @p m. Machines wider than 64 resource
-     * instances use several RU-map words per cycle (see Check::slot). */
+    /** Lower the structured model @p m into a fresh image and attach it.
+     * Machines wider than 64 resource instances use several RU-map words
+     * per cycle (see Check::slot). Throws MdesError, as fromImage does,
+     * when the image fails validation (e.g. more than 64 words). */
     static LowMdes lower(const Mdes &m, const LowerOptions &opts = {});
 
     const std::string &machineName() const { return machine_name_; }
@@ -212,12 +210,8 @@ class LowMdes
     uint32_t slotWords() const { return slot_words_; }
     bool packed() const { return packed_; }
 
-    /** True when the POD pools borrow a mapped image (see fromImage). */
-    bool mapped() const { return backing_ != nullptr; }
-
     /** Per-instance resource names ("Name" or "Name[i]" in declaration
-     * order), kept for conflict-profiling reports. Always materialized,
-     * even in mapped mode. */
+     * order), kept for conflict-profiling reports. */
     const std::vector<std::string> &resourceNames() const
     {
         return resource_names_;
@@ -226,53 +220,26 @@ class LowMdes
     /** Name of resource instance @p r; "r<id>" when names are absent. */
     std::string resourceName(uint32_t r) const;
 
-    std::span<const Check> checks() const
-    {
-        return mapped() ? view_.checks : std::span<const Check>(checks_);
-    }
-    std::span<const LowOption> options() const
-    {
-        return mapped() ? view_.options
-                        : std::span<const LowOption>(options_);
-    }
-    std::span<const uint32_t> optionRefs() const
-    {
-        return mapped() ? view_.option_refs
-                        : std::span<const uint32_t>(option_refs_);
-    }
-    std::span<const LowOrTree> orTrees() const
-    {
-        return mapped() ? view_.or_trees
-                        : std::span<const LowOrTree>(or_trees_);
-    }
-    std::span<const uint32_t> orRefs() const
-    {
-        return mapped() ? view_.or_refs
-                        : std::span<const uint32_t>(or_refs_);
-    }
-    std::span<const LowTree> trees() const
-    {
-        return mapped() ? view_.trees : std::span<const LowTree>(trees_);
-    }
+    std::span<const Check> checks() const { return checks_; }
+    std::span<const LowOption> options() const { return options_; }
+    std::span<const uint32_t> optionRefs() const { return option_refs_; }
+    std::span<const LowOrTree> orTrees() const { return or_trees_; }
+    std::span<const uint32_t> orRefs() const { return or_refs_; }
+    std::span<const LowTree> trees() const { return trees_; }
     /** Per-tree probe summaries, parallel to trees(). */
     std::span<const TreeSummary> treeSummaries() const
     {
-        return mapped() ? view_.tree_summaries
-                        : std::span<const TreeSummary>(tree_summaries_);
+        return tree_summaries_;
     }
     /** Collision-vector prefilter pool (see TreeSummary). */
-    std::span<const Check> prefilter() const
-    {
-        return mapped() ? view_.prefilter
-                        : std::span<const Check>(prefilter_);
-    }
-    /** Operation classes. Always materialized (they carry strings). */
+    std::span<const Check> prefilter() const { return prefilter_; }
+    /** Operation classes (materialized: they carry strings). */
     const std::vector<LowOpClass> &opClasses() const { return op_classes_; }
-    std::span<const LowBypass> bypasses() const
-    {
-        return mapped() ? view_.bypasses
-                        : std::span<const LowBypass>(bypasses_);
-    }
+    std::span<const LowBypass> bypasses() const { return bypasses_; }
+
+    /** The v7 image every pool above lies in; empty only for a
+     * default-constructed LowMdes. */
+    std::span<const char> image() const { return image_; }
 
     /**
      * Effective flow latency when @p consumer directly consumes
@@ -294,76 +261,51 @@ class LowMdes
     /** Byte accounting under the documented model. */
     MemoryBreakdown memory() const;
 
-    /** Serialize as a v7 position-independent image (works in either
-     * backing mode). */
+    /** Write image() unchanged. */
     void save(std::ostream &os) const;
 
     /**
-     * Deserialize into owned storage; throws MdesError on malformed
-     * input and MdesVersionError (see image.h) on a version this build
-     * does not speak. Counts as a full deserialization.
+     * Read a v7 image from @p is into a heap buffer and attach it; throws
+     * MdesError on malformed input and MdesVersionError (see image.h) on
+     * a version this build does not speak. Counts as a full
+     * deserialization.
      */
     static LowMdes load(std::istream &is);
 
     /**
-     * Attach to (or copy out of) a v7 image of @p size bytes at @p base,
-     * which must be at least 8-byte aligned (mmap'ed files and
-     * uint64_t-backed buffers both qualify). The image is bounds- and
+     * Attach the v7 image of @p size bytes at @p base, which must be at
+     * least 8-byte aligned (mmap'ed files and uint64_t-backed buffers
+     * both qualify) and owned by @p src.backing. The image is bounds- and
      * cross-reference-validated before any span is published; throws
-     * MdesError / MdesVersionError like load(). With src.backing set the
-     * result borrows the image zero-copy; otherwise the pools are
-     * deep-copied and the call counts as a full deserialization.
+     * MdesError / MdesVersionError like load(). The result borrows the
+     * image zero-copy and holds the backing.
      */
     static LowMdes fromImage(const void *base, size_t size,
-                             const ImageSource &src = {});
+                             const ImageSource &src);
 
-    /** Content equality, regardless of backing mode. */
+    /** Content equality: the scalars, the text and every pool, field by
+     * field (padding bytes do not count). */
     bool operator==(const LowMdes &other) const;
 
   private:
-    /** Derive tree_summaries_/prefilter_ from the lowered pools (called
-     * at the end of lower(); load() reads the serialized copies). With
-     * @p prefilter false, slot windows are still computed but every
-     * prefilter slice stays empty (see LowerOptions::prefilter). */
-    void computeTreeSummaries(bool prefilter);
-
-    /** Copy every borrowed pool into the owned vectors and drop the
-     * backing (used by load() and the deep-copy path of fromImage). */
-    void materialize();
-
-    /** Spans into a borrowed image; meaningful only when backing_ is
-     * non-null. */
-    struct ImageView
-    {
-        std::span<const Check> checks;
-        std::span<const LowOption> options;
-        std::span<const uint32_t> option_refs;
-        std::span<const LowOrTree> or_trees;
-        std::span<const uint32_t> or_refs;
-        std::span<const LowTree> trees;
-        std::span<const TreeSummary> tree_summaries;
-        std::span<const Check> prefilter;
-        std::span<const LowBypass> bypasses;
-    };
-
     std::string machine_name_;
     uint32_t num_resources_ = 0;
     uint32_t slot_words_ = 1;
     bool packed_ = false;
     std::vector<std::string> resource_names_;
-    std::vector<Check> checks_;
-    std::vector<LowOption> options_;
-    std::vector<uint32_t> option_refs_;
-    std::vector<LowOrTree> or_trees_;
-    std::vector<uint32_t> or_refs_;
-    std::vector<LowTree> trees_;
-    std::vector<TreeSummary> tree_summaries_;
-    std::vector<Check> prefilter_;
     std::vector<LowOpClass> op_classes_;
-    std::vector<LowBypass> bypasses_;
-    /** Null in owned mode; keeps the mapped image alive otherwise. */
+    /** Owns the bytes image_ and every pool span point into. */
     std::shared_ptr<const void> backing_;
-    ImageView view_;
+    std::span<const char> image_;
+    std::span<const Check> checks_;
+    std::span<const LowOption> options_;
+    std::span<const uint32_t> option_refs_;
+    std::span<const LowOrTree> or_trees_;
+    std::span<const uint32_t> or_refs_;
+    std::span<const LowTree> trees_;
+    std::span<const TreeSummary> tree_summaries_;
+    std::span<const Check> prefilter_;
+    std::span<const LowBypass> bypasses_;
 };
 
 } // namespace mdes::lmdes

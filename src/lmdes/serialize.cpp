@@ -3,6 +3,8 @@
 #include <cstring>
 #include <istream>
 #include <ostream>
+#include <stdexcept>
+#include <type_traits>
 
 #include "lmdes/image.h"
 #include "lmdes/low_mdes.h"
@@ -21,11 +23,11 @@
  *    scalars, section table]  [pad to 256]  [64-byte-aligned sections]
  *
  * with every POD pool at a fixed stride and all text in one string pool,
- * so the image can be attached in place (LowMdes::fromImage borrowing an
- * mmap'ed artifact) as well as deep-copied (LowMdes::load from a
- * stream). Earlier formats (v4-v6) were length-prefixed byte streams
- * that always required a full deserialization; they are read by no one -
- * the store silently recompiles on version mismatch.
+ * so the image is attached in place wherever it lives: the buffer
+ * lower() wrote, the buffer load() read, or an mmap'ed store artifact.
+ * Earlier formats (v4-v6) were length-prefixed byte streams that always
+ * required a full deserialization; they are read by no one - the store
+ * silently recompiles on version mismatch.
  *
  * Attaching is paranoid in the same spirit v4's ByteReader was: the
  * image size is bounded up front, the section table is checked for
@@ -203,6 +205,31 @@ validateCheckFields(std::span<const Check> list, const char *what,
     }
 }
 
+/**
+ * Copy @p recs into the zeroed section at @p dst: whole when the record
+ * type has no padding, else one named field at a time so the padding
+ * stays zero.
+ */
+template <typename T, typename... F>
+void
+putRecords(char *dst, const std::vector<T> &recs, F T::*...fields)
+{
+    if constexpr (sizeof...(fields) == 0) {
+        static_assert(std::has_unique_object_representations_v<T>);
+        if (!recs.empty())
+            std::memcpy(dst, recs.data(), recs.size() * sizeof(T));
+    } else {
+        for (const T &r : recs) {
+            const char *rec = reinterpret_cast<const char *>(&r);
+            ((std::memcpy(dst + (reinterpret_cast<const char *>(&(r.*fields)) -
+                                 rec),
+                          &(r.*fields), sizeof(r.*fields))),
+             ...);
+            dst += sizeof(T);
+        }
+    }
+}
+
 } // namespace
 
 uint64_t
@@ -211,8 +238,8 @@ fullDeserializations()
     return g_full_deserializations.load(std::memory_order_relaxed);
 }
 
-void
-LowMdes::save(std::ostream &os) const
+std::shared_ptr<const std::vector<uint64_t>>
+v7::writeImage(const Contents &desc)
 {
     // Gather the variable-length text into one pool so every other
     // section has a fixed stride.
@@ -222,10 +249,10 @@ LowMdes::save(std::ostream &os) const
         pool += s;
         return r;
     };
-    const v7::StrRef mname = intern(machine_name_);
+    const v7::StrRef mname = intern(desc.machine_name);
     std::vector<v7::OpClassRec> class_recs;
-    class_recs.reserve(op_classes_.size());
-    for (const auto &oc : op_classes_) {
+    class_recs.reserve(desc.op_classes.size());
+    for (const auto &oc : desc.op_classes) {
         v7::OpClassRec rec;
         const v7::StrRef n = intern(oc.name);
         const v7::StrRef c = intern(oc.comment);
@@ -239,18 +266,18 @@ LowMdes::save(std::ostream &os) const
         class_recs.push_back(rec);
     }
     std::vector<v7::StrRef> name_refs;
-    name_refs.reserve(resource_names_.size());
-    for (const auto &name : resource_names_)
+    name_refs.reserve(desc.resource_names.size());
+    for (const auto &name : desc.resource_names)
         name_refs.push_back(intern(name));
 
     // Lay the sections out back to back, each starting on a kAlign
-    // boundary. Accessors (not members) so a mapped object re-saves.
+    // boundary.
     v7::Header hdr{};
     std::memcpy(hdr.magic, v7::kMagic, 4);
     hdr.version = v7::kVersion;
-    hdr.num_resources = num_resources_;
-    hdr.slot_words = slot_words_;
-    hdr.packed = packed_ ? 1 : 0;
+    hdr.num_resources = desc.num_resources;
+    hdr.slot_words = desc.slot_words;
+    hdr.packed = desc.packed ? 1 : 0;
     hdr.machine_name_off = mname.off;
     hdr.machine_name_len = mname.len;
     hdr.section_count = v7::kNumSections;
@@ -259,54 +286,61 @@ LowMdes::save(std::ostream &os) const
         hdr.sections[id] = {off, bytes};
         off = (off + bytes + v7::kAlign - 1) / v7::kAlign * v7::kAlign;
     };
-    place(v7::kChecks, checks().size() * sizeof(Check));
-    place(v7::kOptions, options().size() * sizeof(LowOption));
-    place(v7::kOptionRefs, optionRefs().size() * sizeof(uint32_t));
-    place(v7::kOrTrees, orTrees().size() * sizeof(LowOrTree));
-    place(v7::kOrRefs, orRefs().size() * sizeof(uint32_t));
-    place(v7::kTrees, trees().size() * sizeof(LowTree));
-    place(v7::kBypasses, bypasses().size() * sizeof(LowBypass));
-    place(v7::kTreeSummaries, treeSummaries().size() * sizeof(TreeSummary));
-    place(v7::kPrefilter, prefilter().size() * sizeof(Check));
+    place(v7::kChecks, desc.checks.size() * sizeof(Check));
+    place(v7::kOptions, desc.options.size() * sizeof(LowOption));
+    place(v7::kOptionRefs, desc.option_refs.size() * sizeof(uint32_t));
+    place(v7::kOrTrees, desc.or_trees.size() * sizeof(LowOrTree));
+    place(v7::kOrRefs, desc.or_refs.size() * sizeof(uint32_t));
+    place(v7::kTrees, desc.trees.size() * sizeof(LowTree));
+    place(v7::kBypasses, desc.bypasses.size() * sizeof(LowBypass));
+    place(v7::kTreeSummaries,
+          desc.tree_summaries.size() * sizeof(TreeSummary));
+    place(v7::kPrefilter, desc.prefilter.size() * sizeof(Check));
     place(v7::kOpClasses, class_recs.size() * sizeof(v7::OpClassRec));
     place(v7::kResourceNames, name_refs.size() * sizeof(v7::StrRef));
     place(v7::kStringPool, pool.size());
-    hdr.image_bytes = off;
+    hdr.image_bytes = off; // a multiple of kAlign, so of 8
 
-    std::string img(size_t(off), '\0');
-    auto put = [&](v7::SectionId id, const void *src, size_t bytes) {
-        if (bytes)
-            std::memcpy(img.data() + hdr.sections[id].offset, src, bytes);
+    auto buf = std::make_shared<std::vector<uint64_t>>(off / 8);
+    char *img = reinterpret_cast<char *>(buf->data());
+    auto put = [&](v7::SectionId id) {
+        return img + hdr.sections[id].offset;
     };
-    put(v7::kChecks, checks().data(), hdr.sections[v7::kChecks].bytes);
-    put(v7::kOptions, options().data(), hdr.sections[v7::kOptions].bytes);
-    put(v7::kOptionRefs, optionRefs().data(),
-        hdr.sections[v7::kOptionRefs].bytes);
-    put(v7::kOrTrees, orTrees().data(), hdr.sections[v7::kOrTrees].bytes);
-    put(v7::kOrRefs, orRefs().data(), hdr.sections[v7::kOrRefs].bytes);
-    put(v7::kTrees, trees().data(), hdr.sections[v7::kTrees].bytes);
-    put(v7::kBypasses, bypasses().data(),
-        hdr.sections[v7::kBypasses].bytes);
-    put(v7::kTreeSummaries, treeSummaries().data(),
-        hdr.sections[v7::kTreeSummaries].bytes);
-    put(v7::kPrefilter, prefilter().data(),
-        hdr.sections[v7::kPrefilter].bytes);
-    put(v7::kOpClasses, class_recs.data(),
-        hdr.sections[v7::kOpClasses].bytes);
-    put(v7::kResourceNames, name_refs.data(),
-        hdr.sections[v7::kResourceNames].bytes);
-    put(v7::kStringPool, pool.data(), hdr.sections[v7::kStringPool].bytes);
+    putRecords(put(v7::kChecks), desc.checks, &Check::slot, &Check::mask);
+    putRecords(put(v7::kOptions), desc.options, &LowOption::first_check,
+               &LowOption::num_checks);
+    putRecords(put(v7::kOptionRefs), desc.option_refs);
+    putRecords(put(v7::kOrTrees), desc.or_trees,
+               &LowOrTree::first_option_ref, &LowOrTree::num_options);
+    putRecords(put(v7::kOrRefs), desc.or_refs);
+    putRecords(put(v7::kTrees), desc.trees, &LowTree::first_or_ref,
+               &LowTree::num_or_trees);
+    putRecords(put(v7::kBypasses), desc.bypasses);
+    putRecords(put(v7::kTreeSummaries), desc.tree_summaries);
+    putRecords(put(v7::kPrefilter), desc.prefilter, &Check::slot,
+               &Check::mask);
+    putRecords(put(v7::kOpClasses), class_recs);
+    putRecords(put(v7::kResourceNames), name_refs);
+    std::memcpy(put(v7::kStringPool), pool.data(), pool.size());
 
-    hdr.checksum =
-        fnv1a(img.data() + sizeof(hdr), img.size() - sizeof(hdr));
-    std::memcpy(img.data(), &hdr, sizeof(hdr));
-    os.write(img.data(), std::streamsize(img.size()));
+    hdr.checksum = fnv1a(img + sizeof(hdr), off - sizeof(hdr));
+    std::memcpy(img, &hdr, sizeof(hdr));
+    return buf;
+}
+
+void
+LowMdes::save(std::ostream &os) const
+{
+    os.write(image_.data(), std::streamsize(image_.size()));
 }
 
 LowMdes
 LowMdes::fromImage(const void *vbase, size_t size, const ImageSource &src)
 {
     const char *base = static_cast<const char *>(vbase);
+    if (!src.backing)
+        throw std::invalid_argument(
+            "LowMdes::fromImage needs a backing that owns the image");
     if (reinterpret_cast<uintptr_t>(vbase) % 8 != 0)
         throw MdesError("LMDES image base is not 8-byte aligned");
     if (size < sizeof(v7::Header))
@@ -354,29 +388,20 @@ LowMdes::fromImage(const void *vbase, size_t size, const ImageSource &src)
     low.num_resources_ = hdr.num_resources;
     low.slot_words_ = hdr.slot_words;
     low.packed_ = hdr.packed != 0;
-    low.view_.checks = sectionSpan<Check>(base, hdr.sections[v7::kChecks]);
-    low.view_.options =
-        sectionSpan<LowOption>(base, hdr.sections[v7::kOptions]);
-    low.view_.option_refs =
+    low.backing_ = src.backing;
+    low.image_ = {base, size};
+    low.checks_ = sectionSpan<Check>(base, hdr.sections[v7::kChecks]);
+    low.options_ = sectionSpan<LowOption>(base, hdr.sections[v7::kOptions]);
+    low.option_refs_ =
         sectionSpan<uint32_t>(base, hdr.sections[v7::kOptionRefs]);
-    low.view_.or_trees =
-        sectionSpan<LowOrTree>(base, hdr.sections[v7::kOrTrees]);
-    low.view_.or_refs =
-        sectionSpan<uint32_t>(base, hdr.sections[v7::kOrRefs]);
-    low.view_.trees = sectionSpan<LowTree>(base, hdr.sections[v7::kTrees]);
-    low.view_.tree_summaries =
+    low.or_trees_ = sectionSpan<LowOrTree>(base, hdr.sections[v7::kOrTrees]);
+    low.or_refs_ = sectionSpan<uint32_t>(base, hdr.sections[v7::kOrRefs]);
+    low.trees_ = sectionSpan<LowTree>(base, hdr.sections[v7::kTrees]);
+    low.tree_summaries_ =
         sectionSpan<TreeSummary>(base, hdr.sections[v7::kTreeSummaries]);
-    low.view_.prefilter =
-        sectionSpan<Check>(base, hdr.sections[v7::kPrefilter]);
-    low.view_.bypasses =
+    low.prefilter_ = sectionSpan<Check>(base, hdr.sections[v7::kPrefilter]);
+    low.bypasses_ =
         sectionSpan<LowBypass>(base, hdr.sections[v7::kBypasses]);
-    // Publish the spans through the accessors for validation below. In
-    // the deep-copy case the backing is a non-owning alias of the
-    // caller's buffer, dropped by materialize() before returning.
-    low.backing_ = src.backing
-                       ? src.backing
-                       : std::shared_ptr<const void>(
-                             std::shared_ptr<const void>(), vbase);
 
     // Materialize the text: a (off, len) slice of the pool per string.
     const std::span<const char> pool =
@@ -420,14 +445,14 @@ LowMdes::fromImage(const void *vbase, size_t size, const ImageSource &src)
 
     // Validate every cross-reference so a corrupt image cannot cause
     // out-of-range indexing later.
-    const auto checks = low.checks();
-    const auto options = low.options();
-    const auto option_refs = low.optionRefs();
-    const auto or_trees = low.orTrees();
-    const auto or_refs = low.orRefs();
-    const auto trees = low.trees();
-    const auto summaries = low.treeSummaries();
-    const auto prefilter = low.prefilter();
+    const auto checks = low.checks_;
+    const auto options = low.options_;
+    const auto option_refs = low.option_refs_;
+    const auto or_trees = low.or_trees_;
+    const auto or_refs = low.or_refs_;
+    const auto trees = low.trees_;
+    const auto summaries = low.tree_summaries_;
+    const auto prefilter = low.prefilter_;
     for (const auto &o : options) {
         if (size_t(o.first_check) + o.num_checks > checks.size())
             throw MdesError("LMDES option references bad check range");
@@ -456,7 +481,7 @@ LowMdes::fromImage(const void *vbase, size_t size, const ImageSource &src)
             oc.cascade_tree >= trees.size())
             throw MdesError("LMDES op class references bad cascade tree");
     }
-    for (const auto &bp : low.bypasses()) {
+    for (const auto &bp : low.bypasses_) {
         if (bp.from >= low.op_classes_.size() ||
             bp.to >= low.op_classes_.size())
             throw MdesError("LMDES bypass references bad operation");
@@ -515,28 +540,7 @@ LowMdes::fromImage(const void *vbase, size_t size, const ImageSource &src)
         }
     }
 
-    if (!src.backing)
-        low.materialize();
     return low;
-}
-
-void
-LowMdes::materialize()
-{
-    checks_.assign(view_.checks.begin(), view_.checks.end());
-    options_.assign(view_.options.begin(), view_.options.end());
-    option_refs_.assign(view_.option_refs.begin(),
-                        view_.option_refs.end());
-    or_trees_.assign(view_.or_trees.begin(), view_.or_trees.end());
-    or_refs_.assign(view_.or_refs.begin(), view_.or_refs.end());
-    trees_.assign(view_.trees.begin(), view_.trees.end());
-    tree_summaries_.assign(view_.tree_summaries.begin(),
-                           view_.tree_summaries.end());
-    prefilter_.assign(view_.prefilter.begin(), view_.prefilter.end());
-    bypasses_.assign(view_.bypasses.begin(), view_.bypasses.end());
-    view_ = ImageView{};
-    backing_.reset();
-    g_full_deserializations.fetch_add(1, std::memory_order_relaxed);
 }
 
 LowMdes
@@ -579,8 +583,8 @@ LowMdes::load(std::istream &is)
                         "-byte header");
 
     // uint64_t backing guarantees the 8-byte alignment fromImage needs.
-    std::vector<uint64_t> buf((image_bytes + 7) / 8);
-    char *bytes = reinterpret_cast<char *>(buf.data());
+    auto buf = std::make_shared<std::vector<uint64_t>>((image_bytes + 7) / 8);
+    char *bytes = reinterpret_cast<char *>(buf->data());
     std::memcpy(bytes, magic, 4);
     std::memcpy(bytes + 4, &version, 4);
     std::memcpy(bytes + 8, &image_bytes, 8);
@@ -591,7 +595,9 @@ LowMdes::load(std::istream &is)
                         " bytes, stream holds " +
                         std::to_string(16 + is.gcount()));
 
-    return fromImage(bytes, size_t(image_bytes), ImageSource{});
+    LowMdes low = fromImage(bytes, size_t(image_bytes), ImageSource{buf});
+    g_full_deserializations.fetch_add(1, std::memory_order_relaxed);
+    return low;
 }
 
 } // namespace mdes::lmdes

@@ -35,13 +35,6 @@ DescriptionCache::attachStore(
     store_ = std::move(disk_store);
 }
 
-std::shared_ptr<store::ArtifactStore>
-DescriptionCache::diskStore() const
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    return store_;
-}
-
 void
 DescriptionCache::setBreakerPolicy(BreakerPolicy policy)
 {

@@ -120,9 +120,6 @@ class DescriptionCache
      */
     void attachStore(std::shared_ptr<store::ArtifactStore> disk_store);
 
-    /** The attached disk tier (null when memory-only). */
-    std::shared_ptr<store::ArtifactStore> diskStore() const;
-
     /** Set the per-key circuit-breaker policy (threshold 0 = off, the
      * default). Call before the first lookup. */
     void setBreakerPolicy(BreakerPolicy policy);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <charconv>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -20,7 +21,6 @@
 #include "lmdes/image.h"
 #include "support/diagnostics.h"
 #include "support/faultsim.h"
-#include "support/json.h"
 #include "support/rng.h"
 #include "support/trace.h"
 
@@ -86,6 +86,17 @@ nowUnix()
     return uint64_t(std::chrono::duration_cast<std::chrono::seconds>(
                         std::chrono::system_clock::now().time_since_epoch())
                         .count());
+}
+
+/** The key of a store entry named "<16 hex digits>.<ext>"; false for
+ * any other name (a temp file, or a file the store did not write). */
+bool
+entryKey(const std::string &name, uint64_t *key)
+{
+    if (name.size() < 18 || name[16] != '.')
+        return false;
+    auto [end, ec] = std::from_chars(name.data(), name.data() + 16, *key, 16);
+    return ec == std::errc() && end == name.data() + 16;
 }
 
 /** file_time_type -> unix seconds (portable pre-clock_cast dance). */
@@ -233,12 +244,6 @@ artifactFileName(uint64_t key)
 }
 
 std::string
-metaFileName(uint64_t key)
-{
-    return hexKey(key) + ".meta";
-}
-
-std::string
 quarantineFileName(uint64_t key)
 {
     return hexKey(key) + ".bad";
@@ -306,7 +311,7 @@ ArtifactStore::ArtifactStore(StoreConfig config)
         throw MdesError("cannot create store directory '" + config_.dir +
                         "': " + ec.message());
     // A writer killed between temp-write and rename (kill -9, OOM,
-    // crash) leaves a ".tmp-*" orphan that the sscanf-keyed walks in
+    // crash) leaves a ".tmp-*" orphan that the keyed walks in
     // prune()/list() skip forever. Sweep them at open: any live
     // publisher whose temp we race loses one rename, retries with a
     // fresh temp name, and succeeds.
@@ -364,8 +369,7 @@ ArtifactStore::backoff(uint64_t key, uint32_t attempt,
 ArtifactStore::LoadOutcome
 ArtifactStore::parseArtifact(const char *data, size_t size, uint64_t key,
                              const std::shared_ptr<const void> &backing,
-                             std::shared_ptr<const lmdes::LowMdes> *out,
-                             Header *header_out)
+                             std::shared_ptr<const lmdes::LowMdes> *out)
 {
     // Verify the integrity trailer before touching the contents: the
     // last 8 bytes checksum everything before them. This is the one
@@ -385,7 +389,7 @@ ArtifactStore::parseArtifact(const char *data, size_t size, uint64_t key,
         MemReader r(data, body_size);
         if (Header::readVersion(r) != kStoreVersion)
             return LoadOutcome::Stale;
-        Header h = Header::readFields(r, key);
+        Header::readFields(r, key);
         const size_t img_off =
             (r.offset() + kImageAlign - 1) / kImageAlign * kImageAlign;
         if (img_off > body_size)
@@ -394,8 +398,6 @@ ArtifactStore::parseArtifact(const char *data, size_t size, uint64_t key,
             data + img_off, body_size - img_off,
             lmdes::ImageSource{backing, /*verify_checksum=*/false});
         *out = std::make_shared<const lmdes::LowMdes>(std::move(low));
-        if (header_out)
-            *header_out = std::move(h);
         return LoadOutcome::Hit;
     } catch (const lmdes::MdesVersionError &) {
         // The container is current but the image inside speaks another
@@ -444,18 +446,17 @@ ArtifactStore::loadOnce(uint64_t key,
 
     // Simulated bit rot / truncation: mangle an in-memory copy only, so
     // the parser (and the trailer check) sees what a damaged disk would
-    // feed it without physically rewriting the artifact. The copy is
-    // transient, so it gets no backing (were it ever to parse, the
-    // pools would be deep-copied).
-    std::vector<uint64_t> mangled;
+    // feed it without physically rewriting the artifact. Were the copy
+    // ever to parse, the result would borrow it instead of the mapping.
+    std::shared_ptr<std::vector<uint64_t>> mangled;
     size_t mangled_size = 0;
     auto mangle = [&]() -> char * {
-        if (mangled.empty()) {
+        if (!mangled) {
             mangled_size = size;
-            mangled.assign((size + 7) / 8, 0);
-            std::memcpy(mangled.data(), mapping->data, size);
+            mangled = std::make_shared<std::vector<uint64_t>>((size + 7) / 8);
+            std::memcpy(mangled->data(), mapping->data, size);
         }
-        return reinterpret_cast<char *>(mangled.data());
+        return reinterpret_cast<char *>(mangled->data());
     };
     {
         faultsim::FireInfo fi =
@@ -476,21 +477,16 @@ ArtifactStore::loadOnce(uint64_t key,
         }
     }
 
-    Header header;
-    LoadOutcome outcome =
-        mangled.empty()
-            ? parseArtifact(mapping->data, size, key, mapping, out,
-                            &header)
-            : parseArtifact(reinterpret_cast<const char *>(mangled.data()),
-                            mangled_size, key, nullptr, out, &header);
+    const LoadOutcome outcome =
+        mangled ? parseArtifact(reinterpret_cast<const char *>(
+                                    mangled->data()),
+                                mangled_size, key, mangled, out)
+                : parseArtifact(mapping->data, size, key, mapping, out);
     if (outcome == LoadOutcome::Hit) {
-        // Touch the access-time sidecar (recreating it if lost) so the
-        // eviction sweep sees this entry as recently used.
-        std::error_code ec;
-        std::string meta = pathFor(metaFileName(key));
-        fs::last_write_time(meta, fs::file_time_type::clock::now(), ec);
-        if (ec)
-            writeMeta(key, header);
+        std::lock_guard<std::mutex> lock(mu_);
+        ++stats_.hits;
+        if (!mangled)
+            ++stats_.mapped_hits;
     }
     return outcome;
 }
@@ -503,10 +499,12 @@ ArtifactStore::load(uint64_t key, const std::function<bool()> &cancel)
         std::shared_ptr<const lmdes::LowMdes> low;
         switch (loadOnce(key, &low)) {
         case LoadOutcome::Hit: {
-            std::lock_guard<std::mutex> lock(mu_);
-            ++stats_.hits;
-            if (low->mapped())
-                ++stats_.mapped_hits;
+            // Counted by loadOnce. The artifact's mtime is its
+            // last-access time: the eviction sweep now sees this entry
+            // as recently used.
+            std::error_code ec;
+            fs::last_write_time(pathFor(artifactFileName(key)),
+                                fs::file_time_type::clock::now(), ec);
             return low;
         }
         case LoadOutcome::Miss: {
@@ -526,18 +524,18 @@ ArtifactStore::load(uint64_t key, const std::function<bool()> &cancel)
                 ++stats_.misses;
             }
             return nullptr;
-        case LoadOutcome::Stale:
+        case LoadOutcome::Stale: {
             // Written by another format version: perfectly healthy
             // bytes this build cannot use. Evict silently (no .bad
             // residue, no corrupt count) so an upgrade reads as a cache
             // flush, then let the caller recompile and republish.
-            removeStale(key);
-            {
-                std::lock_guard<std::mutex> lock(mu_);
-                ++stats_.stale_evicted;
-                ++stats_.misses;
-            }
+            std::error_code ec;
+            fs::remove(pathFor(artifactFileName(key)), ec);
+            std::lock_guard<std::mutex> lock(mu_);
+            ++stats_.stale_evicted;
+            ++stats_.misses;
             return nullptr;
+        }
         case LoadOutcome::TransientIo:
             if (attempt + 1 >= config_.retry.max_attempts) {
                 // Out of patience: a miss - the caller recompiles, the
@@ -586,7 +584,8 @@ ArtifactStore::storeOnce(uint64_t key, const lmdes::LowMdes &low,
                                    kImageAlign * kImageAlign;
             static const char zeros[kImageAlign] = {};
             body.write(zeros, std::streamsize(img_off - header_end));
-            low.save(body);
+            body.write(low.image().data(),
+                       std::streamsize(low.image().size()));
             const std::string payload = body.str();
             uint64_t sum = kFnvOffset;
             fnvBytes(sum, payload.data(), payload.size());
@@ -601,14 +600,15 @@ ArtifactStore::storeOnce(uint64_t key, const lmdes::LowMdes &low,
             faultsim::maybeThrow(faultsim::Site::StoreFsync,
                                  "fsync failed");
         }
-        // The publish: readers see nothing or everything.
+        // The publish: readers see nothing or everything, and the
+        // artifact's mtime, its last-access time, is the time of the
+        // write just finished.
         faultsim::maybeThrow(faultsim::Site::StoreRename,
                              "rename failed");
         fs::rename(tmp, pathFor(artifactFileName(key)));
         // A fresh publish supersedes any quarantined predecessor.
         std::error_code ec;
         fs::remove(pathFor(quarantineFileName(key)), ec);
-        writeMeta(key, header);
         {
             std::lock_guard<std::mutex> lock(mu_);
             ++stats_.stores;
@@ -648,32 +648,6 @@ ArtifactStore::store(uint64_t key, const lmdes::LowMdes &low,
 }
 
 void
-ArtifactStore::writeMeta(uint64_t key, const Header &header)
-{
-    // Best-effort: the sidecar only exists to carry an access time and
-    // a human-readable summary; a lost sidecar just ages the entry.
-    JsonWriter w;
-    w.beginObject();
-    w.key("key").value("0x" + hexKey(key));
-    w.key("machine").value(header.machine);
-    w.key("config_fingerprint").value("0x" + hexKey(header.config_fingerprint));
-    w.key("created_unix").value(header.created_unix);
-    w.key("creator").value(header.creator);
-    w.endObject();
-    std::ofstream out(pathFor(metaFileName(key)),
-                      std::ios::binary | std::ios::trunc);
-    out << w.str() << "\n";
-}
-
-void
-ArtifactStore::removeStale(uint64_t key)
-{
-    std::error_code ec;
-    fs::remove(pathFor(artifactFileName(key)), ec);
-    fs::remove(pathFor(metaFileName(key)), ec);
-}
-
-void
 ArtifactStore::quarantine(uint64_t key)
 {
     std::error_code ec;
@@ -682,7 +656,6 @@ ArtifactStore::quarantine(uint64_t key)
                pathFor(quarantineFileName(key)), ec);
     if (ec)
         fs::remove(pathFor(artifactFileName(key)), ec);
-    fs::remove(pathFor(metaFileName(key)), ec);
 }
 
 PruneResult
@@ -692,8 +665,7 @@ ArtifactStore::prune(uint64_t max_bytes)
     {
         uint64_t key;
         uint64_t bytes;
-        /** Missing sidecar sorts first (0 = never accessed). */
-        int64_t last_access;
+        fs::file_time_type last_access;
     };
     PruneResult result;
     std::vector<Entry> entries;
@@ -712,33 +684,18 @@ ArtifactStore::prune(uint64_t max_bytes)
             continue;
         }
         uint64_t key = 0;
-        if (std::sscanf(name.c_str(), "%16llx",
-                        (unsigned long long *)&key) != 1)
+        if (!entryKey(name, &key))
             continue;
-        if (p.extension() == ".bad") {
-            // Quarantined artifacts never survive a sweep.
+        if (p.extension() != ".lmdes") {
+            // Only artifacts survive a sweep: a quarantined .bad file
+            // (or any other keyed file) is removed.
             fs::remove(p, ec);
             continue;
         }
-        if (p.extension() == ".meta") {
-            // An orphaned sidecar — its artifact pruned or quarantined
-            // between the artifact's removal and this scan — is garbage.
-            // Removing it can at worst race a concurrent republish and
-            // forget that artifact's last-access time.
-            if (!fs::exists(pathFor(artifactFileName(key)), ec))
-                fs::remove(p, ec);
-            continue;
-        }
-        if (p.extension() != ".lmdes")
-            continue;
         Entry e;
         e.key = key;
         e.bytes = uint64_t(de.file_size(ec));
-        e.last_access = 0;
-        auto mtime =
-            fs::last_write_time(pathFor(metaFileName(key)), ec);
-        if (!ec)
-            e.last_access = fileTimeToUnix(mtime);
+        e.last_access = de.last_write_time(ec);
         entries.push_back(e);
         result.bytes_before += e.bytes;
     }
@@ -755,7 +712,6 @@ ArtifactStore::prune(uint64_t max_bytes)
         if (result.bytes_after <= max_bytes)
             break;
         fs::remove(pathFor(artifactFileName(e.key)), ec);
-        fs::remove(pathFor(metaFileName(e.key)), ec);
         result.bytes_after -= e.bytes;
         ++result.removed;
     }
@@ -780,8 +736,7 @@ ArtifactStore::list() const
         if (!bad && p.extension() != ".lmdes")
             continue;
         ArtifactInfo info;
-        if (std::sscanf(p.filename().string().c_str(), "%16llx",
-                        (unsigned long long *)&info.key) != 1)
+        if (!entryKey(p.filename().string(), &info.key))
             continue;
         info.bytes = uint64_t(de.file_size(ec));
         info.quarantined = bad;
@@ -805,10 +760,7 @@ ArtifactStore::list() const
         } catch (const std::exception &) {
             // Unreadable header: report the file with bare sizes.
         }
-        auto mtime = fs::last_write_time(
-            (fs::path(config_.dir) / metaFileName(info.key)), ec);
-        if (!ec)
-            info.last_access_unix = fileTimeToUnix(mtime);
+        info.last_access_unix = fileTimeToUnix(de.last_write_time(ec));
         infos.push_back(std::move(info));
     }
     return infos;

@@ -18,11 +18,11 @@
  *   <key>.lmdes   the artifact: a self-describing store header (magic
  *                 "MDST", store format version, key, transform-config
  *                 fingerprint, creation metadata), zero-padded to a
- *                 64-byte boundary, followed by the position-independent
- *                 LMDES v7 image of serialize.cpp, followed by an 8-byte
- *                 whole-file FNV-1a trailer
- *   <key>.meta    small JSON sidecar; its mtime is the entry's
- *                 last-access time (touched on every hit), which drives
+ *                 64-byte boundary, followed by the LowMdes's own
+ *                 position-independent LMDES v7 image (image.h),
+ *                 followed by an 8-byte whole-file FNV-1a trailer. Its
+ *                 mtime is the entry's last-access time: the publishing
+ *                 write sets it and every hit touches it, which drives
  *                 LRU eviction
  *   <key>.bad     a quarantined artifact that failed to load (corrupt,
  *                 truncated, or mislabeled); kept for post-mortem,
@@ -35,7 +35,8 @@
  * all: the file is mmap(2)'ed MAP_PRIVATE read-only, the trailer is
  * verified with one pass at open, and the returned LowMdes borrows the
  * mapping zero-copy (LowMdes::fromImage), released by munmap when the
- * last shared_ptr owner drops. Because the mapping pins the inode,
+ * last shared_ptr owner drops. A publish writes the image the LowMdes
+ * already holds, so it never lays one out again. Because the mapping pins the inode,
  * prune() and quarantine() can unlink or rename the file while readers
  * hold live views — the views stay valid until release, and N sharded
  * server processes mapping one artifact share a single physical copy
@@ -98,9 +99,6 @@ uint64_t artifactKey(std::string_view source,
 /** "<16 hex digits>.lmdes" — the artifact file name for @p key. */
 std::string artifactFileName(uint64_t key);
 
-/** "<16 hex digits>.meta" — the access-time sidecar for @p key. */
-std::string metaFileName(uint64_t key);
-
 /** "<16 hex digits>.bad" — the quarantine name for @p key. */
 std::string quarantineFileName(uint64_t key);
 
@@ -144,8 +142,7 @@ struct ArtifactInfo
     uint64_t created_unix = 0;
     std::string creator;
     std::string machine;
-    /** Last access (meta-sidecar mtime) as a unix timestamp; 0 when the
-     * sidecar is missing. */
+    /** Last access (the file's mtime) as a unix timestamp. */
     int64_t last_access_unix = 0;
     /** True for quarantined (.bad) entries. */
     bool quarantined = false;
@@ -220,7 +217,7 @@ class ArtifactStore
      * retried per the RetryPolicy, then treated as a miss. Never throws
      * for bad on-disk state; only CancelledError escapes, when
      * @p cancel reports the caller gave up mid-retry. A hit touches the
-     * entry's access-time sidecar.
+     * artifact's mtime, its last-access time.
      */
     std::shared_ptr<const lmdes::LowMdes>
     load(uint64_t key, const std::function<bool()> &cancel = {});
@@ -238,10 +235,10 @@ class ArtifactStore
                const std::function<bool()> &cancel = {});
 
     /**
-     * Evict least-recently-accessed artifacts (by meta-sidecar mtime;
-     * entries without a sidecar evict first) until the store holds at
-     * most @p max_bytes of artifacts. Quarantined files are always
-     * removed.
+     * Evict least-recently-accessed artifacts (by mtime) until the store
+     * holds at most @p max_bytes of artifacts. Every other keyed file,
+     * quarantined ones included, is always removed, so only
+     * <key>.lmdes files remain.
      */
     PruneResult prune(uint64_t max_bytes);
 
@@ -263,12 +260,11 @@ class ArtifactStore
     LoadOutcome loadOnce(uint64_t key,
                          std::shared_ptr<const lmdes::LowMdes> *out);
     /** Verify the trailer and parse a complete in-memory artifact
-     * (header + padding + v7 image). With @p backing the result
-     * borrows @p data zero-copy; without it the pools are copied. */
+     * (header + padding + v7 image). The result borrows @p data, which
+     * @p backing owns. */
     LoadOutcome parseArtifact(const char *data, size_t size, uint64_t key,
                               const std::shared_ptr<const void> &backing,
-                              std::shared_ptr<const lmdes::LowMdes> *out,
-                              Header *header_out);
+                              std::shared_ptr<const lmdes::LowMdes> *out);
     bool storeOnce(uint64_t key, const lmdes::LowMdes &low,
                    uint64_t config_fingerprint);
     /** Sleep the jittered exponential backoff before retry @p attempt;
@@ -276,10 +272,6 @@ class ArtifactStore
     void backoff(uint64_t key, uint32_t attempt,
                  const std::function<bool()> &cancel);
     void quarantine(uint64_t key);
-    /** Remove a stale (old-format) artifact and its sidecar without
-     * leaving .bad residue. */
-    void removeStale(uint64_t key);
-    void writeMeta(uint64_t key, const Header &header);
     /** Remove orphaned ".tmp-*" publish files; returns count removed. */
     uint64_t sweepResidue();
 

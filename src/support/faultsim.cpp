@@ -230,14 +230,6 @@ uninstall()
     s.plan = Plan{};
 }
 
-Plan
-currentPlan()
-{
-    State &s = state();
-    std::lock_guard<std::mutex> lock(s.mu);
-    return s.plan;
-}
-
 TokenScope::TokenScope(uint64_t token) : prev_(t_token)
 {
     t_token = token;
@@ -308,14 +300,5 @@ counters()
     return out;
 }
 
-void
-resetCounters()
-{
-    State &s = state();
-    for (size_t i = 0; i < kNumSites; ++i) {
-        s.evaluations[i].store(0, std::memory_order_relaxed);
-        s.fires[i].store(0, std::memory_order_relaxed);
-    }
-}
 
 } // namespace mdes::faultsim

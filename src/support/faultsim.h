@@ -181,9 +181,6 @@ void install(const Plan &plan);
  * install() resets them). */
 void uninstall();
 
-/** The currently installed plan (zero plan when disarmed). */
-Plan currentPlan();
-
 /**
  * RAII scope binding the calling thread's fault token (the identity
  * that makes decisions interleaving-independent). The service stamps
@@ -243,9 +240,6 @@ struct SiteCounters
 
 /** Snapshot of every site's counters, indexed by Site. */
 std::array<SiteCounters, kNumSites> counters();
-
-/** Zero every site's counters (hit state survives). */
-void resetCounters();
 
 } // namespace mdes::faultsim
 

@@ -757,7 +757,6 @@ inline constexpr uint32_t kCrashVersion = 1;
 // directory is a plain char buffer: the handler may not touch
 // std::string.
 char g_crash_dir[3584];
-std::atomic<bool> g_crash_armed{false};
 uint64_t g_crash_origin_ticks = 0;
 uint64_t g_crash_origin_us = 0;
 alignas(16) char g_crash_stack[64 * 1024];
@@ -917,14 +916,7 @@ armCrashCapture(const std::string &dir)
         if (sigaction(sig, &sa, nullptr) != 0)
             return false;
     }
-    g_crash_armed.store(true, std::memory_order_relaxed);
     return true;
-}
-
-bool
-crashCaptureArmed()
-{
-    return g_crash_armed.load(std::memory_order_relaxed);
 }
 
 std::string

@@ -220,9 +220,6 @@ struct CrashInfo
  */
 bool armCrashCapture(const std::string &dir);
 
-/** True once armCrashCapture() installed handlers in this process. */
-bool crashCaptureArmed();
-
 /**
  * Decode a .mdcr capture into a standalone Chrome trace-event JSON
  * document (the spool-file shape). Counters survive; labels are

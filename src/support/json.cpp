@@ -231,8 +231,12 @@ class JsonParser
     void
     literal(std::string_view word)
     {
-        if (text_.substr(pos_, word.size()) != word)
-            failHere("'" + std::string(word) + "'");
+        if (text_.substr(pos_, word.size()) != word) {
+            std::string quoted = "'";
+            quoted += word;
+            quoted += '\'';
+            failHere(quoted);
+        }
         pos_ += word.size();
     }
 

@@ -87,8 +87,6 @@ struct JsonValue
 
     /** First member named @p key, or nullptr (Object kind only). */
     const JsonValue *find(std::string_view key) const;
-
-    bool isNull() const { return kind == Kind::Null; }
 };
 
 /**

@@ -27,6 +27,15 @@
 
 namespace mdes::testing {
 
+/** "<prefix><i>", built by appending: GCC 12's -Wrestrict misfires on
+ * `"literal" + std::string` in optimized builds. */
+inline std::string
+numbered(std::string prefix, int i)
+{
+    prefix += std::to_string(i);
+    return prefix;
+}
+
 struct RandomMdesOptions
 {
     /** Number of resource classes to declare. */
@@ -63,7 +72,7 @@ randomMdes(Rng &rng, const RandomMdesOptions &opts = {})
         uint32_t count =
             uint32_t(rng.range(opts.min_count, opts.max_count));
         class_first.push_back(
-            m.addResourceClass("R" + std::to_string(c), count));
+            m.addResourceClass(numbered("R", c), count));
         class_count.push_back(count);
     }
 
@@ -109,7 +118,7 @@ randomMdes(Rng &rng, const RandomMdesOptions &opts = {})
             int(rng.range(opts.min_subtrees, opts.max_subtrees));
         subtrees = std::min(subtrees, num_classes);
         AndOrTree tree;
-        tree.name = "T" + std::to_string(t);
+        tree.name = numbered("T", t);
 
         if (opts.disjoint_subtrees) {
             // Partition a shuffled class list across the subtrees.
@@ -122,9 +131,8 @@ randomMdes(Rng &rng, const RandomMdesOptions &opts = {})
                 std::vector<int> mine;
                 for (int c = s; c < num_classes; c += subtrees)
                     mine.push_back(order[c]);
-                tree.or_trees.push_back(make_or_tree(
-                    mine, "O" + std::to_string(t) + "_" +
-                              std::to_string(s)));
+                tree.or_trees.push_back(
+                    make_or_tree(mine, numbered(numbered("O", t) + "_", s)));
             }
         } else {
             std::vector<int> all_classes(num_classes);
@@ -132,8 +140,7 @@ randomMdes(Rng &rng, const RandomMdesOptions &opts = {})
                 all_classes[c] = c;
             for (int s = 0; s < subtrees; ++s) {
                 tree.or_trees.push_back(make_or_tree(
-                    all_classes, "O" + std::to_string(t) + "_" +
-                                     std::to_string(s)));
+                    all_classes, numbered(numbered("O", t) + "_", s)));
             }
         }
         tables.push_back(m.addTree(std::move(tree)));

@@ -10,6 +10,7 @@
 #include <cstddef>
 #include <cstring>
 #include <sstream>
+#include <stdexcept>
 
 #include "hmdes/compile.h"
 #include "lmdes/image.h"
@@ -410,55 +411,137 @@ TEST(Serialize, CraftedSlotOutsideSummaryWindowRejected)
     }
 }
 
-TEST(Serialize, MappedImageMatchesOwnedAndSkipsDeserialization)
+/** Every pool of @p low lies inside the one image it holds. */
+void
+expectPoolsInsideImage(const LowMdes &low)
 {
-    // The zero-copy contract: attaching an image via fromImage with a
-    // backing yields the same description as a full load, borrows the
-    // caller's bytes (mapped() == true), and does not count as a full
-    // deserialization.
+    ASSERT_FALSE(low.image().empty());
+    const auto lo = reinterpret_cast<uintptr_t>(low.image().data());
+    const auto hi = lo + low.image().size();
+    auto inside = [&](auto pool, const char *what) {
+        const auto p = reinterpret_cast<uintptr_t>(pool.data());
+        EXPECT_TRUE(p >= lo && p + pool.size_bytes() <= hi) << what;
+    };
+    inside(low.checks(), "checks");
+    inside(low.options(), "options");
+    inside(low.optionRefs(), "option refs");
+    inside(low.orTrees(), "OR-trees");
+    inside(low.orRefs(), "OR refs");
+    inside(low.trees(), "trees");
+    inside(low.treeSummaries(), "tree summaries");
+    inside(low.prefilter(), "prefilter");
+    inside(low.bypasses(), "bypasses");
+}
+
+TEST(Serialize, EveryLowMdesKeepsItsPoolsInOneImage)
+{
+    // The one form: lowered, attached, loaded or copied, a LowMdes keeps
+    // every pool inside one image, and save() writes that image
+    // unchanged. Attaching borrows the caller's bytes and a copy shares
+    // the image; only load(), which reads a stream into its own buffer,
+    // counts as a full deserialization.
     for (const auto *info : machines::all()) {
         SCOPED_TRACE(info->name);
         Mdes m = hmdes::compileOrThrow(info->source);
         LowerOptions opts;
         opts.pack_bit_vector = true;
-        LowMdes low = LowMdes::lower(m, opts);
+        const LowMdes low = LowMdes::lower(m, opts);
+        expectPoolsInsideImage(low);
         std::stringstream buf;
         low.save(buf);
         const std::string data = buf.str();
+        EXPECT_EQ(data, std::string(low.image().data(), low.image().size()));
 
         auto backing =
             std::make_shared<std::vector<uint64_t>>((data.size() + 7) / 8);
         std::memcpy(backing->data(), data.data(), data.size());
-
-        uint64_t before = lmdes::fullDeserializations();
-        lmdes::ImageSource src;
-        src.backing =
-            std::shared_ptr<const void>(backing, backing->data());
-        LowMdes mapped =
-            LowMdes::fromImage(backing->data(), data.size(), src);
+        const void *bytes = backing->data();
+        const uint64_t before = lmdes::fullDeserializations();
+        const LowMdes attached =
+            LowMdes::fromImage(bytes, data.size(), {backing});
         EXPECT_EQ(lmdes::fullDeserializations(), before);
-        EXPECT_TRUE(mapped.mapped());
-        EXPECT_EQ(mapped, low);
-        // The spans really point into the caller's buffer.
-        const char *base = reinterpret_cast<const char *>(backing->data());
-        if (!mapped.checks().empty()) {
-            const char *p =
-                reinterpret_cast<const char *>(mapped.checks().data());
-            EXPECT_GE(p, base);
-            EXPECT_LT(p, base + data.size());
-        }
+        EXPECT_EQ(static_cast<const void *>(attached.image().data()), bytes);
+        expectPoolsInsideImage(attached);
+        EXPECT_EQ(attached, low);
 
-        // A mapped object re-saves byte-identically.
+        std::stringstream in(data);
+        const LowMdes loaded = LowMdes::load(in);
+        EXPECT_EQ(lmdes::fullDeserializations(), before + 1);
+        expectPoolsInsideImage(loaded);
+        EXPECT_NE(static_cast<const void *>(loaded.image().data()), bytes);
+        EXPECT_NE(loaded.image().data(), low.image().data());
+        EXPECT_EQ(loaded, low);
         std::stringstream resaved;
-        mapped.save(resaved);
+        loaded.save(resaved);
         EXPECT_EQ(resaved.str(), data);
 
-        // The stream path deep-copies and counts the deserialization.
-        std::stringstream again(data);
-        LowMdes owned = LowMdes::load(again);
-        EXPECT_EQ(lmdes::fullDeserializations(), before + 1);
-        EXPECT_FALSE(owned.mapped());
-        EXPECT_EQ(owned, mapped);
+        const LowMdes copy = loaded;
+        expectPoolsInsideImage(copy);
+        EXPECT_EQ(copy.image().data(), loaded.image().data());
+        EXPECT_EQ(copy.checks().data(), loaded.checks().data());
+    }
+    // Borrowing needs an owner: fromImage never copies.
+    std::stringstream buf;
+    LowMdes::lower(twoCycleMachine(), {}).save(buf);
+    const std::string data = buf.str();
+    auto bytes = std::make_shared<std::vector<uint64_t>>((data.size() + 7) / 8);
+    std::memcpy(bytes->data(), data.data(), data.size());
+    EXPECT_THROW(LowMdes::fromImage(bytes->data(), data.size(), {}),
+                 std::invalid_argument);
+}
+
+/** Bytes [from, to) of every record in section @p id of @p image, with
+ * records of @p stride bytes, are zero. */
+void
+expectZeroPadding(const std::string &image, lmdes::v7::SectionId id,
+                  size_t stride, size_t from, size_t to)
+{
+    lmdes::v7::Header hdr;
+    std::memcpy(&hdr, image.data(), sizeof(hdr));
+    const auto &sec = hdr.sections[id];
+    for (size_t rec = sec.offset; rec < sec.offset + sec.bytes;
+         rec += stride) {
+        for (size_t b = from; b < to; ++b)
+            ASSERT_EQ(image[rec + b], 0)
+                << "section " << id << ", byte " << rec + b;
+    }
+}
+
+TEST(Serialize, LoweringIsReproducible)
+{
+    // Records are written field by field into zeroed sections, so every
+    // padding byte is zero and two lowerings of one description save
+    // identical images.
+    using namespace lmdes;
+    for (const auto *info : machines::all()) {
+        Mdes m = hmdes::compileOrThrow(info->source);
+        for (bool packed : {false, true}) {
+            SCOPED_TRACE(info->name + (packed ? "/bv" : "/scalar"));
+            LowerOptions opts;
+            opts.pack_bit_vector = packed;
+            std::stringstream a, b;
+            LowMdes::lower(m, opts).save(a);
+            LowMdes::lower(m, opts).save(b);
+            EXPECT_EQ(a.str(), b.str());
+
+            const std::string img = a.str();
+            for (auto id : {v7::kChecks, v7::kPrefilter})
+                expectZeroPadding(img, id, sizeof(Check),
+                                  offsetof(Check, slot) + sizeof(int32_t),
+                                  offsetof(Check, mask));
+            expectZeroPadding(img, v7::kOptions, sizeof(LowOption),
+                              offsetof(LowOption, num_checks) +
+                                  sizeof(uint16_t),
+                              sizeof(LowOption));
+            expectZeroPadding(img, v7::kOrTrees, sizeof(LowOrTree),
+                              offsetof(LowOrTree, num_options) +
+                                  sizeof(uint16_t),
+                              sizeof(LowOrTree));
+            expectZeroPadding(img, v7::kTrees, sizeof(LowTree),
+                              offsetof(LowTree, num_or_trees) +
+                                  sizeof(uint16_t),
+                              sizeof(LowTree));
+        }
     }
 }
 

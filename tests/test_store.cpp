@@ -9,7 +9,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -93,6 +95,45 @@ resealArtifact(const fs::path &path, std::string data)
     out.write(data.data(), std::streamsize(data.size()));
 }
 
+/** The names in @p dir, sorted. */
+std::vector<std::string>
+listing(const fs::path &dir)
+{
+    std::vector<std::string> names;
+    for (const auto &entry : fs::directory_iterator(dir))
+        names.push_back(entry.path().filename().string());
+    std::sort(names.begin(), names.end());
+    return names;
+}
+
+/** The file whose mapping holds address @p p in this process, as
+ * /proc/self/maps names it; empty when @p p is not in a file mapping. */
+std::string
+mappedFileOf(const void *p)
+{
+    const auto addr = reinterpret_cast<uintptr_t>(p);
+    std::ifstream maps("/proc/self/maps");
+    std::string line;
+    while (std::getline(maps, line)) {
+        unsigned long long lo = 0, hi = 0;
+        int path_at = 0;
+        if (std::sscanf(line.c_str(), "%llx-%llx %*s %*s %*s %*s %n", &lo,
+                        &hi, &path_at) < 2 ||
+            addr < lo || addr >= hi)
+            continue;
+        return path_at > 0 ? line.substr(size_t(path_at)) : std::string();
+    }
+    return {};
+}
+
+/** @p low's image lies in a mapping of the artifact file @p file. */
+void
+expectMappedFrom(const LowMdes &low, const fs::path &file)
+{
+    EXPECT_EQ(mappedFileOf(low.image().data()),
+              fs::canonical(file).string());
+}
+
 /** Flip one byte of @p path at @p offset (from the end if negative). */
 void
 flipByte(const fs::path &path, int64_t offset)
@@ -141,13 +182,10 @@ TEST(Store, PublishIsAtomicAndRoundTrips)
     uint64_t key = 0x1234ABCDull;
 
     ASSERT_TRUE(s.store(key, low, 42));
-    EXPECT_TRUE(fs::exists(dir / store::artifactFileName(key)));
-    EXPECT_TRUE(fs::exists(dir / store::metaFileName(key)));
-    // Nothing half-written may remain after a successful publish.
-    for (const auto &entry : fs::directory_iterator(dir))
-        EXPECT_EQ(entry.path().filename().string().find(".tmp-"),
-                  std::string::npos)
-            << entry.path();
+    // One file per entry, and nothing half-written remains after a
+    // successful publish.
+    EXPECT_EQ(listing(dir),
+              std::vector<std::string>{store::artifactFileName(key)});
 
     auto loaded = s.load(key);
     ASSERT_NE(loaded, nullptr);
@@ -219,9 +257,9 @@ TEST(Store, CorruptArtifactIsQuarantinedThenReplaced)
 
     flipByte(dir / store::artifactFileName(key), -10);
     EXPECT_EQ(s.load(key), nullptr);
-    EXPECT_FALSE(fs::exists(dir / store::artifactFileName(key)));
-    EXPECT_FALSE(fs::exists(dir / store::metaFileName(key)));
-    EXPECT_TRUE(fs::exists(dir / store::quarantineFileName(key)));
+    // The quarantined file is all that is left of the entry.
+    EXPECT_EQ(listing(dir),
+              std::vector<std::string>{store::quarantineFileName(key)});
     store::StoreStats st = s.stats();
     EXPECT_EQ(st.corrupt, 1u);
     EXPECT_EQ(st.misses, 1u);
@@ -282,13 +320,13 @@ TEST(Store, PruneEvictsLeastRecentlyAccessedFirst)
         ASSERT_TRUE(s.store(uint64_t(i + 1), low, 0));
         total += fs::file_size(dir / store::artifactFileName(i + 1));
     }
-    // Pin the access order deterministically: key 2 oldest, then 3,
-    // key 1 most recent.
+    // Pin the access order deterministically through the artifacts'
+    // own mtimes: key 2 oldest, then 3, key 1 most recent.
     auto now = fs::file_time_type::clock::now();
     using std::chrono::hours;
-    fs::last_write_time(dir / store::metaFileName(2), now - hours(48));
-    fs::last_write_time(dir / store::metaFileName(3), now - hours(24));
-    fs::last_write_time(dir / store::metaFileName(1), now);
+    fs::last_write_time(dir / store::artifactFileName(2), now - hours(48));
+    fs::last_write_time(dir / store::artifactFileName(3), now - hours(24));
+    fs::last_write_time(dir / store::artifactFileName(1), now);
 
     // Budget for two artifacts: exactly the oldest (key 2) must go.
     uint64_t one = fs::file_size(dir / store::artifactFileName(1));
@@ -307,6 +345,64 @@ TEST(Store, PruneEvictsLeastRecentlyAccessedFirst)
     fs::remove_all(dir);
 }
 
+TEST(Store, AHitMakesAnEntryTheMostRecent)
+{
+    fs::path dir = freshDir("prune_hit");
+    ArtifactStore s(StoreConfig{.dir = dir.string()});
+    LowMdes low = LowMdes::lower(tinyMachine(), {});
+    ASSERT_TRUE(s.store(1, low, 0));
+    ASSERT_TRUE(s.store(2, low, 0));
+    auto now = fs::file_time_type::clock::now();
+    using std::chrono::hours;
+    fs::last_write_time(dir / store::artifactFileName(1), now - hours(48));
+    fs::last_write_time(dir / store::artifactFileName(2), now - hours(24));
+
+    // Key 1 was the least recent; a hit touches its mtime, so a budget
+    // for one artifact now evicts key 2 instead.
+    ASSERT_NE(s.load(1), nullptr);
+    EXPECT_GT(fs::last_write_time(dir / store::artifactFileName(1)),
+              now - hours(1));
+    store::PruneResult pr =
+        s.prune(fs::file_size(dir / store::artifactFileName(1)));
+    EXPECT_EQ(pr.removed, 1u);
+    EXPECT_EQ(listing(dir),
+              std::vector<std::string>{store::artifactFileName(1)});
+    fs::remove_all(dir);
+}
+
+TEST(Store, OnlyArtifactsRemainAfterPublishHitQuarantineAndStaleRemoval)
+{
+    // A store entry is one file: no step of its life leaves a second
+    // file for the same key behind.
+    fs::path dir = freshDir("one_file");
+    ArtifactStore s(StoreConfig{.dir = dir.string()});
+    LowMdes low = LowMdes::lower(tinyMachine(), {});
+    const uint64_t key = 21;
+    const std::vector<std::string> artifact{store::artifactFileName(key)};
+
+    ASSERT_TRUE(s.store(key, low, 0));
+    EXPECT_EQ(listing(dir), artifact);
+    ASSERT_NE(s.load(key), nullptr);
+    EXPECT_EQ(listing(dir), artifact);
+
+    flipByte(dir / store::artifactFileName(key), -10);
+    EXPECT_EQ(s.load(key), nullptr);
+    EXPECT_EQ(listing(dir),
+              std::vector<std::string>{store::quarantineFileName(key)});
+    ASSERT_TRUE(s.store(key, low, 0));
+    EXPECT_EQ(listing(dir), artifact);
+
+    fs::path file = dir / store::artifactFileName(key);
+    std::string data = slurp(file);
+    uint32_t old_version = 2;
+    std::memcpy(&data[4], &old_version, sizeof(old_version));
+    resealArtifact(file, std::move(data));
+    EXPECT_EQ(s.load(key), nullptr);
+    EXPECT_EQ(s.stats().stale_evicted, 1u);
+    EXPECT_TRUE(listing(dir).empty());
+    fs::remove_all(dir);
+}
+
 TEST(Store, PruneRemovesQuarantinedFiles)
 {
     fs::path dir = freshDir("prune_bad");
@@ -317,9 +413,13 @@ TEST(Store, PruneRemovesQuarantinedFiles)
     EXPECT_EQ(s.load(1), nullptr);
     ASSERT_TRUE(fs::exists(dir / store::quarantineFileName(1)));
 
-    // Even an unbounded sweep drops quarantined files.
+    // Even an unbounded sweep drops quarantined files, and any other
+    // keyed file that is not an artifact; files the store does not name
+    // are left alone.
+    std::ofstream(dir / "0000000000000001.meta") << "{}";
+    std::ofstream(dir / "notes.txt") << "kept";
     s.prune(uint64_t(-1));
-    EXPECT_FALSE(fs::exists(dir / store::quarantineFileName(1)));
+    EXPECT_EQ(listing(dir), std::vector<std::string>{"notes.txt"});
     fs::remove_all(dir);
 }
 
@@ -446,7 +546,7 @@ TEST(Store, MappedHitBorrowsTheFileAndSkipsDeserialization)
     uint64_t before = lmdes::fullDeserializations();
     auto loaded = s.load(5);
     ASSERT_NE(loaded, nullptr);
-    EXPECT_TRUE(loaded->mapped());
+    expectMappedFrom(*loaded, dir / store::artifactFileName(5));
     EXPECT_EQ(lmdes::fullDeserializations(), before);
     EXPECT_EQ(*loaded, low);
     EXPECT_EQ(s.stats().mapped_hits, 1u);
@@ -478,9 +578,8 @@ TEST(Store, StaleContainerVersionIsEvictedNotQuarantined)
     EXPECT_FALSE(infos[0].quarantined);
 
     EXPECT_EQ(s.load(key), nullptr);
-    EXPECT_FALSE(fs::exists(file));
-    EXPECT_FALSE(fs::exists(dir / store::metaFileName(key)));
-    EXPECT_FALSE(fs::exists(dir / store::quarantineFileName(key)));
+    // Nothing is left: no artifact, no .bad residue.
+    EXPECT_TRUE(listing(dir).empty());
     store::StoreStats st = s.stats();
     EXPECT_EQ(st.stale_evicted, 1u);
     EXPECT_EQ(st.corrupt, 0u);
@@ -556,7 +655,7 @@ TEST(Store, LiveMappingSurvivesPruneAndQuarantine)
 
     auto held = s.load(key);
     ASSERT_NE(held, nullptr);
-    ASSERT_TRUE(held->mapped());
+    expectMappedFrom(*held, dir / store::artifactFileName(key));
 
     // Prune everything out from under the mapping.
     s.prune(0);
@@ -632,7 +731,7 @@ TEST(Store, ForkedProcessesServeBitIdenticalArtifacts)
         try {
             ArtifactStore child(StoreConfig{.dir = dir.string()});
             auto loaded = child.load(key);
-            if (loaded && loaded->mapped())
+            if (loaded && child.stats().mapped_hits == 1)
                 fp = podFingerprint(*loaded);
         } catch (...) {
         }
@@ -652,7 +751,7 @@ TEST(Store, ForkedProcessesServeBitIdenticalArtifacts)
     ArtifactStore parent(StoreConfig{.dir = dir.string()});
     auto loaded = parent.load(key);
     ASSERT_NE(loaded, nullptr);
-    ASSERT_TRUE(loaded->mapped());
+    expectMappedFrom(*loaded, dir / store::artifactFileName(key));
     EXPECT_NE(child_fp, 0u);
     EXPECT_EQ(podFingerprint(*loaded), child_fp);
     EXPECT_EQ(podFingerprint(low), child_fp);
@@ -748,6 +847,40 @@ TEST(TwoTierCache, CorruptStoredArtifactMeansRecompileNotFailure)
     ASSERT_TRUE(after[0].ok());
     EXPECT_TRUE(after[0].disk_hit);
     EXPECT_EQ(healed.cache().stats().compiles, 0u);
+    fs::remove_all(dir);
+}
+
+TEST(TwoTierCache, DescriptionNoImageCanHoldIsCompileFailedAndNeverStored)
+{
+    // 8,193 resource instances need 129 RU-map words per cycle, more
+    // than an image may declare. Lowering validates the image it writes,
+    // so the request fails to compile, and nothing reaches the store to
+    // be quarantined on the next load.
+    fs::path dir = freshDir("too_wide");
+    service::ScheduleRequest req;
+    req.source = R"(
+machine "huge" {
+    resource R[4096];
+    resource S[4096];
+    resource T[1];
+    ortree O { option { use T[0] at 0; } }
+    table Tbl = and(O);
+    operation OP { table Tbl; latency 1; }
+}
+)";
+    req.sasm = "block\n  OP r1 <- r2\nend\n";
+    for (int run = 0; run < 2; ++run) {
+        service::MdesService svc({.num_workers = 1,
+                                  .store_dir = dir.string()});
+        auto responses = svc.runBatch({req});
+        EXPECT_EQ(responses[0].error.code,
+                  service::ErrorCode::CompileFailed);
+        EXPECT_NE(responses[0].error.message.find("slot_words 129"),
+                  std::string::npos)
+            << responses[0].error.message;
+        EXPECT_TRUE(listing(dir).empty());
+        EXPECT_EQ(svc.cache().stats().disk_corrupt, 0u);
+    }
     fs::remove_all(dir);
 }
 

@@ -974,18 +974,8 @@ cmdServe(const std::vector<std::string> &args)
     opts.server.port = 7433; // default mdesc port
     for (size_t i = 0; i < args.size(); ++i) {
         if (args[i] == "--listen" && i + 1 < args.size()) {
-            std::string ep = args[++i];
-            size_t colon = ep.rfind(':');
-            if (colon == std::string::npos) {
-                std::fprintf(stderr,
-                             "mdesc: --listen wants host:port, got "
-                             "'%s'\n",
-                             ep.c_str());
-                return 1;
-            }
-            opts.server.host = ep.substr(0, colon);
-            if (!parseNumber("--listen", ep.substr(colon + 1),
-                        opts.server.port))
+            if (!parseEndpoint(args[++i], &opts.server.host,
+                               &opts.server.port))
                 return 1;
         } else if (args[i] == "--workers" && i + 1 < args.size()) {
             if (!parseNumber(args[i], args[i + 1],
