@@ -36,6 +36,7 @@
 #include "service/request_parse.h"
 #include "service/service.h"
 #include "support/faultsim.h"
+#include "support/fnv.h"
 
 namespace {
 
@@ -113,9 +114,9 @@ main(int argc, char **argv)
             want.push_back(service::scheduleFingerprint(resp));
         }
     }
-    uint64_t mix_fingerprint = perfjson::fnvInit();
+    uint64_t mix_fingerprint = fnv::kOffsetBasis;
     for (uint64_t f : want)
-        perfjson::fnvMix(mix_fingerprint, f);
+        fnv::mixU64(mix_fingerprint, f);
 
     constexpr unsigned kClients = 3;
     constexpr unsigned kRoundsPerClient = 24;

@@ -15,6 +15,7 @@
 #include "bench_util.h"
 #include "perf_json.h"
 #include "rumap/checker.h"
+#include "support/fnv.h"
 #include "workload/workload.h"
 
 namespace {
@@ -30,19 +31,19 @@ checkerFingerprint(rumap::Checker &checker, const lmdes::LowMdes &low)
     rumap::RuMap ru;
     rumap::CheckStats stats;
     std::vector<uint32_t> chosen;
-    uint64_t h = perfjson::fnvInit();
+    uint64_t h = fnv::kOffsetBasis;
     for (int cycle = 0; cycle < 32; ++cycle) {
         for (const auto &oc : low.opClasses()) {
             bool ok = checker.tryReserve(oc.tree, cycle, ru, stats,
                                          &chosen);
-            perfjson::fnvMix(h, ok ? 1 : 0);
+            fnv::mixU64(h, ok ? 1 : 0);
             if (ok)
                 for (uint32_t id : chosen)
-                    perfjson::fnvMix(h, id);
+                    fnv::mixU64(h, id);
         }
     }
     for (int32_t s = 0; s < int32_t(ru.windowSize()); ++s)
-        perfjson::fnvMix(h, ru.wordSlot(ru.windowBase() + s));
+        fnv::mixU64(h, ru.wordSlot(ru.windowBase() + s));
     return h;
 }
 

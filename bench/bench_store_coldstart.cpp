@@ -6,18 +6,17 @@
  *   cold        - empty store, empty memory: every request compiles
  *                 its description and publishes it to disk;
  *   disk-warm   - a fresh service (new process stand-in) against the
- *                 populated store: every request maps its artifact from
- *                 disk, nothing compiles, nothing deserializes;
+ *                 populated store: every request loads its artifact from
+ *                 disk and nothing compiles;
  *   memory-warm - the same service again: every request is a memory
  *                 hit, the disk is not touched.
  *
  * The batch holds one request per (machine, transform-config) pair -
  * every request a distinct store key - so the serving invariants are
  * exact and asserted: on the disk-warm run the store hit count equals
- * the request count, every hit is a zero-copy mmap (mapped count ==
- * request count, full-deserialization count unchanged), the compile
- * count is zero, and schedules are byte-identical (equal fingerprints)
- * whether the description came from the compiler, the disk, or memory.
+ * the request count, the compile count is zero, and schedules are
+ * byte-identical (equal fingerprints) whether the description came from
+ * the compiler, the disk, or memory.
  * The disk-warm run, each time on a fresh service, and its memory-warm
  * run repeat kRepeats times, every invariant asserted on each: one run
  * lasts about a millisecond, so one pair's ratio swings with any brief
@@ -37,7 +36,6 @@
 #include <unistd.h>
 
 #include "bench_util.h"
-#include "lmdes/image.h"
 #include "service/service.h"
 #include "support/json.h"
 
@@ -99,9 +97,7 @@ main(int argc, char **argv)
         double wall_ms = 0; // the median run
         uint64_t compiles = 0;
         uint64_t disk_hits = 0;
-        uint64_t mapped_hits = 0;
         uint64_t memory_hits = 0;
-        uint64_t full_deserializations = 0;
     };
     std::vector<Scenario> scenarios(3);
     scenarios[0].name = "cold";
@@ -114,7 +110,6 @@ main(int argc, char **argv)
                            service::MdesService &svc) -> const Scenario & {
         const std::string &name = s.name;
         service::DescriptionCache::Stats before = svc.cache().stats();
-        const uint64_t deser_before = lmdes::fullDeserializations();
         auto t0 = std::chrono::steady_clock::now();
         auto responses = svc.runBatch(makeBatch());
         double ms = std::chrono::duration<double, std::milli>(
@@ -145,10 +140,7 @@ main(int argc, char **argv)
         s.wall_ms = sorted[sorted.size() / 2];
         s.compiles = after.compiles - before.compiles;
         s.disk_hits = after.disk_hits - before.disk_hits;
-        s.mapped_hits = after.disk_mapped - before.disk_mapped;
         s.memory_hits = after.hits - before.hits;
-        s.full_deserializations =
-            lmdes::fullDeserializations() - deser_before;
         return s;
     };
 
@@ -179,23 +171,6 @@ main(int argc, char **argv)
                          (unsigned long long)warm.disk_hits, kRequests);
             ok = false;
         }
-        // The zero-copy contract: every disk hit is an mmap attach, and
-        // no full payload deserialization happens anywhere in the run.
-        if (warm.mapped_hits != kRequests) {
-            std::fprintf(stderr,
-                         "FAIL: disk-warm run mapped %llu of %zu store "
-                         "hits (want every hit zero-copy)\n",
-                         (unsigned long long)warm.mapped_hits, kRequests);
-            ok = false;
-        }
-        if (warm.full_deserializations != 0) {
-            std::fprintf(stderr,
-                         "FAIL: disk-warm run fully deserialized %llu "
-                         "artifacts (want 0: the mmap path must not "
-                         "materialize payloads)\n",
-                         (unsigned long long)warm.full_deserializations);
-            ok = false;
-        }
         const Scenario &mem = runScenario(scenarios[2], svc);
         if (mem.compiles != 0 || mem.disk_hits != 0 ||
             mem.memory_hits != kRequests) {
@@ -211,23 +186,20 @@ main(int argc, char **argv)
 
     TextTable table;
     table.setHeader({"Scenario", "Wall ms", "ms/request", "Compiles",
-                     "Store hits", "Mapped", "Deserialized",
-                     "Memory hits"});
+                     "Store hits", "Memory hits"});
     for (const auto &s : scenarios) {
         table.addRow({s.name, TextTable::num(s.wall_ms, 1),
                       TextTable::num(s.wall_ms / double(kRequests), 2),
                       std::to_string(s.compiles),
                       std::to_string(s.disk_hits),
-                      std::to_string(s.mapped_hits),
-                      std::to_string(s.full_deserializations),
                       std::to_string(s.memory_hits)});
     }
     std::printf("%s", table.toString().c_str());
 
     // The headline number: a disk-warm start should cost about the same
-    // as a memory-warm one, because a mapped artifact is served in
-    // place (page cache) instead of being parsed. compare_perf.py gates
-    // this ratio inside a sanity band.
+    // as a memory-warm one, because a loaded artifact's image is served
+    // in place instead of being parsed. compare_perf.py gates this ratio
+    // inside a sanity band.
     const double disk_memory_ratio =
         scenarios[2].wall_ms > 0.0
             ? scenarios[1].wall_ms / scenarios[2].wall_ms
@@ -239,10 +211,9 @@ main(int argc, char **argv)
                 "runs): %.3f\n",
                 kRepeats, disk_memory_ratio);
     if (ok)
-        std::printf("disk-warm start avoided every recompilation and "
-                    "every deserialization (store hits == mapped == "
-                    "requests, compiles == 0); schedules identical "
-                    "across all three tiers.\n");
+        std::printf("disk-warm start avoided every recompilation (store "
+                    "hits == requests, compiles == 0); schedules "
+                    "identical across all three tiers.\n");
 
     if (!json_path.empty()) {
         JsonWriter w;
@@ -258,8 +229,6 @@ main(int argc, char **argv)
             w.key("ms_per_request").value(s.wall_ms / double(kRequests));
             w.key("compiles").value(s.compiles);
             w.key("store_hits").value(s.disk_hits);
-            w.key("mapped_hits").value(s.mapped_hits);
-            w.key("full_deserializations").value(s.full_deserializations);
             w.key("memory_hits").value(s.memory_hits);
             w.endObject();
         }

@@ -3,6 +3,8 @@
 #include <cstdio>
 #include <map>
 
+#include "support/fnv.h"
+
 namespace mdes::bench {
 
 const char *
@@ -21,20 +23,13 @@ stageName(Stage stage)
 uint64_t
 scheduleFingerprint(const std::vector<sched::BlockSchedule> &schedules)
 {
-    // FNV-1a, mixed bytewise for endian/width stability.
-    auto mix = [](uint64_t &h, uint64_t v) {
-        for (int i = 0; i < 8; ++i) {
-            h ^= (v >> (i * 8)) & 0xff;
-            h *= 1099511628211ull;
-        }
-    };
-    uint64_t h = 1469598103934665603ull;
+    uint64_t h = fnv::kOffsetBasis;
     for (const auto &s : schedules) {
-        mix(h, uint64_t(s.length));
+        fnv::mixU64(h, uint64_t(s.length));
         for (int32_t c : s.cycles)
-            mix(h, uint64_t(uint32_t(c)));
+            fnv::mixU64(h, uint64_t(uint32_t(c)));
         for (uint8_t u : s.used_cascade)
-            mix(h, u);
+            fnv::mixU64(h, u);
     }
     return h;
 }

@@ -65,22 +65,6 @@ record(Entry e)
     entries().push_back(std::move(e));
 }
 
-/** FNV-1a, mixed bytewise so the hash is endian- and width-stable. */
-inline void
-fnvMix(uint64_t &h, uint64_t v)
-{
-    for (int i = 0; i < 8; ++i) {
-        h ^= (v >> (i * 8)) & 0xff;
-        h *= 1099511628211ull;
-    }
-}
-
-inline uint64_t
-fnvInit()
-{
-    return 1469598103934665603ull;
-}
-
 /** Simple wall clock around the benchmark loop. */
 class Stopwatch
 {

@@ -102,7 +102,7 @@ def check_metrics(doc):
     require(cache, "hit_rate", NUMBER, "cache")
     disk = section(cache, "disk", "cache")
     require(disk, "enabled", bool, "cache.disk")
-    counts(disk, ("hits", "mapped", "misses", "stores", "corrupt", "stale",
+    counts(disk, ("hits", "misses", "stores", "corrupt", "stale",
                   "evictions", "retries"), "cache.disk")
     require(disk, "hit_rate", NUMBER, "cache.disk")
 

@@ -9,11 +9,12 @@
  * into heap vectors), a v7 image is designed to be consumed *in place*:
  * a fixed header carries a section table of (offset, bytes) pairs, every
  * POD array is stored at a 64-byte-aligned offset so a Checker can index
- * it straight out of an mmap'ed file, and all variable-length text
- * (machine name, op-class names/comments, resource names) lives in one
- * offset-indexed string pool so nothing in the fixed-stride sections is
- * variable length. The whole image is relocatable: it contains offsets,
- * never pointers, so N server processes can map one physical copy.
+ * it straight out of the buffer the image was read into, and all
+ * variable-length text (machine name, op-class names/comments, resource
+ * names) lives in one offset-indexed string pool so nothing in the
+ * fixed-stride sections is variable length. The whole image is
+ * relocatable: it contains offsets, never pointers, so it is valid
+ * wherever it is read to.
  *
  * The image is the only form of a LowMdes (see low_mdes.h): lower()
  * writes one with v7::writeImage and attaches it, and save() and the
@@ -178,15 +179,6 @@ std::shared_ptr<const std::vector<uint64_t>>
 writeImage(const Contents &desc);
 
 } // namespace v7
-
-/**
- * Process-wide count of *full* LMDES deserializations: LowMdes::load
- * calls, each of which reads a whole image from a stream into the heap
- * (the cost the store's mmap path exists to avoid). Attaching an image
- * in place does not count. bench_store_coldstart asserts this stays flat
- * across a disk-warm sweep.
- */
-uint64_t fullDeserializations();
 
 } // namespace mdes::lmdes
 

@@ -19,12 +19,11 @@
  *
  * Every LowMdes is one v7 image (see image.h): the POD pools are spans
  * into a refcounted, position-independent byte image that fromImage
- * validated once. lower() writes a fresh image and attaches it, load()
- * attaches the bytes it read, and the artifact store attaches its
- * mmap'ed file, so every description passes the same validation. Only
- * the small text pieces (machine name, resource names, op-class
- * names/comments) are materialized. Copies share the image, and save()
- * writes it unchanged.
+ * validated once. lower() writes a fresh image and attaches it, and
+ * load() and the artifact store attach the bytes they read, so every
+ * description passes the same validation. Only the small text pieces
+ * (machine name, resource names, op-class names/comments) are
+ * materialized. Copies share the image, and save() writes it unchanged.
  *
  * Memory accounting model (documented in DESIGN.md §2.3): check entries
  * and descriptors are 8 bytes, membership list entries 4 bytes. The
@@ -177,16 +176,15 @@ struct ImageSource
 {
     /**
      * Owns the image bytes and keeps them alive for as long as any copy
-     * of the resulting LowMdes exists: a heap buffer, or an
-     * munmap-on-release mapping handle. Required, since fromImage never
+     * of the resulting LowMdes exists. Required, since fromImage never
      * copies the image.
      */
     std::shared_ptr<const void> backing;
     /**
-     * Verify Header::checksum before parsing. The store's mmap path
-     * passes false because the whole-file trailer it just verified
-     * already covers the image ("checksum verified once at open"), and
-     * lower() passes false for the image it has just written.
+     * Verify Header::checksum before parsing. The store passes false
+     * because the whole-file trailer it just verified already covers
+     * the image ("checksum verified once at open"), and lower() passes
+     * false for the image it has just written.
      */
     bool verify_checksum = true;
 };
@@ -210,14 +208,8 @@ class LowMdes
     uint32_t slotWords() const { return slot_words_; }
     bool packed() const { return packed_; }
 
-    /** Per-instance resource names ("Name" or "Name[i]" in declaration
-     * order), kept for conflict-profiling reports. */
-    const std::vector<std::string> &resourceNames() const
-    {
-        return resource_names_;
-    }
-
-    /** Name of resource instance @p r; "r<id>" when names are absent. */
+    /** Name of resource instance @p r ("Name" or "Name[i]" in
+     * declaration order); "r<id>" when names are absent. */
     std::string resourceName(uint32_t r) const;
 
     std::span<const Check> checks() const { return checks_; }
@@ -267,15 +259,14 @@ class LowMdes
     /**
      * Read a v7 image from @p is into a heap buffer and attach it; throws
      * MdesError on malformed input and MdesVersionError (see image.h) on
-     * a version this build does not speak. Counts as a full
-     * deserialization.
+     * a version this build does not speak.
      */
     static LowMdes load(std::istream &is);
 
     /**
      * Attach the v7 image of @p size bytes at @p base, which must be at
-     * least 8-byte aligned (mmap'ed files and uint64_t-backed buffers
-     * both qualify) and owned by @p src.backing. The image is bounds- and
+     * least 8-byte aligned (a uint64_t-backed buffer qualifies) and
+     * owned by @p src.backing. The image is bounds- and
      * cross-reference-validated before any span is published; throws
      * MdesError / MdesVersionError like load(). The result borrows the
      * image zero-copy and holds the backing.

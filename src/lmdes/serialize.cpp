@@ -1,5 +1,4 @@
 #include <algorithm>
-#include <atomic>
 #include <cstring>
 #include <istream>
 #include <ostream>
@@ -9,6 +8,7 @@
 #include "lmdes/image.h"
 #include "lmdes/low_mdes.h"
 #include "support/diagnostics.h"
+#include "support/fnv.h"
 
 /**
  * @file
@@ -24,7 +24,8 @@
  *
  * with every POD pool at a fixed stride and all text in one string pool,
  * so the image is attached in place wherever it lives: the buffer
- * lower() wrote, the buffer load() read, or an mmap'ed store artifact.
+ * lower() wrote, the buffer load() read, or the buffer a store load
+ * read its artifact into.
  * Earlier formats (v4-v6) were length-prefixed byte streams that always
  * required a full deserialization; they are read by no one - the store
  * silently recompiles on version mismatch.
@@ -43,19 +44,6 @@
 namespace mdes::lmdes {
 
 namespace {
-
-std::atomic<uint64_t> g_full_deserializations{0};
-
-uint64_t
-fnv1a(const char *data, size_t n)
-{
-    uint64_t h = 1469598103934665603ull;
-    for (size_t i = 0; i < n; ++i) {
-        h ^= uint8_t(data[i]);
-        h *= 1099511628211ull;
-    }
-    return h;
-}
 
 std::string
 hex(uint64_t v)
@@ -232,12 +220,6 @@ putRecords(char *dst, const std::vector<T> &recs, F T::*...fields)
 
 } // namespace
 
-uint64_t
-fullDeserializations()
-{
-    return g_full_deserializations.load(std::memory_order_relaxed);
-}
-
 std::shared_ptr<const std::vector<uint64_t>>
 v7::writeImage(const Contents &desc)
 {
@@ -323,7 +305,7 @@ v7::writeImage(const Contents &desc)
     putRecords(put(v7::kResourceNames), name_refs);
     std::memcpy(put(v7::kStringPool), pool.data(), pool.size());
 
-    hdr.checksum = fnv1a(img + sizeof(hdr), off - sizeof(hdr));
+    hdr.checksum = fnv::hashBytes(img + sizeof(hdr), off - sizeof(hdr));
     std::memcpy(img, &hdr, sizeof(hdr));
     return buf;
 }
@@ -367,7 +349,7 @@ LowMdes::fromImage(const void *vbase, size_t size, const ImageSource &src)
                         std::to_string(v7::kNumSections));
     if (src.verify_checksum) {
         const uint64_t computed =
-            fnv1a(base + sizeof(hdr), size - sizeof(hdr));
+            fnv::hashBytes(base + sizeof(hdr), size - sizeof(hdr));
         if (hdr.checksum != computed)
             throw MdesError("LMDES checksum mismatch: stored " +
                             hex(hdr.checksum) + ", computed " +
@@ -595,9 +577,7 @@ LowMdes::load(std::istream &is)
                         " bytes, stream holds " +
                         std::to_string(16 + is.gcount()));
 
-    LowMdes low = fromImage(bytes, size_t(image_bytes), ImageSource{buf});
-    g_full_deserializations.fetch_add(1, std::memory_order_relaxed);
-    return low;
+    return fromImage(bytes, size_t(image_bytes), ImageSource{buf});
 }
 
 } // namespace mdes::lmdes

@@ -1356,12 +1356,6 @@ Server::service()
     return *impl_->svc;
 }
 
-bool
-Server::stopping() const
-{
-    return impl_->stop_requested.load(std::memory_order_acquire);
-}
-
 void
 Server::beginDrain(uint64_t deadline_ms)
 {

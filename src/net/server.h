@@ -124,10 +124,6 @@ class Server
     /** The backing service (valid between start() and stop()). */
     service::MdesService &service();
 
-    /** True once the feed fd hit EOF / stop was requested - the serve
-     * loop's cue that a graceful shutdown is underway. */
-    bool stopping() const;
-
     /**
      * Flip into draining mode (DESIGN.md §15): accept the connections
      * already in the listen backlog, then stop accepting; shed every

@@ -253,10 +253,9 @@ class Checker
     std::vector<FlatSub> flat_subs_;
     std::vector<FlatOpt> flat_opts_;
     std::vector<lmdes::Check> flat_checks_;
-    /** The description's prefilter pool, viewed in place: for an
-     * mmap-backed LowMdes this points straight into the mapping (kept
-     * alive by the shared_ptr holding low_), so building a Checker
-     * copies no prefilter bytes. */
+    /** The description's prefilter pool, viewed in place: it points
+     * straight into the LowMdes's image (kept alive by the shared_ptr
+     * holding low_), so building a Checker copies no prefilter bytes. */
     std::span<const lmdes::Check> flat_pf_;
     /** Each option's first check, parallel to flat_opts_: failing
      * options almost always fail on their first probe (short-circuit),

@@ -271,7 +271,6 @@ DescriptionCache::stats() const
     }
     if (disk_store) {
         store::StoreStats ss = disk_store->stats();
-        s.disk_mapped = ss.mapped_hits;
         s.disk_corrupt = ss.corrupt;
         s.disk_stale = ss.stale_evicted;
         s.disk_evictions = ss.evictions;

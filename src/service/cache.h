@@ -178,9 +178,6 @@ class DescriptionCache
         uint64_t disk_misses = 0;
         /** Compiled artifacts successfully published to the store. */
         uint64_t disk_stores = 0;
-        /** Disk hits served zero-copy from an mmap of the artifact
-         * (from the store's own counters; a subset of disk_hits). */
-        uint64_t disk_mapped = 0;
         /** On-disk artifacts quarantined as corrupt (from the store's
          * own counters). */
         uint64_t disk_corrupt = 0;

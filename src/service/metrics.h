@@ -476,7 +476,6 @@ visitMetrics(V &v, M &...m)
         section("disk", [&] {
             v.flag("enabled", m.cache.disk_enabled...);
             v.count("hits", m.cache.disk_hits...);
-            v.count("mapped", m.cache.disk_mapped...);
             v.count("misses", m.cache.disk_misses...);
             v.derived("hit_rate",
                       [](Metrics x) { return x.cache.diskHitRate(); },

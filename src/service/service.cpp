@@ -12,6 +12,7 @@
 #include "sched/verify.h"
 #include "support/faultsim.h"
 #include "support/flightrec.h"
+#include "support/fnv.h"
 #include "support/trace.h"
 #include "workload/sasm.h"
 #include "workload/workload.h"
@@ -28,15 +29,6 @@ elapsedUs(Clock::time_point since)
     return uint64_t(std::chrono::duration_cast<std::chrono::microseconds>(
                         Clock::now() - since)
                         .count());
-}
-
-void
-fnvMix(uint64_t &h, uint64_t v)
-{
-    for (int i = 0; i < 8; ++i) {
-        h ^= (v >> (i * 8)) & 0xff;
-        h *= 1099511628211ull;
-    }
 }
 
 } // namespace
@@ -68,19 +60,19 @@ parseSchedulerKind(std::string_view name)
 uint64_t
 scheduleFingerprint(const ScheduleResponse &response)
 {
-    uint64_t h = 1469598103934665603ull;
+    uint64_t h = fnv::kOffsetBasis;
     for (const auto &s : response.schedules) {
-        fnvMix(h, uint64_t(s.length));
+        fnv::mixU64(h, uint64_t(s.length));
         for (int32_t c : s.cycles)
-            fnvMix(h, uint64_t(uint32_t(c)));
+            fnv::mixU64(h, uint64_t(uint32_t(c)));
         for (uint8_t u : s.used_cascade)
-            fnvMix(h, u);
+            fnv::mixU64(h, u);
     }
     for (const auto &m : response.modulo) {
-        fnvMix(h, uint64_t(m.success));
-        fnvMix(h, uint64_t(uint32_t(m.ii)));
+        fnv::mixU64(h, uint64_t(m.success));
+        fnv::mixU64(h, uint64_t(uint32_t(m.ii)));
         for (int32_t t : m.times)
-            fnvMix(h, uint64_t(uint32_t(t)));
+            fnv::mixU64(h, uint64_t(uint32_t(t)));
     }
     return h;
 }

@@ -522,11 +522,9 @@ renderStats(const StatsDocument &doc)
 
     if (cache.disk_enabled) {
         TextTable disk;
-        disk.setHeader({"Store Hits", "Mapped", "Store Misses",
-                        "Store Hit Rate", "Publishes", "Corrupt", "Stale",
-                        "Store Evictions"});
+        disk.setHeader({"Store Hits", "Store Misses", "Store Hit Rate",
+                        "Publishes", "Corrupt", "Stale", "Store Evictions"});
         disk.addRow({std::to_string(cache.disk_hits),
-                     std::to_string(cache.disk_mapped),
                      std::to_string(cache.disk_misses),
                      TextTable::percent(cache.diskHitRate()),
                      std::to_string(cache.disk_stores),

@@ -8,10 +8,10 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <new>
 #include <system_error>
 
 #include <fcntl.h>
-#include <sys/mman.h>
 #include <sys/stat.h>
 #include <unistd.h>
 
@@ -21,6 +21,8 @@
 #include "lmdes/image.h"
 #include "support/diagnostics.h"
 #include "support/faultsim.h"
+#include "support/fnv.h"
+#include "support/io_retry.h"
 #include "support/rng.h"
 #include "support/trace.h"
 
@@ -33,15 +35,14 @@ namespace {
 constexpr char kStoreMagic[4] = {'M', 'D', 'S', 'T'};
 // Version 2 appended the whole-file integrity trailer. Version 3 pads
 // the header to kImageAlign and stores the LMDES payload as the
-// position-independent v7 image, so a load can mmap the file and serve
-// it in place with zero deserialization. Version 4 keeps the layout:
+// position-independent v7 image, which a load attaches in place in the
+// buffer it read the file into. Version 4 keeps the layout:
 // its artifacts come from a pipeline whose Section 8 passes skip tables
 // with overlapping subtrees, which earlier ones may have reordered
 // under the same key.
 constexpr uint32_t kStoreVersion = 4;
 /** The v7 image starts on this boundary so its 64-byte-aligned internal
- * sections stay aligned within the file (and within any page-aligned
- * mapping of it). */
+ * sections stay aligned within the file. */
 constexpr size_t kImageAlign = lmdes::v7::kAlign;
 /** Bytes of the FNV-1a trailer covering header + payload. Without it a
  * bit flip inside the header's unvalidated fields (timestamps, label
@@ -52,25 +53,13 @@ constexpr size_t kTrailerBytes = 8;
 constexpr uint32_t kMaxHeaderString = 4096;
 /** The longest header: magic, version, three u64s, two strings. */
 constexpr size_t kMaxHeaderBytes = 4 + 4 + 3 * 8 + 2 * (4 + kMaxHeaderString);
-
-constexpr uint64_t kFnvOffset = 1469598103934665603ull;
-constexpr uint64_t kFnvPrime = 1099511628211ull;
-
-void
-fnvBytes(uint64_t &h, const void *data, size_t n)
-{
-    const auto *p = static_cast<const unsigned char *>(data);
-    for (size_t i = 0; i < n; ++i) {
-        h ^= p[i];
-        h *= kFnvPrime;
-    }
-}
-
-void
-fnvByte(uint64_t &h, unsigned char b)
-{
-    fnvBytes(h, &b, 1);
-}
+/** The largest artifact storeOnce can write: the longest header padded
+ * to kImageAlign, the largest image fromImage accepts, and the trailer.
+ * A longer file is not one of ours; a load rejects it before allocating
+ * a buffer for it. */
+constexpr uint64_t kMaxArtifactBytes =
+    (kMaxHeaderBytes + kImageAlign - 1) / kImageAlign * kImageAlign +
+    lmdes::v7::kMaxImageBytes + kTrailerBytes;
 
 std::string
 hexKey(uint64_t key)
@@ -128,30 +117,8 @@ writeStr(std::ostream &os, const std::string &s)
     os.write(s.data(), std::streamsize(s.size()));
 }
 
-/**
- * A refcounted MAP_PRIVATE read-only mapping of one artifact file.
- * Handed to LowMdes::fromImage as the backing, so the munmap happens
- * exactly when the last LowMdes (or Checker holding one) releases it -
- * even if the file was pruned, quarantined, or republished meanwhile
- * (the mapping pins the old inode).
- */
-struct Mapping
-{
-    const char *data = nullptr;
-    size_t size = 0;
-
-    Mapping() = default;
-    Mapping(const Mapping &) = delete;
-    Mapping &operator=(const Mapping &) = delete;
-    ~Mapping()
-    {
-        if (data)
-            ::munmap(const_cast<char *>(data), size);
-    }
-};
-
-/** Bounds-checked cursor over an in-memory artifact: the mmap'ed file,
- * a fault-mangled copy, or the header prefix list() reads. */
+/** Bounds-checked cursor over an in-memory artifact: the file a load
+ * read, or the header prefix list() reads. */
 class MemReader
 {
   public:
@@ -212,17 +179,17 @@ configFingerprint(const PipelineConfig &transforms, bool bit_vector,
 {
     // Every field that changes the compiled artifact must feed the
     // fingerprint; keep in sync with PipelineConfig.
-    uint64_t h = kFnvOffset;
-    fnvByte(h, transforms.cse);
-    fnvByte(h, transforms.redundant_options);
-    fnvByte(h, transforms.minimize);
-    fnvByte(h, transforms.time_shift);
-    fnvByte(h, transforms.sort_usages);
-    fnvByte(h, transforms.hoist);
-    fnvByte(h, transforms.sort_or_trees);
-    fnvByte(h, static_cast<unsigned char>(transforms.direction));
-    fnvByte(h, bit_vector);
-    fnvByte(h, static_cast<unsigned char>(rep));
+    uint64_t h = fnv::kOffsetBasis;
+    fnv::mixByte(h, transforms.cse);
+    fnv::mixByte(h, transforms.redundant_options);
+    fnv::mixByte(h, transforms.minimize);
+    fnv::mixByte(h, transforms.time_shift);
+    fnv::mixByte(h, transforms.sort_usages);
+    fnv::mixByte(h, transforms.hoist);
+    fnv::mixByte(h, transforms.sort_or_trees);
+    fnv::mixByte(h, static_cast<uint8_t>(transforms.direction));
+    fnv::mixByte(h, bit_vector);
+    fnv::mixByte(h, static_cast<uint8_t>(rep));
     return h;
 }
 
@@ -230,10 +197,9 @@ uint64_t
 artifactKey(std::string_view source, const PipelineConfig &transforms,
             bool bit_vector, exp::Rep rep)
 {
-    uint64_t h = kFnvOffset;
-    fnvBytes(h, source.data(), source.size());
+    uint64_t h = fnv::hashBytes(source.data(), source.size());
     uint64_t fp = configFingerprint(transforms, bit_vector, rep);
-    fnvBytes(h, &fp, sizeof(fp));
+    fnv::mixBytes(h, &fp, sizeof(fp));
     return h;
 }
 
@@ -380,9 +346,7 @@ ArtifactStore::parseArtifact(const char *data, size_t size, uint64_t key,
         return LoadOutcome::Corrupt;
     uint64_t stored_sum = 0;
     std::memcpy(&stored_sum, data + size - kTrailerBytes, kTrailerBytes);
-    uint64_t sum = kFnvOffset;
-    fnvBytes(sum, data, size - kTrailerBytes);
-    if (sum != stored_sum)
+    if (fnv::hashBytes(data, size - kTrailerBytes) != stored_sum)
         return LoadOutcome::Corrupt;
     const size_t body_size = size - kTrailerBytes;
     try {
@@ -427,66 +391,45 @@ ArtifactStore::loadOnce(uint64_t key,
         ::close(fd);
         return LoadOutcome::TransientIo;
     }
-    const size_t size = size_t(st.st_size);
-    if (size < kTrailerBytes) {
+    const uint64_t file_size = uint64_t(st.st_size);
+    if (file_size < kTrailerBytes || file_size > kMaxArtifactBytes) {
         ::close(fd);
         return LoadOutcome::Corrupt;
     }
-    if (faultsim::probe(faultsim::Site::StoreMap).fired) {
+    // The one copy: the returned LowMdes owns this buffer, so it serves
+    // the bytes validated here whatever later happens to the file.
+    // uint64_t elements give fromImage the alignment it needs.
+    size_t size = size_t(file_size);
+    std::shared_ptr<std::vector<uint64_t>> buf;
+    try {
+        buf = std::make_shared<std::vector<uint64_t>>((size + 7) / 8);
+    } catch (const std::bad_alloc &) {
+        // Out of memory is no fault of the file: retry, then recompile.
         ::close(fd);
         return LoadOutcome::TransientIo;
     }
-    void *base = ::mmap(nullptr, size, PROT_READ, MAP_PRIVATE, fd, 0);
-    ::close(fd); // the mapping holds its own reference to the inode
-    if (base == MAP_FAILED)
+    char *bytes = reinterpret_cast<char *>(buf->data());
+    const ssize_t got = io::readRetry(fd, bytes, size);
+    ::close(fd);
+    if (got < 0 || size_t(got) != size)
         return LoadOutcome::TransientIo;
-    auto mapping = std::make_shared<Mapping>();
-    mapping->data = static_cast<const char *>(base);
-    mapping->size = size;
 
-    // Simulated bit rot / truncation: mangle an in-memory copy only, so
-    // the parser (and the trailer check) sees what a damaged disk would
-    // feed it without physically rewriting the artifact. Were the copy
-    // ever to parse, the result would borrow it instead of the mapping.
-    std::shared_ptr<std::vector<uint64_t>> mangled;
-    size_t mangled_size = 0;
-    auto mangle = [&]() -> char * {
-        if (!mangled) {
-            mangled_size = size;
-            mangled = std::make_shared<std::vector<uint64_t>>((size + 7) / 8);
-            std::memcpy(mangled->data(), mapping->data, size);
-        }
-        return reinterpret_cast<char *>(mangled->data());
-    };
-    {
-        faultsim::FireInfo fi =
+    // Simulated truncation and bit rot mangle the bytes just read, so
+    // the trailer check sees what a damaged disk would feed it.
+    if (faultsim::FireInfo fi =
             faultsim::probe(faultsim::Site::StoreShortRead);
-        if (fi.fired && size > 0) {
-            mangle();
-            mangled_size = fi.value % size;
-        }
-    }
-    {
-        faultsim::FireInfo fi =
+        fi.fired)
+        size = fi.value % size;
+    if (faultsim::FireInfo fi =
             faultsim::probe(faultsim::Site::StoreCorruptByte);
-        if (fi.fired) {
-            char *bytes = mangle();
-            if (mangled_size > 0)
-                bytes[fi.value % mangled_size] ^=
-                    char(1u << ((fi.value >> 32) % 8));
-        }
-    }
+        fi.fired && size > 0)
+        bytes[fi.value % size] ^= char(1u << ((fi.value >> 32) % 8));
 
-    const LoadOutcome outcome =
-        mangled ? parseArtifact(reinterpret_cast<const char *>(
-                                    mangled->data()),
-                                mangled_size, key, mangled, out)
-                : parseArtifact(mapping->data, size, key, mapping, out);
+    const LoadOutcome outcome = parseArtifact(bytes, size, key, buf, out);
     if (outcome == LoadOutcome::Hit) {
         std::lock_guard<std::mutex> lock(mu_);
         ++stats_.hits;
-        if (!mangled)
-            ++stats_.mapped_hits;
+        ++stats_.mapped_hits;
     }
     return outcome;
 }
@@ -575,8 +518,7 @@ ArtifactStore::storeOnce(uint64_t key, const lmdes::LowMdes &low,
             // Serialize to memory first so the integrity trailer can
             // cover header and payload alike. The header is zero-padded
             // to kImageAlign so the v7 image's 64-byte-aligned sections
-            // land aligned in the file - and therefore in any
-            // page-aligned mapping of it.
+            // land aligned in the file.
             std::ostringstream body;
             header.write(body);
             const size_t header_end = size_t(body.tellp());
@@ -587,11 +529,9 @@ ArtifactStore::storeOnce(uint64_t key, const lmdes::LowMdes &low,
             body.write(low.image().data(),
                        std::streamsize(low.image().size()));
             const std::string payload = body.str();
-            uint64_t sum = kFnvOffset;
-            fnvBytes(sum, payload.data(), payload.size());
             out.write(payload.data(),
                       std::streamsize(payload.size()));
-            writeU64(out, sum);
+            writeU64(out, fnv::hashBytes(payload.data(), payload.size()));
             faultsim::maybeThrow(faultsim::Site::StoreWrite,
                                  "short write");
             out.flush();

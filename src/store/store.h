@@ -31,16 +31,14 @@
  *                 quarantined: they are silently removed and recompiled
  *                 (see StoreStats::stale_evicted)
  *
- * Since store version 3 a load does not deserialize the artifact at
- * all: the file is mmap(2)'ed MAP_PRIVATE read-only, the trailer is
- * verified with one pass at open, and the returned LowMdes borrows the
- * mapping zero-copy (LowMdes::fromImage), released by munmap when the
- * last shared_ptr owner drops. A publish writes the image the LowMdes
- * already holds, so it never lays one out again. Because the mapping pins the inode,
- * prune() and quarantine() can unlink or rename the file while readers
- * hold live views — the views stay valid until release, and N sharded
- * server processes mapping one artifact share a single physical copy
- * through the page cache.
+ * A load reads the whole file into one heap buffer, verifies the
+ * trailer with one pass, and attaches the v7 image inside that buffer in
+ * place (LowMdes::fromImage): nothing is parsed into pools, and the
+ * returned LowMdes owns the buffer, so it serves exactly the bytes it
+ * validated. prune() and quarantine() can unlink or rename a file, and
+ * another writer can rewrite it, while readers hold descriptions loaded
+ * from it. A publish writes the image the LowMdes already holds, so it
+ * never lays one out again.
  *
  * where <key> is the 16-hex-digit content hash of (hmdes source,
  * transform config, bit-vector flag, representation) — the same key the
@@ -106,8 +104,8 @@ std::string quarantineFileName(uint64_t key);
 struct StoreStats
 {
     uint64_t hits = 0;
-    /** Hits served zero-copy from a live mmap of the artifact (the
-     * normal case; a subset of hits). */
+    /** Always equal to hits. Kept only because perfbench's store.mapped
+     * ratio reads it; delete it once perfbench stops reading it. */
     uint64_t mapped_hits = 0;
     uint64_t misses = 0;
     /** Loads that found a file but quarantined it (corrupt, truncated,
@@ -204,17 +202,19 @@ class ArtifactStore
 
     /**
      * Tolerant lookup: the artifact for @p key, or nullptr on a miss.
-     * A hit is served zero-copy: the returned LowMdes borrows an
-     * mmap'ed, trailer-verified view of the file, munmapped when the
-     * last owner releases it (so it stays valid even if the entry is
-     * pruned or republished meanwhile). A file that exists but cannot
-     * be loaded — corrupt, truncated, or labeled with a different key —
-     * counts as a miss: it is quarantined (renamed to .bad) so the
-     * caller recompiles and republishes. A file written by a different
-     * format version is *stale*, not corrupt: silently removed, counted
-     * under stale_evicted, and likewise reported as a miss. A
-     * transiently-unreadable file (I/O error on open/stat/mmap) is
-     * retried per the RetryPolicy, then treated as a miss. Never throws
+     * A hit reads the file into a buffer the returned LowMdes owns and
+     * attaches the trailer-verified image in place, so it keeps serving
+     * the bytes it validated even if the entry is pruned, republished
+     * or rewritten meanwhile. A file that exists but cannot be loaded —
+     * corrupt, truncated, larger than any artifact the store writes, or
+     * labeled with a different key — counts as a miss: it is
+     * quarantined (renamed to .bad) so the caller recompiles and
+     * republishes. A file written by a different format version is
+     * *stale*, not corrupt: silently removed, counted under
+     * stale_evicted, and likewise reported as a miss. A
+     * transiently-unreadable file (an open, stat or read error, or a
+     * read that ends early) is retried per the RetryPolicy, then
+     * treated as a miss. Never throws
      * for bad on-disk state; only CancelledError escapes, when
      * @p cancel reports the caller gave up mid-retry. A hit touches the
      * artifact's mtime, its last-access time.

@@ -23,7 +23,7 @@ const char *const kSiteNames[kNumSites] = {
     "compile/alloc-fail", "net/accept-fail",
     "net/short-read",     "net/short-write",
     "net/peer-reset",     "net/stalled-write",
-    "net/heartbeat-drop", "store/map",
+    "net/heartbeat-drop",
 };
 
 /** Sites that sever connections (vs shape latency): Plan::fuzz keeps

@@ -98,11 +98,6 @@ enum class Site : uint32_t {
      * SIGKILLs and restarts it; DESIGN.md §15). Appended after the
      * socket-I/O sites so existing seeds replay unchanged. */
     NetHeartbeatDrop,
-    /** ArtifactStore load path - the fstat/mmap of an artifact fails
-     * transiently (exercises the retry-then-recompile path of the
-     * zero-copy loader). Appended last so existing seeds replay
-     * unchanged. */
-    StoreMap,
     kNumSites
 };
 

@@ -11,7 +11,7 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstdio>
+#include <cstddef>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -106,32 +106,11 @@ listing(const fs::path &dir)
     return names;
 }
 
-/** The file whose mapping holds address @p p in this process, as
- * /proc/self/maps names it; empty when @p p is not in a file mapping. */
+/** The bytes of @p low's image. */
 std::string
-mappedFileOf(const void *p)
+imageBytes(const LowMdes &low)
 {
-    const auto addr = reinterpret_cast<uintptr_t>(p);
-    std::ifstream maps("/proc/self/maps");
-    std::string line;
-    while (std::getline(maps, line)) {
-        unsigned long long lo = 0, hi = 0;
-        int path_at = 0;
-        if (std::sscanf(line.c_str(), "%llx-%llx %*s %*s %*s %*s %n", &lo,
-                        &hi, &path_at) < 2 ||
-            addr < lo || addr >= hi)
-            continue;
-        return path_at > 0 ? line.substr(size_t(path_at)) : std::string();
-    }
-    return {};
-}
-
-/** @p low's image lies in a mapping of the artifact file @p file. */
-void
-expectMappedFrom(const LowMdes &low, const fs::path &file)
-{
-    EXPECT_EQ(mappedFileOf(low.image().data()),
-              fs::canonical(file).string());
+    return {low.image().data(), low.image().size()};
 }
 
 /** Flip one byte of @p path at @p offset (from the end if negative). */
@@ -534,22 +513,101 @@ TEST(Store, RandomMachinesRoundTripThroughDisk)
     fs::remove_all(dir);
 }
 
-TEST(Store, MappedHitBorrowsTheFileAndSkipsDeserialization)
+TEST(Store, AHitOwnsTheBytesItValidated)
 {
-    // The tentpole contract: a warm load attaches the artifact in place
-    // (mapped, zero full deserializations), it does not parse it.
-    fs::path dir = freshDir("mapped");
+    // A hit serves the bytes it validated: rewriting a Check of the
+    // artifact in place afterwards changes neither the held image nor
+    // the description, and the next load of the file quarantines it.
+    fs::path dir = freshDir("owned");
     ArtifactStore s(StoreConfig{.dir = dir.string()});
     LowMdes low = LowMdes::lower(tinyMachine(), {});
-    ASSERT_TRUE(s.store(5, low, 0));
+    const uint64_t key = 5;
+    ASSERT_TRUE(s.store(key, low, 0));
 
-    uint64_t before = lmdes::fullDeserializations();
-    auto loaded = s.load(5);
-    ASSERT_NE(loaded, nullptr);
-    expectMappedFrom(*loaded, dir / store::artifactFileName(5));
-    EXPECT_EQ(lmdes::fullDeserializations(), before);
-    EXPECT_EQ(*loaded, low);
-    EXPECT_EQ(s.stats().mapped_hits, 1u);
+    auto held = s.load(key);
+    ASSERT_NE(held, nullptr);
+    const std::string image = imageBytes(*held);
+
+    fs::path file = dir / store::artifactFileName(key);
+    const std::string data = slurp(file);
+    const size_t img_off = data.find("LMDS", 4);
+    ASSERT_NE(img_off, std::string::npos);
+    lmdes::v7::Header hdr;
+    std::memcpy(&hdr, data.data() + img_off, sizeof(hdr));
+    ASSERT_GT(hdr.sections[lmdes::v7::kChecks].bytes, 0u);
+    flipByte(file, int64_t(img_off + hdr.sections[lmdes::v7::kChecks].offset +
+                           offsetof(lmdes::Check, mask)));
+
+    EXPECT_TRUE(imageBytes(*held) == image) << "the held image changed";
+    EXPECT_EQ(*held, low);
+    EXPECT_EQ(s.load(key), nullptr);
+    EXPECT_EQ(listing(dir),
+              std::vector<std::string>{store::quarantineFileName(key)});
+    store::StoreStats st = s.stats();
+    EXPECT_EQ(st.hits, 1u);
+    EXPECT_EQ(st.corrupt, 1u);
+    fs::remove_all(dir);
+}
+
+TEST(Store, ShortReadQuarantinesAndARepublishHeals)
+{
+    // A read cut short reaches the trailer check as a truncated
+    // artifact: damage, so quarantined at once rather than retried.
+    fs::path dir = freshDir("short_read");
+    ArtifactStore s(StoreConfig{.dir = dir.string()});
+    LowMdes low = LowMdes::lower(tinyMachine(), {});
+    const uint64_t key = 45;
+    ASSERT_TRUE(s.store(key, low, 0));
+
+    faultsim::install(faultsim::Plan::parse("seed=3,store/short-read=1"));
+    EXPECT_EQ(s.load(key), nullptr);
+    faultsim::uninstall();
+    EXPECT_EQ(listing(dir),
+              std::vector<std::string>{store::quarantineFileName(key)});
+    store::StoreStats st = s.stats();
+    EXPECT_EQ(st.corrupt, 1u);
+    EXPECT_EQ(st.misses, 1u);
+    EXPECT_EQ(st.retries, 0u);
+
+    ASSERT_TRUE(s.store(key, low, 0));
+    EXPECT_EQ(listing(dir),
+              std::vector<std::string>{store::artifactFileName(key)});
+    auto healed = s.load(key);
+    ASSERT_NE(healed, nullptr);
+    EXPECT_EQ(*healed, low);
+    fs::remove_all(dir);
+}
+
+TEST(Store, AFileLargerThanAnyArtifactIsCorruptAndNeverRead)
+{
+    // The largest artifact a publish writes: the longest header (magic,
+    // version, three u64s, two strings of at most 4096 bytes) padded to
+    // 64 bytes, the largest image, and the 8-byte trailer. A sparse file
+    // one byte longer must be rejected before any buffer is allocated
+    // or any byte read.
+    fs::path dir = freshDir("oversize");
+    ArtifactStore s(StoreConfig{.dir = dir.string()});
+    const uint64_t key = 46;
+    const uint64_t max_artifact =
+        (4 + 4 + 3 * 8 + 2 * (4 + 4096) + 63) / 64 * 64 +
+        lmdes::v7::kMaxImageBytes + 8;
+    const fs::path file = dir / store::artifactFileName(key);
+    std::ofstream(file, std::ios::binary).close();
+    fs::resize_file(file, max_artifact + 1);
+
+    // Arm a site no load reaches, so the layer counts how far the load
+    // got: the short-read site is probed right after the read.
+    faultsim::install(faultsim::Plan::parse("seed=1,store/fsync=1"));
+    EXPECT_EQ(s.load(key), nullptr);
+    const auto counters = faultsim::counters();
+    faultsim::uninstall();
+    EXPECT_EQ(counters[size_t(faultsim::Site::StoreOpenRead)].evaluations,
+              1u);
+    EXPECT_EQ(counters[size_t(faultsim::Site::StoreShortRead)].evaluations,
+              0u);
+    EXPECT_EQ(s.stats().corrupt, 1u);
+    EXPECT_EQ(listing(dir),
+              std::vector<std::string>{store::quarantineFileName(key)});
     fs::remove_all(dir);
 }
 
@@ -642,12 +700,12 @@ TEST(Store, MidPageCorruptionQuarantines)
     fs::remove_all(dir);
 }
 
-TEST(Store, LiveMappingSurvivesPruneAndQuarantine)
+TEST(Store, AHeldArtifactSurvivesPruneRewriteAndQuarantine)
 {
-    // The munmap-on-release contract: a held artifact stays valid after
-    // the file underneath it is pruned, republished, corrupted, and
-    // quarantined - the mapping pins the old inode.
-    fs::path dir = freshDir("live_mapping");
+    // A held artifact stays valid, byte for byte, after the file it was
+    // loaded from is pruned, republished, rewritten in place and
+    // quarantined.
+    fs::path dir = freshDir("held");
     ArtifactStore s(StoreConfig{.dir = dir.string()});
     LowMdes low = LowMdes::lower(tinyMachine(), {});
     uint64_t key = 50;
@@ -655,24 +713,26 @@ TEST(Store, LiveMappingSurvivesPruneAndQuarantine)
 
     auto held = s.load(key);
     ASSERT_NE(held, nullptr);
-    expectMappedFrom(*held, dir / store::artifactFileName(key));
+    const std::string image = imageBytes(*held);
 
-    // Prune everything out from under the mapping.
+    // Prune everything out from under it.
     s.prune(0);
     EXPECT_FALSE(fs::exists(dir / store::artifactFileName(key)));
     EXPECT_EQ(*held, low);
 
-    // Republish, corrupt, quarantine - the held view never wobbles.
+    // Republish, corrupt, quarantine - neither held artifact wobbles.
     ASSERT_TRUE(s.store(key, low, 0));
     auto second = s.load(key);
     ASSERT_NE(second, nullptr);
     flipByte(dir / store::artifactFileName(key), -10);
+    EXPECT_TRUE(imageBytes(*held) == image) << "the first image changed";
+    EXPECT_TRUE(imageBytes(*second) == image) << "the second image changed";
     EXPECT_EQ(s.load(key), nullptr);
     EXPECT_TRUE(fs::exists(dir / store::quarantineFileName(key)));
     EXPECT_EQ(*held, low);
     EXPECT_EQ(*second, low);
 
-    // Releasing the views (munmap) after all that must be clean too.
+    // Releasing them after all that must be clean too.
     held.reset();
     second.reset();
     fs::remove_all(dir);
@@ -707,9 +767,8 @@ podFingerprint(const lmdes::LowMdes &low)
 TEST(Store, ForkedProcessesServeBitIdenticalArtifacts)
 {
     // N sharded `mdesc serve` processes are modeled by a fork: parent
-    // and child each open the store and map the same artifact; the
-    // bytes they serve must be bit-identical (one physical copy in the
-    // page cache, not N deserialized replicas).
+    // and child each open the store and load the same artifact; the
+    // bytes they serve must be bit-identical.
     fs::path dir = freshDir("forked");
     LowMdes low = LowMdes::lower(tinyMachine(), {});
     uint64_t key = 60;
@@ -723,7 +782,7 @@ TEST(Store, ForkedProcessesServeBitIdenticalArtifacts)
     pid_t pid = ::fork();
     ASSERT_GE(pid, 0);
     if (pid == 0) {
-        // Child: its own store handle, its own mapping, its own
+        // Child: its own store handle, its own load, its own
         // fingerprint back through the pipe. _exit keeps gtest and
         // stdio state out of the forked copy.
         ::close(pipefd[0]);
@@ -731,7 +790,7 @@ TEST(Store, ForkedProcessesServeBitIdenticalArtifacts)
         try {
             ArtifactStore child(StoreConfig{.dir = dir.string()});
             auto loaded = child.load(key);
-            if (loaded && child.stats().mapped_hits == 1)
+            if (loaded && child.stats().hits == 1)
                 fp = podFingerprint(*loaded);
         } catch (...) {
         }
@@ -751,7 +810,7 @@ TEST(Store, ForkedProcessesServeBitIdenticalArtifacts)
     ArtifactStore parent(StoreConfig{.dir = dir.string()});
     auto loaded = parent.load(key);
     ASSERT_NE(loaded, nullptr);
-    expectMappedFrom(*loaded, dir / store::artifactFileName(key));
+    EXPECT_EQ(parent.stats().hits, 1u);
     EXPECT_NE(child_fp, 0u);
     EXPECT_EQ(podFingerprint(*loaded), child_fp);
     EXPECT_EQ(podFingerprint(low), child_fp);
