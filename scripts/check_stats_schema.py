@@ -143,9 +143,11 @@ def check_metrics(doc):
             "probe_fastpath"), "scheduling")
 
     exact = section(doc, "exact")
-    counts(exact, ("blocks", "proven_optimal", "budget_exhausted",
-                   "gap_cycles", "nodes", "bound_prunes",
-                   "dominance_prunes", "probes"), "exact")
+    counts(exact, ("blocks", "proven_optimal", "root_proofs",
+                   "budget_exhausted", "gap_cycles", "nodes",
+                   "bound_prunes", "dominance_prunes", "probes"), "exact")
+    if exact["root_proofs"] > exact["proven_optimal"]:
+        fail("'exact': more root proofs than proven blocks")
     counts(section(exact, "wins", "exact"),
            ("list", "backward", "modulo", "exact"), "exact.wins")
 

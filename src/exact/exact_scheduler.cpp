@@ -264,12 +264,13 @@ ExactScheduler::wouldFitEither(uint32_t u, int32_t cycle)
 {
     const auto &cls = low_.opClasses()[block_instr_class_[u]];
     ++result_->probes;
-    if (checker_.wouldFit(cls.tree, cycle, ru_, &stats_->checks))
+    if (checker_.eachSubtreeFits(cls.tree, cycle, ru_, &stats_->checks))
         return true;
     if (!can_casc_[u])
         return false;
     ++result_->probes;
-    return checker_.wouldFit(cls.cascade_tree, cycle, ru_, &stats_->checks);
+    return checker_.eachSubtreeFits(cls.cascade_tree, cycle, ru_,
+                                    &stats_->checks);
 }
 
 int32_t
@@ -307,9 +308,10 @@ ExactScheduler::computeBound(int32_t cycle)
     if (lb >= best_len_)
         return lb;
 
-    // wouldFit propagation: bump the critical op's earliest start while
-    // the map proves it cannot issue there. Sound within this subtree
-    // because the RU map only ever grows below this node.
+    // Probe propagation: bump the critical op's earliest start while
+    // the map proves it cannot issue there. Sound within this subtree:
+    // the RU map only grows below this node, and a fuller map never
+    // lets eachSubtreeFits() say yes where it said no.
     for (int probes_left = kProbeCap; probes_left > 0; --probes_left) {
         int32_t crit_bound = -1;
         uint32_t crit = n_;
@@ -512,9 +514,23 @@ ExactScheduler::scheduleBlock(const sched::Block &block,
         throw std::invalid_argument(
             "exact search needs an incumbent with one cycle per "
             "instruction");
-    TRACE_SPAN_F(span, "exact/search");
+    ExactResult res = rootBound(block, stats, incumbent->length);
+    if (!res.proven_optimal)
+        search(res, stats, opts);
+    if (!res.improved)
+        res.schedule = *incumbent;
+    stats.ops_scheduled += block.instrs.size();
+    stats.total_schedule_length += uint64_t(res.schedule.length);
+    return res;
+}
+
+ExactResult
+ExactScheduler::rootBound(const sched::Block &block,
+                          sched::SchedStats &stats, int32_t cap)
+{
     ExactResult res;
     n_ = uint32_t(block.instrs.size());
+    root_lb_ = 0;
     if (n_ == 0) {
         res.proven_optimal = true;
         return res;
@@ -564,19 +580,39 @@ ExactScheduler::scheduleBlock(const sched::Block &block,
     ru_.clear();
     cur_len_ = 0;
     placed_ = 0;
-    have_best_ = false;
-    done_ = false;
+    result_ = &res;
+    stats_ = &stats;
+    best_len_ = cap;
+
+    root_lb_ = std::max(computeBound(0), 1);
+    if (root_lb_ < cap)
+        root_lb_ = std::max(root_lb_, energeticBound());
+    res.proven_optimal = cap <= root_lb_;
+    res.lower_bound = std::min(root_lb_, cap);
+
+    result_ = nullptr;
+    stats_ = nullptr;
+    return res;
+}
+
+void
+ExactScheduler::search(ExactResult &res, sched::SchedStats &stats,
+                       const ExactOptions &opts)
+{
+    const sched::BlockSchedule *incumbent = opts.incumbent;
+    if (!incumbent || incumbent->cycles.size() != n_)
+        throw std::invalid_argument(
+            "exact search needs an incumbent with one cycle per "
+            "instruction");
+    TRACE_SPAN_F(span, "exact/search");
     result_ = &res;
     stats_ = &stats;
     best_len_ = incumbent->length;
-
-    root_lb_ = std::max(computeBound(0), 1);
-    if (root_lb_ < best_len_)
-        root_lb_ = std::max(root_lb_, energeticBound());
-    res.lower_bound = root_lb_;
+    have_best_ = false;
+    done_ = false;
 
     bool completed = true;
-    if (incumbent->length > root_lb_) {
+    if (best_len_ > root_lb_) {
         node_limit_ = opts.max_nodes;
         deadline_us_ =
             opts.time_budget_us > 0 ? nowUs() + opts.time_budget_us : 0;
@@ -585,22 +621,18 @@ ExactScheduler::scheduleBlock(const sched::Block &block,
         cancel_ = nullptr;
     }
 
-    bool proven = completed || done_;
     if (have_best_) {
+        // Every schedule the search records is strictly shorter than
+        // the incumbent (see dfs()).
         res.schedule.cycles = best_cycles_;
         res.schedule.used_cascade = best_casc_;
         res.schedule.length = best_len_;
         res.schedule.issue_order = best_order_;
         res.options = best_options_;
-        res.improved = best_len_ < incumbent->length;
-    } else {
-        res.schedule = *incumbent;
+        res.improved = true;
     }
-    res.proven_optimal = proven;
-    res.lower_bound = proven ? res.schedule.length : root_lb_;
-
-    stats.ops_scheduled += n_;
-    stats.total_schedule_length += uint64_t(res.schedule.length);
+    res.proven_optimal = completed || done_;
+    res.lower_bound = res.proven_optimal ? best_len_ : root_lb_;
 
     if (span.active()) {
         span.counter("ops", n_);
@@ -608,13 +640,12 @@ ExactScheduler::scheduleBlock(const sched::Block &block,
         span.counter("bound_prunes", res.bound_prunes);
         span.counter("dominance_prunes", res.dominance_prunes);
         span.counter("probes", res.probes);
-        span.counter("length", uint64_t(res.schedule.length));
+        span.counter("length", uint64_t(best_len_));
         span.counter("lower_bound", uint64_t(res.lower_bound));
         span.counter("proven", res.proven_optimal ? 1 : 0);
     }
     result_ = nullptr;
     stats_ = nullptr;
-    return res;
 }
 
 } // namespace mdes::exact

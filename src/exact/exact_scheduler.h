@@ -7,16 +7,21 @@
  *
  * The search enumerates *canonical* schedules: issue decisions are made
  * cycle by cycle, and within a cycle in ascending instruction index.
- * Because dependence edges always point from a lower to a higher source
- * index and have non-negative distances, every feasible set of issue
- * cycles has a canonical realization, so restricting the search to the
- * canonical order prunes all permutations of the same cycle assignment
- * (the dominance pruning on symmetric issue orders) without losing
- * optimality. "Feasible" means the greedy checker replay in canonical
- * (cycle, index) order succeeds - the same constraint model used by
- * schedule validation and by the brute-force test reference; for
- * machines whose AND subtrees are resource-disjoint (all four shipped
- * machines) the greedy replay model is exact.
+ * Restricting the search to that order prunes every permutation of the
+ * same cycle assignment (the dominance pruning on symmetric issue
+ * orders). A schedule is feasible here when the greedy checker replay in
+ * canonical (cycle, index) order succeeds, the model the brute-force
+ * test reference shares.
+ *
+ * That model is narrower than the machine's. Each OR subtree takes its
+ * first option that fits, so the options an op gets depend on which ops
+ * reserved before it, and a legal set of issue cycles need not replay in
+ * canonical order. This happens on a paper machine: on Pentium (seed 1,
+ * 2,000 ops, block 17) the backward list scheduler finds a 6-cycle
+ * schedule that its certificate verifies, while the search exhausts
+ * every canonical schedule shorter than the 7-cycle list schedule. So a
+ * search that completes proves its result optimal among canonical
+ * schedules only.
  *
  * Pruning combines three lower bounds, all derived from the machine
  * description rather than hard-coded machine knowledge:
@@ -44,20 +49,31 @@
  * its deadline (length - 1 - its tail), so the ops whose whole interval
  * lies inside a window must fit their demand on each group into the
  * window's cycles. A list schedule that meets this bound is proven
- * optimal without a search node.
+ * optimal without a search node. The root bound reads only dependences
+ * and resource demand, so it holds for every legal schedule, canonical
+ * or not: a root proof is a proof.
  *
  * The earliest-start estimate is sharpened with the checker's pure
- * wouldFit() probe: within one search subtree the RU map only grows, so
- * an operation that does not fit at cycle c now can never fit at c
- * deeper in the subtree, making probe-based es-bumping a sound monotone
- * propagator.
+ * eachSubtreeFits() probe: an op cannot issue at cycle c while one of
+ * its tree's OR subtrees has no option that fits the map on its own.
+ * Within one search subtree the RU map only grows, and a fuller map
+ * never turns that answer from false to true, so bumping the op's
+ * earliest start past c is sound below the node. wouldFit()'s greedy
+ * answer would not be: on a table whose subtrees overlap, one subtree's
+ * first fitting option can block another on an empty cycle and leave
+ * room once that option is busy. On disjoint tables the two agree. On
+ * the empty map at the root every subtree fits, so the root bound bumps
+ * nothing.
  *
- * The caller supplies the incumbent (normally the list schedule it
- * already has) and the search runs under a node and wall-time budget
- * with cooperative cancellation, so callers (the service's exact and
- * portfolio modes) always get the best schedule found so far - never
- * worse than the incumbent - plus a proven lower bound for the
- * optimality gap.
+ * The search has two halves. rootBound() prepares a block and computes
+ * its root bound; search() then looks for a schedule shorter than a
+ * given incumbent under a node and wall-time budget with cooperative
+ * cancellation, so callers always get the best schedule found so far -
+ * never worse than the incumbent - plus a proven lower bound for the
+ * optimality gap. scheduleBlock() runs the two in sequence from one
+ * incumbent. The service's portfolio runs them apart: it races its other
+ * candidates only when the root bound leaves the list schedule unproven,
+ * and starts the search from the best of them.
  */
 
 #include <cstdint>
@@ -84,30 +100,35 @@ struct ExactOptions
      * search stops with ExactResult::cancelled set and returns the best
      * schedule found so far. Empty = never cancelled. */
     std::function<bool()> cancel;
-    /** Required: a schedule of the block (normally the list schedule),
-     * one cycle per instruction. The search only looks for a strictly
-     * shorter one, and returns this one when it finds none. */
+    /** Required: a schedule of the block (the list schedule, or the
+     * best candidate a portfolio holds), one cycle per instruction. The
+     * search only looks for a strictly shorter one. */
     const sched::BlockSchedule *incumbent = nullptr;
 };
 
 /** Outcome of one exact-scheduling attempt. */
 struct ExactResult
 {
-    /** Best schedule found: the search's best canonical schedule, or
-     * the (list) incumbent when the search could not improve on it. */
+    /** The search's best canonical schedule when it improved on the
+     * incumbent. Otherwise search() leaves it empty, since its caller
+     * holds the incumbent, and scheduleBlock() copies the incumbent
+     * here. */
     sched::BlockSchedule schedule;
     /** The certificate of schedule (see sched::Certificate) when the
-     * search found it (improved); empty when schedule is the incumbent,
-     * whose certificate its caller holds. */
+     * search found it (improved); empty otherwise. */
     std::vector<uint32_t> options;
-    /** The returned length is proven minimal (search exhausted, or the
-     * incumbent already met the proven lower bound). */
+    /** The delivered length is minimal. From the root bound (no search
+     * node) that holds over every legal schedule. From a completed
+     * search it holds over canonical schedules only (see the file
+     * comment): on some blocks a legal non-canonical schedule is
+     * shorter. */
     bool proven_optimal = false;
     /** The search found a schedule strictly shorter than the incumbent. */
     bool improved = false;
-    /** Proven lower bound on the block's schedule length: the root
-     * bound (the static bounds and the energetic test), or the optimum
-     * itself when the search completed. */
+    /** Lower bound on the block's schedule length: the root bound (the
+     * static bounds and the energetic test), which holds over every
+     * legal schedule; or, when proven_optimal, the delivered length,
+     * which a completed search proves over canonical schedules only. */
     int32_t lower_bound = 0;
 
     /** Search nodes expanded. */
@@ -125,7 +146,8 @@ struct ExactResult
     /** The cancel predicate fired mid-search. */
     bool cancelled = false;
 
-    /** Length - lower_bound, the reportable optimality gap. */
+    /** Length - lower_bound, the reportable optimality gap (of a
+     * scheduleBlock() result, whose schedule is always set). */
     int32_t
     gap() const
     {
@@ -141,10 +163,13 @@ class ExactScheduler
 
     /**
      * Find a minimum-length schedule for @p block under the budgets in
-     * @p opts. @p stats accumulates every probe the search makes
-     * (CheckStats), while ops_scheduled and total_schedule_length
-     * reflect only the returned schedule, so the stats describe the
-     * delivered result plus the work spent on it.
+     * @p opts: rootBound() capped by the incumbent's length, then, unless
+     * that proves the incumbent optimal, search() from it. The result's
+     * schedule is the incumbent when the search found nothing shorter.
+     * @p stats accumulates every probe the search makes (CheckStats),
+     * while ops_scheduled and total_schedule_length reflect only the
+     * returned schedule, so the stats describe the delivered result
+     * plus the work spent on it.
      *
      * @throws std::invalid_argument when opts.incumbent is null or does
      * not hold one cycle per instruction of @p block.
@@ -152,6 +177,33 @@ class ExactScheduler
     ExactResult scheduleBlock(const sched::Block &block,
                               sched::SchedStats &stats,
                               const ExactOptions &opts = {});
+
+    /**
+     * The first half of scheduleBlock(): prepare @p block for search()
+     * and compute its root lower bound. The bound stops rising once it
+     * reaches @p cap, the length of the longest incumbent the search
+     * will start from (normally the list schedule's). The result holds
+     * the bound, capped, and the probes spent; no search node is
+     * expanded. proven_optimal is set when the bound reaches @p cap: a
+     * schedule of @p cap cycles is then optimal over every legal
+     * schedule.
+     */
+    ExactResult rootBound(const sched::Block &block,
+                          sched::SchedStats &stats, int32_t cap);
+
+    /**
+     * The second half: search the block the last rootBound() call
+     * prepared for a schedule strictly shorter than opts.incumbent,
+     * under the budgets in @p opts, and update @p res, that call's
+     * result. res.schedule and res.options are set only when the search
+     * improved on the incumbent. @p stats accumulates every probe; its
+     * ops_scheduled and total_schedule_length are left alone.
+     *
+     * @throws std::invalid_argument when opts.incumbent is null or does
+     * not hold one cycle per instruction of the prepared block.
+     */
+    void search(ExactResult &res, sched::SchedStats &stats,
+                const ExactOptions &opts);
 
   private:
     /** One mandatory resource group (see file comment): a set of

@@ -190,7 +190,7 @@ struct GeneralAddr
 // handles the prefilter and the single-subtree scan - the most frequent
 // attempt outcomes - in its own frame, and only AND-level attempts pay
 // for this function's spills.
-template <bool Commit, class Addr>
+template <bool Commit, bool Overlay, class Addr>
 __attribute__((noinline)) bool
 Checker::walk(const FlatTree &ft, const Addr &addr, RuMap *mut,
               CheckStats *stats, std::vector<uint32_t> *chosen_options,
@@ -219,7 +219,7 @@ Checker::walk(const FlatTree &ft, const Addr &addr, RuMap *mut,
         // With nothing pending (every first subtree, and every tree
         // whose subtrees are disjoint in practice) the probe is a
         // single word load.
-        const bool overlaid = !pending_.empty();
+        const bool overlaid = Overlay && !pending_.empty();
         bool found = false;
         for (uint32_t oi = 0; oi < subs[s].num_opts && !found; ++oi) {
             ++options_this_attempt;
@@ -261,12 +261,13 @@ Checker::walk(const FlatTree &ft, const Addr &addr, RuMap *mut,
             if (fits) {
                 found = true;
                 // Overlay stamps exist for later subtrees to read; the
-                // last subtree's choices only need the commit list.
-                if (s + 1 < ft.num_subs) {
+                // last subtree's choices only need the commit list. A
+                // probe without the overlay keeps neither.
+                if (Overlay && s + 1 < ft.num_subs) {
                     for (uint32_t k = 0; k < opt.num_checks; ++k)
                         addPending(addr.norm(checks[k].slot),
                                    checks[k].mask, overlay_base);
-                } else {
+                } else if (Overlay) {
                     for (uint32_t k = 0; k < opt.num_checks; ++k)
                         pending_.push_back(
                             {addr.norm(checks[k].slot),
@@ -301,7 +302,7 @@ Checker::walk(const FlatTree &ft, const Addr &addr, RuMap *mut,
     return true;
 }
 
-template <bool Commit>
+template <bool Commit, bool Overlay>
 bool
 Checker::probe(uint32_t tree, int32_t cycle, const RuMap &ru, RuMap *mut,
                CheckStats *stats, std::vector<uint32_t> *chosen_options,
@@ -325,8 +326,9 @@ Checker::probe(uint32_t tree, int32_t cycle, const RuMap &ru, RuMap *mut,
     int32_t overlay_base = 0;
     // Single-subtree trees (the whole OR-tree representation) never
     // touch the overlay or the pending list - walk() commits the
-    // winning option directly - so all attempt bookkeeping is skipped.
-    if (ft.num_subs > 1) {
+    // winning option directly - so all attempt bookkeeping is skipped,
+    // as it is for a probe without the overlay.
+    if (Overlay && ft.num_subs > 1) {
         // Starting a new attempt is one counter bump: overlay stamps
         // from earlier attempts (including pure wouldFit() probes) are
         // dead by epoch mismatch, never cleared.
@@ -374,8 +376,9 @@ Checker::probe(uint32_t tree, int32_t cycle, const RuMap &ru, RuMap *mut,
             }
         }
         if (ft.num_subs != 1)
-            return walk<Commit>(ft, addr, mut, stats, chosen_options,
-                                reserved, overlay_base);
+            return walk<Commit, Overlay>(ft, addr, mut, stats,
+                                         chosen_options, reserved,
+                                         overlay_base);
 
         uint64_t checks_done = ft.num_pf;
         const FlatSub &sub = flat_subs_[ft.first_sub];
@@ -478,6 +481,14 @@ Checker::wouldFit(uint32_t tree, int32_t cycle, const RuMap &ru,
 {
     return probe<false>(tree, cycle, ru, nullptr, stats, nullptr,
                         nullptr);
+}
+
+bool
+Checker::eachSubtreeFits(uint32_t tree, int32_t cycle, const RuMap &ru,
+                         CheckStats *stats) const
+{
+    return probe<false, false>(tree, cycle, ru, nullptr, stats, nullptr,
+                               nullptr);
 }
 
 } // namespace mdes::rumap

@@ -39,6 +39,8 @@
  *
  * tryReserve() and wouldFit() are two instantiations of one template
  * probe, so the pure query can never diverge from the reserving one.
+ * eachSubtreeFits(), a third, is the same probe without the pending
+ * overlay.
  *
  * Statistics mirror the paper's metrics: scheduling attempts, options
  * checked per attempt, and resource checks (RU-map probes, including
@@ -159,6 +161,21 @@ class Checker
     bool wouldFit(uint32_t tree, int32_t cycle, const RuMap &ru,
                   CheckStats *stats = nullptr) const;
 
+    /**
+     * Monotone relaxation of wouldFit(): true when each OR subtree of
+     * @p tree has an option that fits @p ru on its own, whatever the
+     * other subtrees choose. It is wouldFit() without the pending
+     * overlay, so a false answer holds for @p ru and for every fuller
+     * map. wouldFit()'s greedy answer does not: on a table whose
+     * subtrees overlap, an earlier subtree's first fitting option can
+     * block a later subtree on an empty cycle and leave it free once
+     * that option is busy. On tables whose subtrees use disjoint
+     * resources the two answer alike and count the same probes. Pure,
+     * and records into @p stats like wouldFit().
+     */
+    bool eachSubtreeFits(uint32_t tree, int32_t cycle, const RuMap &ru,
+                         CheckStats *stats = nullptr) const;
+
     const lmdes::LowMdes &low() const { return low_; }
 
   private:
@@ -208,13 +225,16 @@ class Checker
 
     void buildFlat();
 
-    template <bool Commit, class Addr>
+    /** @p Overlay: later subtrees see the options earlier ones chose
+     * (the greedy AND check); without it each subtree is tested
+     * against the map alone (eachSubtreeFits()). */
+    template <bool Commit, bool Overlay, class Addr>
     bool walk(const FlatTree &ft, const Addr &addr, RuMap *mut,
               CheckStats *stats, std::vector<uint32_t> *chosen_options,
               std::vector<Reservation> *reserved,
               int32_t overlay_base) const;
 
-    template <bool Commit>
+    template <bool Commit, bool Overlay = true>
     bool probe(uint32_t tree, int32_t cycle, const RuMap &ru,
                RuMap *mut, CheckStats *stats,
                std::vector<uint32_t> *chosen_options,

@@ -289,6 +289,10 @@ struct ExactSearchTotals
     uint64_t blocks = 0;
     /** Blocks whose delivered length matched the proven lower bound. */
     uint64_t proven_optimal = 0;
+    /** Proven blocks the root bound settled with no search node: over
+     * every legal schedule, where a completed search proves optimality
+     * over canonical schedules only. */
+    uint64_t root_proofs = 0;
     /** Blocks whose search hit its node/time budget. */
     uint64_t budget_exhausted = 0;
     uint64_t nodes = 0;
@@ -309,6 +313,7 @@ struct ExactSearchTotals
     {
         blocks += o.blocks;
         proven_optimal += o.proven_optimal;
+        root_proofs += o.root_proofs;
         budget_exhausted += o.budget_exhausted;
         nodes += o.nodes;
         bound_prunes += o.bound_prunes;
@@ -517,6 +522,7 @@ visitMetrics(V &v, M &...m)
     section("exact", [&] {
         v.count("blocks", m.exact.blocks...);
         v.count("proven_optimal", m.exact.proven_optimal...);
+        v.count("root_proofs", m.exact.root_proofs...);
         v.count("budget_exhausted", m.exact.budget_exhausted...);
         v.count("gap_cycles", m.exact.gap_cycles...);
         v.count("nodes", m.exact.nodes...);

@@ -549,7 +549,10 @@ MdesService::process(Job &job, ServiceMetrics &metrics,
                 // Portfolio mode: additionally race backward (and, on
                 // branch-free blocks, a verified flat modulo schedule) and
                 // keep the shortest result, so the response is never longer
-                // than plain list scheduling. The request deadline only
+                // than plain list scheduling. Both ask the search's root
+                // bound first: a list schedule that meets it is optimal
+                // over every legal schedule, so the block needs no other
+                // candidate and no search. The request deadline only
                 // truncates the searches - the response still carries the
                 // best schedules found.
                 const bool portfolio =
@@ -574,16 +577,17 @@ MdesService::process(Job &job, ServiceMetrics &metrics,
                     options.clear();
                     return record ? &options : nullptr;
                 };
+                // Every candidate counts its work here: the response's
+                // ops_scheduled/total_schedule_length describe the kept
+                // schedules, checks describe all work spent.
+                sched::SchedStats work;
+                bool cancelled = false;
                 for (const auto &block : program.blocks) {
                     TRACE_SPAN_F(block_span, "exact/block");
-                    // Every backend runs with local stats: the response's
-                    // ops_scheduled/total_schedule_length describe the kept
-                    // schedules, checks describe all work spent.
-                    sched::SchedStats local;
                     // Each candidate keeps its own schedule; best points at
                     // the shortest so far and is moved into the response.
                     sched::BlockSchedule incumbent = list.scheduleBlock(
-                        block, local, recorded(list_options));
+                        block, work, recorded(list_options));
                     sched::BlockSchedule back, flat;
 
                     SchedulerKind winner = SchedulerKind::List;
@@ -591,9 +595,11 @@ MdesService::process(Job &job, ServiceMetrics &metrics,
                     const std::vector<uint32_t> *best_options =
                         &list_options;
 
-                    if (portfolio) {
+                    exact::ExactResult er =
+                        search.rootBound(block, work, incumbent.length);
+                    if (!er.proven_optimal && portfolio) {
                         back = backward.scheduleBlock(
-                            block, local, recorded(backward_options));
+                            block, work, recorded(backward_options));
                         if (back.length < best->length) {
                             best = &back;
                             best_options = &backward_options;
@@ -610,7 +616,7 @@ MdesService::process(Job &job, ServiceMetrics &metrics,
                             // collision would also collide mod II. Admit
                             // it only when the certificate checks.
                             sched::ModuloSchedule ms =
-                                mod.schedule(block, local);
+                                mod.schedule(block, work);
                             if (ms.success && !ms.times.empty()) {
                                 flat.cycles = std::move(ms.times);
                                 int32_t lo = *std::min_element(
@@ -632,15 +638,16 @@ MdesService::process(Job &job, ServiceMetrics &metrics,
                             }
                         }
                     }
-
-                    eopts.incumbent = &incumbent;
-                    exact::ExactResult er =
-                        search.scheduleBlock(block, local, eopts);
-                    if (er.schedule.length < best->length) {
-                        // Shorter than the incumbent: the search's own.
-                        best = &er.schedule;
-                        best_options = &er.options;
-                        winner = SchedulerKind::Exact;
+                    if (!er.proven_optimal) {
+                        // Only a schedule shorter than the best candidate
+                        // can win, so the search starts from it.
+                        eopts.incumbent = best;
+                        search.search(er, work, eopts);
+                        if (er.improved) {
+                            best = &er.schedule;
+                            best_options = &er.options;
+                            winner = SchedulerKind::Exact;
+                        }
                     }
                     if (record) {
                         certificate.options.insert(
@@ -648,23 +655,26 @@ MdesService::process(Job &job, ServiceMetrics &metrics,
                             best_options->begin(), best_options->end());
                         certificate.endBlock();
                     }
-                    resp.stats.checks.merge(local.checks);
-                    resp.stats.attempts_per_op.merge(local.attempts_per_op);
-                    if (job.cancelled.load(std::memory_order_relaxed))
-                        return fail(ErrorCode::Cancelled,
-                                    "request cancelled");
+                    if (job.cancelled.load(std::memory_order_relaxed)) {
+                        cancelled = true;
+                        break;
+                    }
 
+                    // The root bound and the search each report the
+                    // delivered length as the bound when they prove it.
                     BlockOutcome out;
                     out.winner = winner;
                     out.length = best->length;
-                    out.lower_bound = std::min(er.lower_bound, best->length);
-                    out.proven_optimal = best->length <= er.lower_bound;
+                    out.lower_bound = er.lower_bound;
+                    out.proven_optimal = er.proven_optimal;
                     out.budget_exhausted = er.budget_exhausted;
                     out.nodes = er.nodes;
 
                     auto &tot = resp.exact;
                     ++tot.blocks;
                     tot.proven_optimal += out.proven_optimal ? 1 : 0;
+                    tot.root_proofs +=
+                        out.proven_optimal && er.nodes == 0 ? 1 : 0;
                     tot.budget_exhausted += out.budget_exhausted ? 1 : 0;
                     tot.nodes += er.nodes;
                     tot.bound_prunes += er.bound_prunes;
@@ -706,6 +716,10 @@ MdesService::process(Job &job, ServiceMetrics &metrics,
                     resp.outcomes.push_back(out);
                     resp.schedules.push_back(std::move(*best));
                 }
+                resp.stats.checks.merge(work.checks);
+                resp.stats.attempts_per_op.merge(work.attempts_per_op);
+                if (cancelled)
+                    return fail(ErrorCode::Cancelled, "request cancelled");
                 break;
             }
             }

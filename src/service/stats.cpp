@@ -605,11 +605,12 @@ renderStats(const StatsDocument &doc)
 
     if (m.exact.blocks != 0) {
         TextTable ex;
-        ex.setHeader({"Exact Blocks", "Proven Optimal", "Budget Out",
-                      "Gap Cycles", "Nodes", "Bound Prunes",
+        ex.setHeader({"Exact Blocks", "Proven Optimal", "Root Proofs",
+                      "Budget Out", "Gap Cycles", "Nodes", "Bound Prunes",
                       "Dominance Prunes", "Probes"});
         ex.addRow({std::to_string(m.exact.blocks),
                    std::to_string(m.exact.proven_optimal),
+                   std::to_string(m.exact.root_proofs),
                    std::to_string(m.exact.budget_exhausted),
                    std::to_string(m.exact.gap_cycles),
                    std::to_string(m.exact.nodes),

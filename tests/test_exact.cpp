@@ -1,13 +1,15 @@
 /**
  * @file
  * Branch-and-bound exact scheduler tests: lockstep against an
- * independent exhaustive enumerator on tiny blocks (handcrafted, and
- * random on every paper machine in each lowering the system schedules
- * against), root proofs pinned on handcrafted blocks, wouldFit()
- * purity under millions of probes, budget
+ * independent exhaustive enumerator on tiny blocks (handcrafted, random
+ * on every paper machine in each lowering the system schedules against,
+ * and random machines whose AND subtrees overlap), root proofs pinned on
+ * handcrafted blocks, wouldFit() purity under millions of probes, budget
  * exhaustion falling back to the list incumbent, cooperative
- * cancellation, and the service-level portfolio guarantee that it never
- * returns a schedule longer than plain list scheduling.
+ * cancellation, the service-level portfolio guarantee that it never
+ * returns a schedule longer than plain list scheduling, and a lockstep
+ * of the service's bound-first race against racing every candidate on
+ * every block.
  */
 
 #include <climits>
@@ -18,18 +20,24 @@
 
 #include <gtest/gtest.h>
 
+#include "core/transforms.h"
 #include "exact/exact_scheduler.h"
 #include "exp/runner.h"
 #include "hmdes/compile.h"
 #include "lmdes/low_mdes.h"
 #include "machines/machines.h"
+#include "random_mdes.h"
 #include "rumap/checker.h"
 #include "rumap/ru_map.h"
+#include "sched/backward_scheduler.h"
 #include "sched/dep_graph.h"
 #include "sched/list_scheduler.h"
+#include "sched/modulo_scheduler.h"
 #include "sched/verify.h"
 #include "service/service.h"
+#include "support/rng.h"
 #include "test_program.h"
+#include "workload/sasm.h"
 #include "workload/workload.h"
 
 namespace mdes {
@@ -222,12 +230,8 @@ expectMatchesBruteForce(const LowMdes &low, const Block &block,
     int32_t truth = BruteForce(low).shortest(block, seed.length);
     truth = std::min(truth, seed.length);
 
-    // The root bound alone (a one-node budget) never exceeds the optimum.
-    exact::ExactOptions root_only;
-    root_only.time_budget_us = 0;
-    root_only.max_nodes = 1;
-    root_only.incumbent = &seed;
-    EXPECT_LE(search.scheduleBlock(block, stats, root_only).lower_bound,
+    // The root bound alone never exceeds the optimum.
+    EXPECT_LE(search.rootBound(block, stats, seed.length).lower_bound,
               truth)
         << what;
 
@@ -354,6 +358,139 @@ TEST(ExactScheduler, MatchesBruteForceRandomTinyBlocks)
             }
         }
     }
+}
+
+/** The Trap machine of Service.OptimizerLeavesOverlappingTablesAsWritten:
+ * X and Y can both claim R[0] and R[5] at time 0. */
+const char *const kTrap = R"(
+machine "Trap" {
+    resource R[6];
+    ortree X {
+        option { use R[0] at 0; use R[2] at 0; }
+        option { use R[5] at 0; use R[3] at 0; }
+        option { use R[0] at 0; use R[4] at 0; }
+    }
+    ortree Y {
+        option { use R[0] at 0; use R[5] at 0; }
+        option { use R[1] at 0; }
+    }
+    table T = and(X, Y);
+    operation OP { table T; latency 1; }
+}
+)";
+
+/** @p m as HMDES source text. */
+std::string
+hmdesSource(const Mdes &m)
+{
+    std::string s = "machine \"" + m.name() + "\" {\n";
+    for (const auto &rc : m.resourceClasses()) {
+        s += "    resource " + rc.name;
+        if (rc.count > 1)
+            s += "[" + std::to_string(rc.count) + "]";
+        s += ";\n";
+    }
+    for (const auto &ot : m.orTrees()) {
+        s += "    ortree " + ot.name + " {\n";
+        for (OptionId o : ot.options) {
+            s += "        option {";
+            for (const ResourceUsage &u : m.option(o).usages)
+                s += " use " + m.resourceName(u.resource) + " at "
+                     + std::to_string(u.time) + ";";
+            s += " }\n";
+        }
+        s += "    }\n";
+    }
+    for (const auto &t : m.trees()) {
+        s += "    table " + t.name + " = and(";
+        for (size_t k = 0; k < t.or_trees.size(); ++k)
+            s += (k ? ", " : "") + m.orTrees()[t.or_trees[k]].name;
+        s += ");\n";
+    }
+    for (const auto &oc : m.opClasses())
+        s += "    operation " + oc.name + " { table "
+             + m.trees()[oc.tree].name + "; latency "
+             + std::to_string(oc.latency) + "; }\n";
+    return s + "}\n";
+}
+
+/** A machine as the service compiles it, with a workload spec over the
+ * classes that can issue on an empty map: a table whose AND subtrees
+ * overlap can fail the greedy check on every cycle. */
+struct OverlappingMachine
+{
+    std::string source;
+    LowMdes low;
+    workload::WorkloadSpec spec;
+};
+
+/** @p source with a spec of @p num_ops ops in blocks of @p min_block to
+ * @p max_block ops. */
+OverlappingMachine
+overlappingMachine(std::string source, uint64_t seed, size_t num_ops,
+                   size_t min_block, size_t max_block)
+{
+    Mdes m = hmdes::compileOrThrow(source);
+    LowMdes low = exp::compileSourceToLow(source, PipelineConfig::all(),
+                                          /*bit_vector=*/true);
+    workload::WorkloadSpec spec =
+        testing::randomWorkloadSpec(m, seed, num_ops);
+    spec.min_block_size = min_block;
+    spec.max_block_size = max_block;
+    rumap::Checker checker(low);
+    std::erase_if(spec.classes, [&](const workload::ClassMix &mix) {
+        const uint32_t cls = low.findOpClass(mix.op_class);
+        return !checker.wouldFit(low.opClasses()[cls].tree, 0,
+                                 rumap::RuMap());
+    });
+    return {std::move(source), std::move(low), std::move(spec)};
+}
+
+/** The first @p count random machines from @p rng whose AND subtrees
+ * draw on shared resources and that have a class to schedule. */
+std::vector<OverlappingMachine>
+overlappingMachines(Rng &rng, int count, size_t num_ops, size_t min_block,
+                    size_t max_block)
+{
+    std::vector<OverlappingMachine> out;
+    for (int trial = 0; int(out.size()) < count && trial < 4 * count;
+         ++trial) {
+        testing::RandomMdesOptions opts;
+        opts.disjoint_subtrees = false;
+        opts.min_subtrees = 2;
+        OverlappingMachine om = overlappingMachine(
+            hmdesSource(testing::randomMdes(rng, opts)),
+            uint64_t(trial) + 1, num_ops, min_block, max_block);
+        if (!om.spec.classes.empty())
+            out.push_back(std::move(om));
+    }
+    EXPECT_EQ(int(out.size()), count) << "too few issuable machines";
+    return out;
+}
+
+TEST(ExactScheduler, MatchesBruteForceOnOverlappingMachines)
+{
+    // On a table whose AND subtrees share resources the greedy AND check
+    // is not monotone in the map: an op may fail on an emptier map and
+    // fit on a fuller one. The search's probe propagation must still
+    // never cut a schedule the brute force finds.
+    Rng rng(0x0E4A9);
+    std::vector<OverlappingMachine> sample =
+        overlappingMachines(rng, 400, 60, 3, 6);
+    sample.push_back(overlappingMachine(kTrap, 1, 60, 3, 6));
+    size_t blocks = 0;
+    for (size_t i = 0; i < sample.size(); ++i) {
+        const OverlappingMachine &om = sample[i];
+        sched::Program program = workload::generate(om.spec, om.low);
+        for (size_t b = 0; b < program.blocks.size(); ++b, ++blocks) {
+            std::string what = "machine " + std::to_string(i) + " ("
+                               + om.low.machineName() + ") block "
+                               + std::to_string(b);
+            expectMatchesBruteForce(om.low, program.blocks[b],
+                                    what.c_str());
+        }
+    }
+    EXPECT_GT(blocks, 4000u);
 }
 
 // ---------------------------------------------------- root proofs
@@ -726,6 +863,245 @@ TEST(ExactService, PortfolioDeterministicAcrossWorkerCounts)
                   four[i].exact.proven_optimal);
         EXPECT_EQ(one[i].exact.nodes, four[i].exact.nodes);
     }
+}
+
+/** One block as the full race delivers it. */
+struct RaceBlock
+{
+    BlockSchedule schedule;
+    service::BlockOutcome outcome;
+    /** The winner's certificate. */
+    std::vector<uint32_t> options;
+};
+
+/**
+ * The exact and portfolio modes with every candidate raced on every
+ * block: list, then (portfolio) backward and, on branch-free blocks, the
+ * flat modulo schedule its certificate admits, then the search from the
+ * best of them under a node budget alone. A later candidate wins only
+ * when strictly shorter, and the outcome rules are the ones the service
+ * applied before its root bound could settle a block by itself.
+ */
+class FullRace
+{
+  public:
+    FullRace(const LowMdes &low, uint64_t max_nodes)
+        : list_(low), backward_(low), modulo_(low), search_(low),
+          verifier_(low), max_nodes_(max_nodes)
+    {
+    }
+
+    RaceBlock
+    run(const Block &block, bool portfolio)
+    {
+        SchedStats stats;
+        std::vector<uint32_t> list_options, backward_options,
+            modulo_options;
+        BlockSchedule list = list_.scheduleBlock(block, stats, &list_options);
+        BlockSchedule back, flat;
+        service::SchedulerKind winner = service::SchedulerKind::List;
+        const BlockSchedule *best = &list;
+        const std::vector<uint32_t> *best_options = &list_options;
+        if (portfolio) {
+            back = backward_.scheduleBlock(block, stats, &backward_options);
+            if (back.length < best->length) {
+                best = &back;
+                best_options = &backward_options;
+                winner = service::SchedulerKind::Backward;
+            }
+            bool branch_free = !block.instrs.empty();
+            for (const auto &in : block.instrs)
+                branch_free = branch_free && !in.is_branch;
+            sched::ModuloSchedule ms;
+            if (branch_free)
+                ms = modulo_.schedule(block, stats);
+            if (ms.success && !ms.times.empty()) {
+                const auto [lo, hi] =
+                    std::minmax_element(ms.times.begin(), ms.times.end());
+                flat.length = *hi - *lo + 1;
+                for (int32_t t : ms.times)
+                    flat.cycles.push_back(t - *lo);
+                flat.used_cascade.assign(block.instrs.size(), 0);
+                if (flat.length < best->length
+                    && verifier_.verify(block, flat, ms.options).ok()) {
+                    best = &flat;
+                    modulo_options = ms.options;
+                    best_options = &modulo_options;
+                    winner = service::SchedulerKind::Modulo;
+                }
+            }
+            // Count the blocks where a search that spent nodes proves a
+            // list schedule that backward beats: a completed search is
+            // no proof over every legal schedule.
+            if (back.length < list.length) {
+                exact::ExactResult from_list = search(block, list);
+                if (from_list.proven_optimal && from_list.nodes > 0
+                    && back.length < from_list.schedule.length)
+                    ++backward_beats_completed_search;
+            }
+        }
+        exact::ExactResult er = search(block, *best);
+        if (er.schedule.length < best->length) {
+            best = &er.schedule;
+            best_options = &er.options;
+            winner = service::SchedulerKind::Exact;
+        }
+        RaceBlock r;
+        r.schedule = *best;
+        r.options = *best_options;
+        r.outcome.winner = winner;
+        r.outcome.length = best->length;
+        r.outcome.lower_bound = std::min(er.lower_bound, best->length);
+        r.outcome.proven_optimal = best->length <= er.lower_bound;
+        r.outcome.budget_exhausted = er.budget_exhausted;
+        r.outcome.nodes = er.nodes;
+        return r;
+    }
+
+    uint64_t backward_beats_completed_search = 0;
+
+  private:
+    exact::ExactResult
+    search(const Block &block, const BlockSchedule &incumbent)
+    {
+        SchedStats stats;
+        exact::ExactOptions opts;
+        opts.max_nodes = max_nodes_;
+        opts.time_budget_us = 0;
+        opts.incumbent = &incumbent;
+        return search_.scheduleBlock(block, stats, opts);
+    }
+
+    ListScheduler list_;
+    sched::BackwardListScheduler backward_;
+    sched::ModuloScheduler modulo_;
+    exact::ExactScheduler search_;
+    sched::Verifier verifier_;
+    uint64_t max_nodes_;
+};
+
+/** @p resp, a verified exact or portfolio response for @p program,
+ * equals the full race block for block. Returns the blocks compared. */
+size_t
+expectMatchesFullRace(const service::ScheduleResponse &resp,
+                      const sched::Program &program, FullRace &race,
+                      bool portfolio, const std::string &what)
+{
+    EXPECT_TRUE(resp.ok()) << what << ": " << resp.error.message;
+    if (!resp.ok())
+        return 0;
+    EXPECT_EQ(resp.schedules.size(), program.blocks.size()) << what;
+    EXPECT_EQ(resp.outcomes.size(), program.blocks.size()) << what;
+    if (resp.schedules.size() != program.blocks.size()
+        || resp.outcomes.size() != program.blocks.size())
+        return 0;
+    sched::Verifier verifier(*resp.low);
+    int mismatches = 0;
+    for (size_t b = 0; b < program.blocks.size() && mismatches < 5; ++b) {
+        const Block &block = program.blocks[b];
+        const RaceBlock want = race.run(block, portfolio);
+        const BlockSchedule &got = resp.schedules[b];
+        const service::BlockOutcome &out = resp.outcomes[b];
+        const service::BlockOutcome &ref = want.outcome;
+        const bool same =
+            got.cycles == want.schedule.cycles
+            && got.used_cascade == want.schedule.used_cascade
+            && got.issue_order == want.schedule.issue_order
+            && got.length == want.schedule.length
+            && out.winner == ref.winner && out.length == ref.length
+            && out.lower_bound == ref.lower_bound
+            && out.proven_optimal == ref.proven_optimal
+            && out.budget_exhausted == ref.budget_exhausted
+            && out.nodes == ref.nodes
+            // The service verified its schedule against its own
+            // certificate; the race's winner certifies it too.
+            && verifier.verify(block, got, want.options).ok();
+        EXPECT_TRUE(same)
+            << what << " block " << b << ": served "
+            << service::schedulerKindName(out.winner) << " length "
+            << out.length << " bound " << out.lower_bound << " proven "
+            << out.proven_optimal << " budget " << out.budget_exhausted
+            << " nodes " << out.nodes << "; full race "
+            << service::schedulerKindName(ref.winner) << " length "
+            << ref.length << " bound " << ref.lower_bound << " proven "
+            << ref.proven_optimal << " budget " << ref.budget_exhausted
+            << " nodes " << ref.nodes;
+        mismatches += same ? 0 : 1;
+    }
+    return program.blocks.size();
+}
+
+TEST(ExactService, BoundFirstRaceMatchesTheFullRace)
+{
+    // The service races backward and modulo only on blocks whose list
+    // schedule the root bound leaves unproven, and starts the search
+    // from the best candidate. Racing everything must deliver the same
+    // blocks: only a root proof may skip a candidate.
+    constexpr uint64_t kNodes = 2000;
+    service::MdesService svc({.num_workers = 1});
+    const service::SchedulerKind modes[] = {
+        service::SchedulerKind::Exact, service::SchedulerKind::Portfolio};
+    size_t blocks = 0;
+    uint64_t beaten = 0;
+
+    std::vector<std::pair<const char *, uint64_t>> paper = {
+        {"PA7100", 1}, {"SuperSPARC", 1}, {"K5", 1},
+        {"Pentium", 1}, {"Pentium", 2}, {"Pentium", 3}, {"Pentium", 4}};
+    for (const auto &[name, seed] : paper) {
+        for (service::SchedulerKind kind : modes) {
+            service::ScheduleRequest req =
+                syntheticRequest(name, 2000, seed, kind);
+            req.exact_nodes = kNodes;
+            req.verify = true;
+            const auto resp = svc.wait(svc.submit(req));
+            ASSERT_TRUE(resp.ok()) << resp.error.message;
+            workload::WorkloadSpec spec = machines::byName(name)->workload;
+            spec.num_ops = 2000;
+            spec.seed = seed;
+            const sched::Program program =
+                workload::generate(spec, *resp.low);
+            FullRace race(*resp.low, kNodes);
+            const bool portfolio = kind == service::SchedulerKind::Portfolio;
+            blocks += expectMatchesFullRace(
+                resp, program, race, portfolio,
+                std::string(name) + " seed " + std::to_string(seed) + " "
+                    + service::schedulerKindName(kind));
+            beaten += race.backward_beats_completed_search;
+        }
+    }
+
+    // Random machines whose AND subtrees overlap, as inline sources with
+    // .sasm workloads.
+    Rng rng(0xB0B1);
+    for (const OverlappingMachine &om :
+         overlappingMachines(rng, 60, 120, 3, 9)) {
+        const sched::Program generated =
+            workload::generate(om.spec, om.low);
+        for (service::SchedulerKind kind : modes) {
+            service::ScheduleRequest req;
+            req.source = om.source;
+            req.sasm = workload::formatSasm(generated, om.low);
+            req.scheduler = kind;
+            req.exact_ms = 0;
+            req.exact_nodes = kNodes;
+            req.verify = true;
+            const auto resp = svc.wait(svc.submit(req));
+            ASSERT_TRUE(resp.ok()) << resp.error.message;
+            const sched::Program program =
+                workload::parseSasmOrThrow(req.sasm, *resp.low);
+            FullRace race(*resp.low, kNodes);
+            blocks += expectMatchesFullRace(
+                resp, program, race, kind == service::SchedulerKind::Portfolio,
+                om.low.machineName() + " "
+                    + service::schedulerKindName(kind));
+            beaten += race.backward_beats_completed_search;
+        }
+    }
+
+    EXPECT_GT(blocks, 5000u);
+    // Without such a block the sample could not tell a root proof from
+    // any proof.
+    EXPECT_GT(beaten, 0u);
 }
 
 } // namespace

@@ -190,6 +190,9 @@ populatedMetrics()
     m.cache.disk_stores = 1;
     m.transform_effects.merged_options = 12;
     m.transform_effects.usages_hoisted = 3;
+    m.exact.blocks = 5;
+    m.exact.proven_optimal = 4;
+    m.exact.root_proofs = 3;
     m.attempts_per_op.add(1);
     m.attempts_per_op.add(1);
     m.attempts_per_op.add(4);
@@ -221,6 +224,7 @@ TEST(ServiceMetrics, JsonParsesAndRoundTripsLosslessly)
               1500.0);
     EXPECT_EQ(v.find("latency")->find("verify")->find("total_us")->number,
               300.0);
+    EXPECT_EQ(v.find("exact")->find("root_proofs")->number, 3.0);
 
     const JsonValue *tr = v.find("trace");
     ASSERT_NE(tr, nullptr);
@@ -260,6 +264,7 @@ TEST(ServiceMetrics, MergeSumsEverySection)
     EXPECT_EQ(a.cache.compiles, 2u);
     EXPECT_EQ(a.cache.disk_hits, 2u);
     EXPECT_TRUE(a.cache.disk_enabled);
+    EXPECT_EQ(a.exact.root_proofs, 6u);
 }
 
 TEST(ServiceMetrics, VerifyStageTimesOnlyTheVerifyPass)
