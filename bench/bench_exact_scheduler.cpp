@@ -64,7 +64,7 @@ main(int argc, char **argv)
         sched::SchedStats list_stats;
         std::vector<sched::BlockSchedule> list_scheds =
             list.scheduleProgram(program, list_stats);
-        uint64_t list_fp = scheduleFingerprint(list_scheds);
+        uint64_t list_fp = sched::scheduleFingerprint(list_scheds);
 
         exact::ExactScheduler search(low);
         uint64_t proven = 0, improved = 0, nodes = 0, gap_cycles = 0;
@@ -132,8 +132,8 @@ main(int argc, char **argv)
         "schedule optimal (or finds and proves a shorter one) for the\n"
         "overwhelming majority of basic blocks; the canonical issue-order\n"
         "enumeration plus the critical-path/resource-height bounds do\n"
-        "the pruning, and wouldFit() probing sharpens earliest starts\n"
-        "without touching the RU map.\n");
+        "the pruning, and eachSubtreeFits() probing sharpens earliest\n"
+        "starts without touching the RU map.\n");
     printFootnote();
 
     if (!json_path.empty()

@@ -51,7 +51,7 @@ schedulerThroughput(benchmark::State &state, const std::string &name,
         watch.stop();
         ops += stats.ops_scheduled;
         // Deterministic: identical every iteration.
-        fingerprint = scheduleFingerprint(schedules);
+        fingerprint = sched::scheduleFingerprint(schedules);
         checks_per_op = stats.ops_scheduled
                             ? double(stats.checks.resource_checks) /
                                   double(stats.ops_scheduled)

@@ -3,8 +3,6 @@
 #include <cstdio>
 #include <map>
 
-#include "support/fnv.h"
-
 namespace mdes::bench {
 
 const char *
@@ -18,20 +16,6 @@ stageName(Stage stage)
       case Stage::Full: return "fully optimized (Sec. 8)";
     }
     return "?";
-}
-
-uint64_t
-scheduleFingerprint(const std::vector<sched::BlockSchedule> &schedules)
-{
-    uint64_t h = fnv::kOffsetBasis;
-    for (const auto &s : schedules) {
-        fnv::mixU64(h, uint64_t(s.length));
-        for (int32_t c : s.cycles)
-            fnv::mixU64(h, uint64_t(uint32_t(c)));
-        for (uint8_t u : s.used_cascade)
-            fnv::mixU64(h, u);
-    }
-    return h;
 }
 
 exp::RunConfig

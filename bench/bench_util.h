@@ -50,15 +50,6 @@ exp::RunResult runStageSizeOnly(const machines::MachineInfo &machine,
 /** Percent-reduction string: "(before-after)/before" formatted. */
 std::string reduction(double before, double after);
 
-/**
- * FNV-1a fingerprint of a program's block schedules (lengths, issue
- * cycles, cascade use). Two engine builds that make identical
- * scheduling decisions hash identically, so perf-bench baselines can
- * assert "faster, bit-identical schedules" across checker rewrites.
- */
-uint64_t
-scheduleFingerprint(const std::vector<sched::BlockSchedule> &schedules);
-
 /** One row of a paper option-breakdown table (Tables 1-4). */
 struct PaperBreakdownRow
 {

@@ -9,7 +9,8 @@ The document is the last non-empty line of <file>, so the output of
 document) and `mdesc serve --json` can be checked as written. Every
 section must be present; every series' buckets must sum to its count;
 `errors` must sum to `lifetime.errors`; `lifetime.shed` must equal
-`errors.overloaded`.
+`errors.overloaded`; `scheduling.checks_per_attempt` must equal
+`resource_checks / attempts` (0 without attempts).
 
 With --shards N the document must be a fleet view: "shards" plus
 "stale_shards" must account for N processes, and "per_shard" (one row
@@ -137,10 +138,17 @@ def check_metrics(doc):
             windows["w60"]["horizon_s"] != 60:
         fail("window horizons are not 10/60")
 
-    counts(section(doc, "scheduling"),
+    scheduling = section(doc, "scheduling")
+    counts(scheduling,
            ("ops_scheduled", "blocks_scheduled", "total_schedule_length",
             "attempts", "resource_checks", "prefilter_hits",
             "probe_fastpath"), "scheduling")
+    ratio = require(scheduling, "checks_per_attempt", NUMBER, "scheduling")
+    attempts = scheduling["attempts"]
+    want = scheduling["resource_checks"] / attempts if attempts else 0
+    if abs(ratio - want) > 1e-9 * abs(want):
+        fail(f"scheduling.checks_per_attempt {ratio} != resource_checks / "
+             f"attempts {want}")
 
     exact = section(doc, "exact")
     counts(exact, ("blocks", "proven_optimal", "root_proofs",

@@ -12,8 +12,9 @@ namespace mdes::exact {
 
 namespace {
 
-/** Probe-propagation cap per search node: bounds the wouldFit() work a
- * single bound computation may spend sharpening earliest starts. */
+/** Probe-propagation cap per search node: bounds the eachSubtreeFits()
+ * work a single bound computation may spend sharpening earliest
+ * starts. */
 constexpr int kProbeCap = 64;
 
 int64_t
@@ -260,7 +261,7 @@ ExactScheduler::readyCycle(uint32_t u, int32_t &normal_ready) const
 }
 
 bool
-ExactScheduler::wouldFitEither(uint32_t u, int32_t cycle)
+ExactScheduler::mayIssueAt(uint32_t u, int32_t cycle)
 {
     const auto &cls = low_.opClasses()[block_instr_class_[u]];
     ++result_->probes;
@@ -328,7 +329,7 @@ ExactScheduler::computeBound(int32_t cycle)
             break;
         if (crit_bound >= best_len_)
             return crit_bound;
-        if (wouldFitEither(crit, est_[crit]))
+        if (mayIssueAt(crit, est_[crit]))
             break;
         ++est_[crit];
         lb = std::max(lb, est_[crit] + h_[crit] + 1);

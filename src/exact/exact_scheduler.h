@@ -58,12 +58,12 @@
  * its tree's OR subtrees has no option that fits the map on its own.
  * Within one search subtree the RU map only grows, and a fuller map
  * never turns that answer from false to true, so bumping the op's
- * earliest start past c is sound below the node. wouldFit()'s greedy
- * answer would not be: on a table whose subtrees overlap, one subtree's
- * first fitting option can block another on an empty cycle and leave
- * room once that option is busy. On disjoint tables the two agree. On
- * the empty map at the root every subtree fits, so the root bound bumps
- * nothing.
+ * earliest start past c is sound below the node. The greedy AND check
+ * of tryReserve() would not be: on a table whose subtrees overlap, one
+ * subtree's first fitting option can block another on an empty cycle
+ * and leave room once that option is busy. On disjoint tables the two
+ * agree. On the empty map at the root every subtree fits, so the root
+ * bound bumps nothing.
  *
  * The search has two halves. rootBound() prepares a block and computes
  * its root bound; search() then looks for a schedule shorter than a
@@ -137,7 +137,7 @@ struct ExactResult
     uint64_t bound_prunes = 0;
     /** Ready candidates skipped by the canonical-order dominance rule. */
     uint64_t dominance_prunes = 0;
-    /** Pure wouldFit() propagation probes issued. */
+    /** Pure eachSubtreeFits() propagation probes issued. */
     uint64_t probes = 0;
 
     /** Node or time budget ran out before the search space was
@@ -233,7 +233,7 @@ class ExactScheduler
 
     bool dfs(int32_t cycle, uint32_t floor);
     int32_t computeBound(int32_t cycle);
-    bool wouldFitEither(uint32_t u, int32_t cycle);
+    bool mayIssueAt(uint32_t u, int32_t cycle);
     void place(uint32_t u, int32_t cycle, bool cascade);
     void unplace(uint32_t u, int32_t restore_len,
                  const std::vector<rumap::Reservation> &reserved);

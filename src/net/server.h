@@ -33,13 +33,14 @@
  *
  * Shard mode (DESIGN.md §12): `mdesc serve --shards N` binds the listen
  * socket, then forks N shards sharing it and one on-disk artifact
- * store. Every shard accepts client connections itself; the parent
- * never touches a client byte. Each shard keeps one SOCK_SEQPACKET
- * feed channel to the parent. Down it go stat polls, heartbeats and
- * drain commands; up it come their replies and the one kind of
- * connection a shard cannot answer alone: one that opens with a
- * payload-less Stat or Health frame asks for the fleet view, so the
- * shard passes its socket up via SCM_RIGHTS and the parent answers it.
+ * store. Every shard accepts client connections itself, and the parent
+ * never reads a request. Each shard keeps one SOCK_SEQPACKET feed
+ * channel to the parent. Down it go stat polls, heartbeats and drain
+ * commands; up it come their replies and the one kind of connection a
+ * shard cannot answer alone: one that opens with a payload-less Stat
+ * or Health frame asks for the fleet view, so the shard passes its
+ * socket up via SCM_RIGHTS, and the parent writes the fleet STAT or
+ * HEALTH answer to that socket and closes it.
  *
  * Supervision plane (DESIGN.md §15): the shard parent is one thread
  * running one epoll loop. It reaps children on SIGCHLD and restarts
@@ -60,6 +61,7 @@
 #include <string>
 
 #include "service/service.h"
+#include "support/flightrec.h"
 
 namespace mdes::net {
 
@@ -174,7 +176,7 @@ struct ServeOptions
      * accounting. */
     std::string flightrec_dir;
     /** Spool byte cap (oldest captures evicted first). */
-    size_t flightrec_max_bytes = 8 << 20;
+    uint64_t flightrec_max_bytes = flightrec::SpoolConfig{}.max_bytes;
     /** Latency above which an otherwise-successful request's trace is
      * spooled (0 = only errors trigger capture). */
     uint64_t flightrec_slow_ms = 500;

@@ -190,7 +190,7 @@ struct GeneralAddr
 // handles the prefilter and the single-subtree scan - the most frequent
 // attempt outcomes - in its own frame, and only AND-level attempts pay
 // for this function's spills.
-template <bool Commit, bool Overlay, class Addr>
+template <bool Commit, class Addr>
 __attribute__((noinline)) bool
 Checker::walk(const FlatTree &ft, const Addr &addr, RuMap *mut,
               CheckStats *stats, std::vector<uint32_t> *chosen_options,
@@ -219,7 +219,7 @@ Checker::walk(const FlatTree &ft, const Addr &addr, RuMap *mut,
         // With nothing pending (every first subtree, and every tree
         // whose subtrees are disjoint in practice) the probe is a
         // single word load.
-        const bool overlaid = Overlay && !pending_.empty();
+        const bool overlaid = Commit && !pending_.empty();
         bool found = false;
         for (uint32_t oi = 0; oi < subs[s].num_opts && !found; ++oi) {
             ++options_this_attempt;
@@ -262,12 +262,12 @@ Checker::walk(const FlatTree &ft, const Addr &addr, RuMap *mut,
                 found = true;
                 // Overlay stamps exist for later subtrees to read; the
                 // last subtree's choices only need the commit list. A
-                // probe without the overlay keeps neither.
-                if (Overlay && s + 1 < ft.num_subs) {
+                // pure probe keeps neither.
+                if (Commit && s + 1 < ft.num_subs) {
                     for (uint32_t k = 0; k < opt.num_checks; ++k)
                         addPending(addr.norm(checks[k].slot),
                                    checks[k].mask, overlay_base);
-                } else if (Overlay) {
+                } else if (Commit) {
                     for (uint32_t k = 0; k < opt.num_checks; ++k)
                         pending_.push_back(
                             {addr.norm(checks[k].slot),
@@ -302,7 +302,7 @@ Checker::walk(const FlatTree &ft, const Addr &addr, RuMap *mut,
     return true;
 }
 
-template <bool Commit, bool Overlay>
+template <bool Commit>
 bool
 Checker::probe(uint32_t tree, int32_t cycle, const RuMap &ru, RuMap *mut,
                CheckStats *stats, std::vector<uint32_t> *chosen_options,
@@ -327,11 +327,11 @@ Checker::probe(uint32_t tree, int32_t cycle, const RuMap &ru, RuMap *mut,
     // Single-subtree trees (the whole OR-tree representation) never
     // touch the overlay or the pending list - walk() commits the
     // winning option directly - so all attempt bookkeeping is skipped,
-    // as it is for a probe without the overlay.
-    if (Overlay && ft.num_subs > 1) {
+    // as it is for a pure probe.
+    if (Commit && ft.num_subs > 1) {
         // Starting a new attempt is one counter bump: overlay stamps
-        // from earlier attempts (including pure wouldFit() probes) are
-        // dead by epoch mismatch, never cleared.
+        // from earlier attempts are dead by epoch mismatch, never
+        // cleared.
         ++epoch_;
         pending_.clear();
         size_t overlay_size;
@@ -376,9 +376,8 @@ Checker::probe(uint32_t tree, int32_t cycle, const RuMap &ru, RuMap *mut,
             }
         }
         if (ft.num_subs != 1)
-            return walk<Commit, Overlay>(ft, addr, mut, stats,
-                                         chosen_options, reserved,
-                                         overlay_base);
+            return walk<Commit>(ft, addr, mut, stats, chosen_options,
+                                reserved, overlay_base);
 
         uint64_t checks_done = ft.num_pf;
         const FlatSub &sub = flat_subs_[ft.first_sub];
@@ -476,19 +475,10 @@ Checker::tryReserve(uint32_t tree, int32_t cycle, RuMap &ru,
 }
 
 bool
-Checker::wouldFit(uint32_t tree, int32_t cycle, const RuMap &ru,
-                  CheckStats *stats) const
-{
-    return probe<false>(tree, cycle, ru, nullptr, stats, nullptr,
-                        nullptr);
-}
-
-bool
 Checker::eachSubtreeFits(uint32_t tree, int32_t cycle, const RuMap &ru,
                          CheckStats *stats) const
 {
-    return probe<false, false>(tree, cycle, ru, nullptr, stats, nullptr,
-                               nullptr);
+    return probe<false>(tree, cycle, ru, nullptr, stats, nullptr, nullptr);
 }
 
 } // namespace mdes::rumap

@@ -37,10 +37,10 @@
  *     busy bit proves no combination can fit and rejects the attempt
  *     outright (CheckStats::prefilter_hits).
  *
- * tryReserve() and wouldFit() are two instantiations of one template
- * probe, so the pure query can never diverge from the reserving one.
- * eachSubtreeFits(), a third, is the same probe without the pending
- * overlay.
+ * tryReserve() and eachSubtreeFits() are the two instantiations of one
+ * template probe: the committing greedy attempt, and the same walk as a
+ * pure query without the pending overlay, so the two share every probe
+ * and every count.
  *
  * Statistics mirror the paper's metrics: scheduling attempts, options
  * checked per attempt, and resource checks (RU-map probes, including
@@ -151,27 +151,19 @@ class Checker
                     std::vector<Reservation> *reserved = nullptr);
 
     /**
-     * Probe-only variant: the same template probe as tryReserve(), but
-     * it never reserves and leaves no trace in the checker or the map -
-     * a wouldFit() call between two tryReserve()s changes nothing.
-     * Pass @p stats to record the attempt with full accounting
-     * (attempts, checks, conflict tracing); by default it records
-     * nothing. Used by the exact search's propagation probes.
-     */
-    bool wouldFit(uint32_t tree, int32_t cycle, const RuMap &ru,
-                  CheckStats *stats = nullptr) const;
-
-    /**
-     * Monotone relaxation of wouldFit(): true when each OR subtree of
-     * @p tree has an option that fits @p ru on its own, whatever the
-     * other subtrees choose. It is wouldFit() without the pending
-     * overlay, so a false answer holds for @p ru and for every fuller
-     * map. wouldFit()'s greedy answer does not: on a table whose
-     * subtrees overlap, an earlier subtree's first fitting option can
-     * block a later subtree on an empty cycle and leave it free once
-     * that option is busy. On tables whose subtrees use disjoint
-     * resources the two answer alike and count the same probes. Pure,
-     * and records into @p stats like wouldFit().
+     * Pure, monotone probe: true when each OR subtree of @p tree has an
+     * option that fits @p ru on its own, whatever the other subtrees
+     * choose. It is tryReserve()'s walk without the pending overlay and
+     * without the commit, so it leaves no trace in the checker or the
+     * map, and a false answer holds for @p ru and for every fuller map.
+     * tryReserve()'s greedy answer does not: on a table whose subtrees
+     * overlap, an earlier subtree's first fitting option can block a
+     * later subtree on an empty cycle and leave it free once that
+     * option is busy. On tables whose subtrees use disjoint resources
+     * the two answer alike and count the same probes. Pass @p stats to
+     * record the attempt with full accounting (attempts, checks,
+     * conflict tracing); by default it records nothing. Used by the
+     * exact search's propagation probes.
      */
     bool eachSubtreeFits(uint32_t tree, int32_t cycle, const RuMap &ru,
                          CheckStats *stats = nullptr) const;
@@ -225,16 +217,18 @@ class Checker
 
     void buildFlat();
 
-    /** @p Overlay: later subtrees see the options earlier ones chose
-     * (the greedy AND check); without it each subtree is tested
-     * against the map alone (eachSubtreeFits()). */
-    template <bool Commit, bool Overlay, class Addr>
+    /** @p Commit: a greedy attempt, in which later subtrees see the
+     * options earlier ones chose through the pending overlay and a
+     * success reserves them (tryReserve()); without it each subtree is
+     * tested against the map alone and nothing is kept
+     * (eachSubtreeFits()). */
+    template <bool Commit, class Addr>
     bool walk(const FlatTree &ft, const Addr &addr, RuMap *mut,
               CheckStats *stats, std::vector<uint32_t> *chosen_options,
               std::vector<Reservation> *reserved,
               int32_t overlay_base) const;
 
-    template <bool Commit, bool Overlay = true>
+    template <bool Commit>
     bool probe(uint32_t tree, int32_t cycle, const RuMap &ru,
                RuMap *mut, CheckStats *stats,
                std::vector<uint32_t> *chosen_options,
@@ -283,9 +277,9 @@ class Checker
      * surviving candidates touch FlatOpt / flat_checks_. */
     std::vector<lmdes::Check> flat_first_;
 
-    // Per-attempt scratch (mutable: wouldFit() uses the same machinery
-    // but is observably pure - the next attempt's epoch bump invalidates
-    // everything it stamped).
+    // Per-attempt scratch of a committing attempt (mutable because
+    // probe() and walk() are const for eachSubtreeFits(), which never
+    // touches it).
     /** Probes of options already chosen in the current attempt. */
     mutable std::vector<PendingCheck> pending_;
     /** Epoch-stamped pending overlay, indexed by slot - overlay base;

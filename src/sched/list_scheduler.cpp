@@ -1,6 +1,22 @@
 #include "sched/list_scheduler.h"
 
+#include "support/fnv.h"
+
 namespace mdes::sched {
+
+uint64_t
+scheduleFingerprint(const std::vector<BlockSchedule> &schedules)
+{
+    uint64_t h = fnv::kOffsetBasis;
+    for (const auto &s : schedules) {
+        fnv::mixU64(h, uint64_t(s.length));
+        for (int32_t c : s.cycles)
+            fnv::mixU64(h, uint64_t(uint32_t(c)));
+        for (uint8_t u : s.used_cascade)
+            fnv::mixU64(h, u);
+    }
+    return h;
+}
 
 BlockSchedule
 ListScheduler::scheduleBlock(const Block &block, SchedStats &stats,

@@ -55,6 +55,11 @@ struct BlockSchedule
     bool operator==(const BlockSchedule &) const = default;
 };
 
+/** FNV-1a hash of each block's length, issue cycles and cascade use,
+ * in block order: equal for identical scheduling decisions, so the perf
+ * gate and the service can assert bit-identical schedules. */
+uint64_t scheduleFingerprint(const std::vector<BlockSchedule> &schedules);
+
 /**
  * The certificate of a run of block schedules (DESIGN.md §2.8): for
  * every scheduled operation, in block and operation order, the option

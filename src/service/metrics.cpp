@@ -73,7 +73,11 @@ StageLatency::approxPercentileUs(double q) const
         seen += here;
         if (seen < rank)
             continue;
-        const auto [lo, hi] = bucketRange(b);
+        // Bucket b holds [lo, hi] = [2^(b-1), 2^b - 1]; bucket 0 is 0.
+        const uint64_t lo = b == 0 ? 0 : uint64_t(1) << (b - 1);
+        const uint64_t hi = b == 0    ? 0
+                            : b == 64 ? UINT64_MAX
+                                      : (uint64_t(1) << b) - 1;
         // Interpolate within the bucket: its `here` samples are
         // assumed evenly spread over [lo, hi], and the rank-th sits
         // pos/here of the way up. The old upper-edge answer overstated
@@ -87,15 +91,6 @@ StageLatency::approxPercentileUs(double q) const
         return est < max_us ? est : max_us;
     }
     return max_us;
-}
-
-std::pair<uint64_t, uint64_t>
-StageLatency::bucketRange(uint64_t b)
-{
-    if (b == 0)
-        return {0, 0};
-    return {uint64_t(1) << (b - 1),
-            b >= 64 ? UINT64_MAX : (uint64_t(1) << b) - 1};
 }
 
 uint64_t
@@ -303,6 +298,13 @@ struct Merger
 };
 
 } // namespace
+
+void
+ExactSearchTotals::merge(const ExactSearchTotals &other)
+{
+    Merger merger;
+    visitExact(merger, *this, other);
+}
 
 void
 ServiceMetrics::merge(const ServiceMetrics &other)

@@ -10,7 +10,8 @@
  * contention; a snapshot merges every worker's copy (plus the cache's own
  * counters) into one. The stats document (stats.h) is the only
  * serialization: visitMetrics() below lists every field once, and the
- * document's writer, its parser and merge() all walk that list.
+ * document's writer, its parser, its text tables and merge() all walk
+ * that list.
  *
  * Latencies are recorded in microseconds but bucketed by power of two
  * (value = bit_width(us)), so a histogram stays at most 65 slots even
@@ -96,10 +97,6 @@ struct StageLatency
      * empty series.
      */
     uint64_t approxPercentileUs(double q) const;
-
-    /** Inclusive microsecond range [lo, hi] of log2 bucket @p b
-     * (b < kLog2Buckets; bucket 0 is [0, 0]). */
-    static std::pair<uint64_t, uint64_t> bucketRange(uint64_t b);
 
     bool operator==(const StageLatency &) const = default;
 };
@@ -216,14 +213,6 @@ struct TransformEffects
     /** Accumulate one pipeline run's counters. */
     void add(const PipelineStats &stats);
 
-    uint64_t
-    total() const
-    {
-        return merged_options + merged_or_trees + merged_trees +
-               removed_dead + redundant_options_removed + trees_reordered +
-               usages_hoisted + resources_shifted;
-    }
-
     bool operator==(const TransformEffects &) const = default;
 };
 
@@ -298,7 +287,7 @@ struct ExactSearchTotals
     uint64_t nodes = 0;
     uint64_t bound_prunes = 0;
     uint64_t dominance_prunes = 0;
-    /** Pure wouldFit() propagation probes spent in searches. */
+    /** Pure eachSubtreeFits() propagation probes spent in searches. */
     uint64_t probes = 0;
     /** Sum over blocks of (delivered length - proven lower bound). */
     uint64_t gap_cycles = 0;
@@ -308,24 +297,8 @@ struct ExactSearchTotals
     uint64_t wins_modulo = 0;
     uint64_t wins_exact = 0;
 
-    ExactSearchTotals &
-    operator+=(const ExactSearchTotals &o)
-    {
-        blocks += o.blocks;
-        proven_optimal += o.proven_optimal;
-        root_proofs += o.root_proofs;
-        budget_exhausted += o.budget_exhausted;
-        nodes += o.nodes;
-        bound_prunes += o.bound_prunes;
-        dominance_prunes += o.dominance_prunes;
-        probes += o.probes;
-        gap_cycles += o.gap_cycles;
-        wins_list += o.wins_list;
-        wins_backward += o.wins_backward;
-        wins_modulo += o.wins_modulo;
-        wins_exact += o.wins_exact;
-        return *this;
-    }
+    /** Sum @p other into this (see visitExact()). */
+    void merge(const ExactSearchTotals &other);
 
     bool operator==(const ExactSearchTotals &) const = default;
 };
@@ -366,8 +339,7 @@ struct ServiceMetrics
     /** Attempts that took the checker's slot-addressed fast path. */
     uint64_t probe_fastpath = 0;
 
-    /** Exact/portfolio search totals; the text tables stay silent
-     * while exact.blocks is zero. */
+    /** Exact/portfolio search totals. */
     ExactSearchTotals exact;
 
     // --- Robustness section -------------------------------------------
@@ -433,9 +405,36 @@ struct ServiceMetrics
 };
 
 /**
+ * The exact section of visitMetrics(): every ExactSearchTotals field,
+ * once. ExactSearchTotals::merge() walks it too, so the service sums a
+ * response's totals into its metrics with the list the document uses.
+ */
+template <class V, class... E>
+void
+visitExact(V &v, E &...e)
+{
+    v.count("blocks", e.blocks...);
+    v.count("proven_optimal", e.proven_optimal...);
+    v.count("root_proofs", e.root_proofs...);
+    v.count("budget_exhausted", e.budget_exhausted...);
+    v.count("gap_cycles", e.gap_cycles...);
+    v.count("nodes", e.nodes...);
+    v.count("bound_prunes", e.bound_prunes...);
+    v.count("dominance_prunes", e.dominance_prunes...);
+    v.count("probes", e.probes...);
+    v.open("wins");
+    v.count("list", e.wins_list...);
+    v.count("backward", e.wins_backward...);
+    v.count("modulo", e.wins_modulo...);
+    v.count("exact", e.wins_exact...);
+    v.close();
+}
+
+/**
  * The stats document's schema: every ServiceMetrics field, once, in
- * document order. The document writer and parser (stats.cpp) and
- * merge() walk this one list, so a new counter is one line here.
+ * document order. The document writer and parser, its text tables
+ * (stats.cpp) and merge() walk this one list, so a new counter is one
+ * line here.
  *
  * @p v gets open(key)/close() around each JSON object and one call per
  * field, passing the matching member of each of @p m (one metrics
@@ -516,26 +515,17 @@ visitMetrics(V &v, M &...m)
         v.count("total_schedule_length", m.total_schedule_length...);
         v.count("attempts", m.attempts...);
         v.count("resource_checks", m.resource_checks...);
+        v.derived("checks_per_attempt",
+                  [](Metrics x) {
+                      return x.attempts ? double(x.resource_checks) /
+                                              double(x.attempts)
+                                        : 0.0;
+                  },
+                  m...);
         v.count("prefilter_hits", m.prefilter_hits...);
         v.count("probe_fastpath", m.probe_fastpath...);
     });
-    section("exact", [&] {
-        v.count("blocks", m.exact.blocks...);
-        v.count("proven_optimal", m.exact.proven_optimal...);
-        v.count("root_proofs", m.exact.root_proofs...);
-        v.count("budget_exhausted", m.exact.budget_exhausted...);
-        v.count("gap_cycles", m.exact.gap_cycles...);
-        v.count("nodes", m.exact.nodes...);
-        v.count("bound_prunes", m.exact.bound_prunes...);
-        v.count("dominance_prunes", m.exact.dominance_prunes...);
-        v.count("probes", m.exact.probes...);
-        section("wins", [&] {
-            v.count("list", m.exact.wins_list...);
-            v.count("backward", m.exact.wins_backward...);
-            v.count("modulo", m.exact.wins_modulo...);
-            v.count("exact", m.exact.wins_exact...);
-        });
-    });
+    section("exact", [&] { visitExact(v, m.exact...); });
     section("trace", [&] {
         section("transform_effects", [&] {
             v.count("merged_options", m.transform_effects.merged_options...);

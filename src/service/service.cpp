@@ -60,14 +60,7 @@ parseSchedulerKind(std::string_view name)
 uint64_t
 scheduleFingerprint(const ScheduleResponse &response)
 {
-    uint64_t h = fnv::kOffsetBasis;
-    for (const auto &s : response.schedules) {
-        fnv::mixU64(h, uint64_t(s.length));
-        for (int32_t c : s.cycles)
-            fnv::mixU64(h, uint64_t(uint32_t(c)));
-        for (uint8_t u : s.used_cascade)
-            fnv::mixU64(h, u);
-    }
+    uint64_t h = sched::scheduleFingerprint(response.schedules);
     for (const auto &m : response.modulo) {
         fnv::mixU64(h, uint64_t(m.success));
         fnv::mixU64(h, uint64_t(uint32_t(m.ii)));
@@ -373,7 +366,7 @@ MdesService::process(Job &job, ServiceMetrics &metrics,
         metrics.resource_checks += resp.stats.checks.resource_checks;
         metrics.prefilter_hits += resp.stats.checks.prefilter_hits;
         metrics.probe_fastpath += resp.stats.checks.probe_fastpath;
-        metrics.exact += resp.exact;
+        metrics.exact.merge(resp.exact);
         if (compiled)
             metrics.transform_effects.add(pipeline_stats);
         metrics.attempts_per_op.merge(resp.stats.attempts_per_op);

@@ -187,7 +187,8 @@ struct ScheduleResponse
 };
 
 /**
- * Order-insensitive content hash of a response's schedules; equal
+ * Content hash of a response's schedules: sched::scheduleFingerprint()
+ * of its flat schedules, continued over its modulo loops. Equal
  * workloads scheduled by any worker count must produce equal
  * fingerprints (the determinism tests and bench assert this).
  */

@@ -440,59 +440,240 @@ mergeShardStats(const std::vector<std::string> &shard_jsons,
 
 namespace {
 
-/** "<=hi us (lo-hi)" for log2 bucket @p b, compactly. */
-std::string
-bucketLabel(uint64_t b)
+/**
+ * The visitMetrics() walk behind renderStats(). A section's values form
+ * one table headed by its dotted path and the document's keys; one too
+ * wide for a single row prints as name/value rows. Every stage series
+ * is one row of the latency table, the windows section's views are the
+ * rows of its table, and fault sites and the top resource conflicts are
+ * the rows of theirs. A row whose values are all zero is left out, and
+ * so is a table with no row left or whose section has its enabled flag
+ * off; the lifetime table always prints, so an idle service still shows
+ * its counts.
+ */
+class TableWriter
 {
-    if (b == 0)
-        return "0us";
-    const auto [lo, hi] = StageLatency::bucketRange(b);
-    return "<=" + std::to_string(hi) + "us (" + std::to_string(lo) + "-" +
-           std::to_string(hi) + ")";
-}
+  public:
+    explicit TableWriter(uint64_t now_s) : now_s_(now_s) {}
 
-void
-addLatencyRow(TextTable &table, const char *name, const StageLatency &s)
-{
-    table.addRow({name, std::to_string(s.count),
-                  TextTable::num(s.meanUs(), 1),
-                  std::to_string(s.approxPercentileUs(0.50)),
-                  std::to_string(s.approxPercentileUs(0.99)),
-                  std::to_string(s.max_us),
-                  s.count ? bucketLabel(s.log2_us.maxValue()) : "-"});
-}
+    void
+    open(const char *key)
+    {
+        Frame f{key, key, true, kNoTable};
+        if (!frames_.empty()) {
+            f.path = frames_.back().path + "." + key;
+            f.enabled = frames_.back().enabled;
+        }
+        frames_.push_back(std::move(f));
+    }
 
-void
-addWindowRow(TextTable &table, const char *name, const WindowView &v)
-{
-    table.addRow({name, std::to_string(v.requests),
-                  TextTable::num(v.ratePerS(), 1),
-                  std::to_string(v.errors), std::to_string(v.shed),
-                  std::to_string(v.total.approxPercentileUs(0.50)),
-                  std::to_string(v.total.approxPercentileUs(0.95)),
-                  std::to_string(v.total.approxPercentileUs(0.99))});
-}
+    void close() { frames_.pop_back(); }
 
-/** A two-column table of the non-zero (name, value) @p rows. */
-std::string
-nonZeroTable(const char *name_column, const char *value_column,
-             std::initializer_list<std::pair<const char *, uint64_t>> rows)
-{
-    TextTable table;
-    table.setHeader({name_column, value_column});
-    for (const auto &[name, v] : rows)
-        if (v != 0)
-            table.addRow({name, std::to_string(v)});
-    return table.toString();
-}
+    template <class T>
+    void
+    count(const char *key, const T &n)
+    {
+        cell(key, uint64_t(n));
+    }
+
+    void
+    flag(const char *, bool b)
+    {
+        Frame &f = frames_.back();
+        f.enabled = f.enabled && b;
+        if (f.table != kNoTable)
+            tables_[f.table].enabled = f.enabled;
+    }
+
+    template <class F>
+    void
+    derived(const char *key, F fn, const ServiceMetrics &m)
+    {
+        cell(key, fn(m));
+    }
+
+    void
+    series(const StageLatency &s)
+    {
+        if (latency_ == kNoTable)
+            latency_ = table({"latency", "count", "mean_us", "p50_us",
+                              "p95_us", "p99_us", "max_us"});
+        row(latency_, withLatency({label(frames_.back().key), of(s.count)},
+                                  s));
+    }
+
+    void
+    histogram(const Histogram &h)
+    {
+        cell("count", h.total());
+        cell("mean", h.mean());
+        cell("max", h.maxValue());
+    }
+
+    void
+    windows(const WindowRing &ring)
+    {
+        const size_t t =
+            table({frames_.back().path, "requests", "ok", "errors", "shed",
+                   "rate_per_s", "mean_us", "p50_us", "p95_us", "p99_us",
+                   "max_us"});
+        for (auto [key, horizon_s] :
+             {std::pair{"w10", 10}, std::pair{"w60", 60}}) {
+            const WindowView v = ring.over(now_s_, horizon_s);
+            row(t, withLatency({label(key), of(v.requests), of(v.ok),
+                                of(v.errors), of(v.shed), of(v.ratePerS())},
+                               v.total));
+        }
+    }
+
+    void
+    faultSites(const FaultSites &sites)
+    {
+        const size_t t =
+            table({frames_.back().path, "evaluations", "fires"});
+        for (const auto &[name, counts] : sites)
+            row(t, {label(name), of(counts.first), of(counts.second)});
+    }
+
+    void
+    conflicts(const Conflicts &conflicts)
+    {
+        constexpr size_t kTopN = 8;
+        const size_t t = table({frames_.back().path, "value"});
+        const auto ranked = rankedConflicts(conflicts);
+        for (size_t i = 0; i < ranked.size() && i < kTopN; ++i)
+            row(t, {label(ranked[i].first), of(ranked[i].second)});
+    }
+
+    /** Every table the walk filled, in the order the walk opened them. */
+    std::string
+    str() const
+    {
+        std::string out;
+        for (const Table &t : tables_) {
+            if (!t.enabled)
+                continue;
+            TextTable text;
+            size_t rows = 0;
+            auto add = [&](std::vector<std::string> cells, bool zero) {
+                if (zero && !t.always)
+                    return;
+                text.addRow(std::move(cells));
+                ++rows;
+            };
+            size_t width = 1;
+            for (const std::string &h : t.header)
+                width += h.size() + 3;
+            if (t.rows.size() == 1 && width > kMaxRowWidth) {
+                text.setHeader({t.header[0], "value"});
+                for (size_t i = 1; i < t.header.size(); ++i)
+                    add({t.header[i], t.rows[0][i].text}, t.rows[0][i].zero);
+            } else {
+                text.setHeader(t.header);
+                for (const std::vector<Cell> &r : t.rows) {
+                    std::vector<std::string> cells;
+                    bool zero = true;
+                    for (const Cell &c : r) {
+                        cells.push_back(c.text);
+                        zero = zero && c.zero;
+                    }
+                    add(std::move(cells), zero);
+                }
+            }
+            if (rows != 0)
+                out += text.toString();
+        }
+        return out;
+    }
+
+  private:
+    /** Widest single-row table, in characters; wider ones print as
+     * name/value rows. */
+    static constexpr size_t kMaxRowWidth = 120;
+    static constexpr size_t kNoTable = SIZE_MAX;
+
+    struct Cell
+    {
+        std::string text;
+        /** A zero value, or a row's label. */
+        bool zero;
+    };
+    struct Table
+    {
+        /** The section's path, then one key per value. */
+        std::vector<std::string> header;
+        /** Each row is its label, then its values. */
+        std::vector<std::vector<Cell>> rows;
+        bool enabled = true;
+        bool always = false;
+    };
+    struct Frame
+    {
+        std::string key;
+        std::string path;
+        bool enabled;
+        /** The section's own one-row table, once it has a value. */
+        size_t table;
+    };
+
+    static Cell label(std::string text) { return {std::move(text), true}; }
+    static Cell of(uint64_t n) { return {std::to_string(n), n == 0}; }
+    static Cell of(double x) { return {TextTable::num(x, 2), x == 0.0}; }
+
+    /** @p cells, then @p s's mean, p50, p95, p99 and max. */
+    static std::vector<Cell>
+    withLatency(std::vector<Cell> cells, const StageLatency &s)
+    {
+        for (Cell c : {of(s.meanUs()), of(s.approxPercentileUs(0.50)),
+                       of(s.approxPercentileUs(0.95)),
+                       of(s.approxPercentileUs(0.99)), of(s.max_us)})
+            cells.push_back(std::move(c));
+        return cells;
+    }
+
+    size_t
+    table(std::vector<std::string> header)
+    {
+        Table t;
+        t.header = std::move(header);
+        t.enabled = frames_.back().enabled;
+        tables_.push_back(std::move(t));
+        return tables_.size() - 1;
+    }
+
+    void
+    row(size_t t, std::vector<Cell> cells)
+    {
+        tables_[t].rows.push_back(std::move(cells));
+    }
+
+    /** One value of the open section, in its own one-row table. */
+    template <class T>
+    void
+    cell(const char *key, T value)
+    {
+        Frame &f = frames_.back();
+        if (f.table == kNoTable) {
+            f.table = table({f.path});
+            tables_[f.table].always = f.path == "lifetime";
+            row(f.table, {label("")});
+        }
+        tables_[f.table].header.push_back(key);
+        tables_[f.table].rows[0].push_back(of(value));
+    }
+
+    uint64_t now_s_;
+    std::vector<Frame> frames_;
+    std::vector<Table> tables_;
+    /** The one table every stage series adds its row to. */
+    size_t latency_ = kNoTable;
+};
 
 } // namespace
 
 std::string
 renderStats(const StatsDocument &doc)
 {
-    const ServiceMetrics &m = doc.metrics;
-    const DescriptionCache::Stats &cache = m.cache;
     std::string out;
 
     if (!doc.per_shard.empty()) {
@@ -509,195 +690,9 @@ renderStats(const StatsDocument &doc)
         out += fleet.toString();
     }
 
-    TextTable reqs;
-    reqs.setHeader({"Requests", "OK", "Errors", "Cache Hits",
-                    "Cache Misses", "Hit Rate", "Compiles", "Evictions"});
-    reqs.addRow({std::to_string(m.requests), std::to_string(m.ok),
-                 std::to_string(m.errorTotal()), std::to_string(cache.hits),
-                 std::to_string(cache.misses),
-                 TextTable::percent(cache.hitRate()),
-                 std::to_string(cache.compiles),
-                 std::to_string(cache.evictions)});
-    out += reqs.toString();
-
-    if (cache.disk_enabled) {
-        TextTable disk;
-        disk.setHeader({"Store Hits", "Store Misses", "Store Hit Rate",
-                        "Publishes", "Corrupt", "Stale", "Store Evictions"});
-        disk.addRow({std::to_string(cache.disk_hits),
-                     std::to_string(cache.disk_misses),
-                     TextTable::percent(cache.diskHitRate()),
-                     std::to_string(cache.disk_stores),
-                     std::to_string(cache.disk_corrupt),
-                     std::to_string(cache.disk_stale),
-                     std::to_string(cache.disk_evictions)});
-        out += disk.toString();
-    }
-
-    if (m.errorTotal() != 0) {
-        TextTable errs;
-        errs.setHeader({"Error", "Count"});
-        for (size_t i = 1; i < size_t(ErrorCode::kNumCodes); ++i)
-            if (m.errors[i])
-                errs.addRow({errorCodeName(ErrorCode(i)),
-                             std::to_string(m.errors[i])});
-        out += errs.toString();
-    }
-
-    // Robustness counters surface only once something interesting
-    // happened, so healthy runs keep the short report they had.
-    if (m.requests_shed || m.degraded_responses || cache.disk_retries ||
-        cache.breaker_trips || cache.breaker_fast_fails ||
-        cache.degraded_compiles) {
-        TextTable robust;
-        robust.setHeader({"Shed", "Degraded", "Store Retries",
-                          "Breaker Trips", "Breaker Fast-Fails"});
-        robust.addRow({std::to_string(m.requests_shed),
-                       std::to_string(m.degraded_responses),
-                       std::to_string(cache.disk_retries),
-                       std::to_string(cache.breaker_trips),
-                       std::to_string(cache.breaker_fast_fails)});
-        out += robust.toString();
-    }
-    if (!m.fault_sites.empty()) {
-        TextTable faults;
-        faults.setHeader({"Fault Site", "Evaluations", "Fires"});
-        for (const auto &[name, counts] : m.fault_sites)
-            faults.addRow({name, std::to_string(counts.first),
-                           std::to_string(counts.second)});
-        out += faults.toString();
-    }
-
-    TextTable lat;
-    lat.setHeader({"Stage", "Count", "Mean us", "p50 us", "p99 us",
-                   "Max us", "Peak bucket"});
-    addLatencyRow(lat, "queue", m.queue_wait);
-    addLatencyRow(lat, "compile", m.compile);
-    addLatencyRow(lat, "workload", m.workload);
-    addLatencyRow(lat, "schedule", m.schedule);
-    addLatencyRow(lat, "verify", m.verify);
-    addLatencyRow(lat, "total", m.total);
-    out += lat.toString();
-
-    TextTable win;
-    win.setHeader({"Window", "Requests", "Rate/s", "Errors", "Shed",
-                   "p50 us", "p95 us", "p99 us"});
-    addWindowRow(win, "last 10s", m.windows.over(doc.now_s, 10));
-    addWindowRow(win, "last 60s", m.windows.over(doc.now_s, 60));
-    out += win.toString();
-
-    TextTable sched;
-    sched.setHeader({"Ops Scheduled", "Blocks", "Total Length",
-                     "Attempts", "Resource Checks", "Checks/Attempt",
-                     "Prefilter Hits", "Fast Path"});
-    sched.addRow({std::to_string(m.ops_scheduled),
-                  std::to_string(m.blocks_scheduled),
-                  std::to_string(m.total_schedule_length),
-                  std::to_string(m.attempts),
-                  std::to_string(m.resource_checks),
-                  TextTable::num(m.attempts ? double(m.resource_checks) /
-                                                  double(m.attempts)
-                                            : 0.0,
-                                 2),
-                  std::to_string(m.prefilter_hits),
-                  std::to_string(m.probe_fastpath)});
-    out += sched.toString();
-
-    if (m.exact.blocks != 0) {
-        TextTable ex;
-        ex.setHeader({"Exact Blocks", "Proven Optimal", "Root Proofs",
-                      "Budget Out", "Gap Cycles", "Nodes", "Bound Prunes",
-                      "Dominance Prunes", "Probes"});
-        ex.addRow({std::to_string(m.exact.blocks),
-                   std::to_string(m.exact.proven_optimal),
-                   std::to_string(m.exact.root_proofs),
-                   std::to_string(m.exact.budget_exhausted),
-                   std::to_string(m.exact.gap_cycles),
-                   std::to_string(m.exact.nodes),
-                   std::to_string(m.exact.bound_prunes),
-                   std::to_string(m.exact.dominance_prunes),
-                   std::to_string(m.exact.probes)});
-        out += ex.toString();
-        if (m.exact.wins_list + m.exact.wins_backward +
-                m.exact.wins_modulo + m.exact.wins_exact !=
-            0)
-            out += nonZeroTable("Portfolio Winner", "Blocks",
-                                {{"list", m.exact.wins_list},
-                                 {"backward", m.exact.wins_backward},
-                                 {"modulo", m.exact.wins_modulo},
-                                 {"exact", m.exact.wins_exact}});
-    }
-
-    const TransformEffects &fx = m.transform_effects;
-    if (fx.total() != 0)
-        out += nonZeroTable(
-            "Transform Effect", "Total",
-            {{"options merged", fx.merged_options},
-             {"OR-trees merged", fx.merged_or_trees},
-             {"AND/OR-trees merged", fx.merged_trees},
-             {"dead entities removed", fx.removed_dead},
-             {"redundant options removed", fx.redundant_options_removed},
-             {"trees reordered", fx.trees_reordered},
-             {"usages hoisted", fx.usages_hoisted},
-             {"resources shifted", fx.resources_shifted}});
-    if (!m.resource_conflicts.empty()) {
-        TextTable heat;
-        heat.setHeader({"Contended Resource", "Conflicts"});
-        auto ranked = rankedConflicts(m.resource_conflicts);
-        constexpr size_t kTopN = 8;
-        for (size_t i = 0; i < ranked.size() && i < kTopN; ++i)
-            heat.addRow({ranked[i].first,
-                         std::to_string(ranked[i].second)});
-        out += heat.toString();
-    }
-    if (m.attempts_per_op.total() != 0) {
-        TextTable apo;
-        apo.setHeader({"Traced Ops", "Mean Attempts/Op",
-                       "Max Attempts/Op"});
-        apo.addRow({std::to_string(m.attempts_per_op.total()),
-                    TextTable::num(m.attempts_per_op.mean(), 2),
-                    std::to_string(m.attempts_per_op.maxValue())});
-        out += apo.toString();
-    }
-
-    const NetStats &net = m.net;
-    if (net.enabled) {
-        TextTable conns;
-        conns.setHeader({"Conns Accepted", "Closed", "Active", "Resets",
-                         "Backpressure Stalls"});
-        conns.addRow({std::to_string(net.accepted),
-                      std::to_string(net.closed),
-                      std::to_string(net.active),
-                      std::to_string(net.resets),
-                      std::to_string(net.backpressure_stalls)});
-        out += conns.toString();
-
-        TextTable frames;
-        frames.setHeader({"Frames In", "Frames Out", "Bytes In",
-                          "Bytes Out", "Proto Errors", "Bad Requests"});
-        frames.addRow({std::to_string(net.frames_in),
-                       std::to_string(net.frames_out),
-                       std::to_string(net.bytes_in),
-                       std::to_string(net.bytes_out),
-                       std::to_string(net.protocol_errors),
-                       std::to_string(net.bad_requests)});
-        out += frames.toString();
-
-        if (net.shed || net.deadline_expired || net.cancelled_on_close ||
-            net.stats_requests || net.draining_shed) {
-            TextTable pressure;
-            pressure.setHeader({"Net Shed", "Deadline Expired",
-                                "Cancelled On Close", "Stats Reqs",
-                                "Stats Coalesced", "Draining Shed"});
-            pressure.addRow({std::to_string(net.shed),
-                             std::to_string(net.deadline_expired),
-                             std::to_string(net.cancelled_on_close),
-                             std::to_string(net.stats_requests),
-                             std::to_string(net.stats_coalesced),
-                             std::to_string(net.draining_shed)});
-            out += pressure.toString();
-        }
-    }
+    TableWriter tables(doc.now_s);
+    visitMetrics(tables, doc.metrics);
+    out += tables.str();
 
     if (!doc.per_shard.empty()) {
         TextTable shards;

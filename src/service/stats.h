@@ -148,7 +148,9 @@ mergeShardStats(const std::vector<std::string> &shard_jsons,
                 const std::vector<ShardSupervision> &shard_sup);
 
 /** The text form of @p doc (`mdesc batch`, the serve exit dump, `mdesc
- * stat` and `mdesc top`); sections with nothing to show are left out. */
+ * stat` and `mdesc top`): one visitMetrics() walk renders the metrics'
+ * tables, between a fleet document's supervision and per-shard rows.
+ * Rows and tables with nothing to show are left out. */
 std::string renderStats(const StatsDocument &doc);
 
 } // namespace mdes::service

@@ -1,6 +1,7 @@
 #include "support/json.h"
 
 #include <cerrno>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -126,9 +127,9 @@ JsonWriter::value(double v)
         out_ += "null";
         return *this;
     }
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), "%.6g", v);
-    out_ += buf;
+    // The shortest text that reads back as the same double.
+    char buf[32];
+    out_.append(buf, std::to_chars(buf, buf + sizeof(buf), v).ptr);
     return *this;
 }
 

@@ -4,12 +4,12 @@
  * independent exhaustive enumerator on tiny blocks (handcrafted, random
  * on every paper machine in each lowering the system schedules against,
  * and random machines whose AND subtrees overlap), root proofs pinned on
- * handcrafted blocks, wouldFit() purity under millions of probes, budget
- * exhaustion falling back to the list incumbent, cooperative
- * cancellation, the service-level portfolio guarantee that it never
- * returns a schedule longer than plain list scheduling, and a lockstep
- * of the service's bound-first race against racing every candidate on
- * every block.
+ * handcrafted blocks, eachSubtreeFits() purity under millions of
+ * probes, budget exhaustion falling back to the list incumbent,
+ * cooperative cancellation, the service-level portfolio guarantee that
+ * it never returns a schedule longer than plain list scheduling, and a
+ * lockstep of the service's bound-first race against racing every
+ * candidate on every block.
  */
 
 #include <climits>
@@ -440,8 +440,10 @@ overlappingMachine(std::string source, uint64_t seed, size_t num_ops,
     rumap::Checker checker(low);
     std::erase_if(spec.classes, [&](const workload::ClassMix &mix) {
         const uint32_t cls = low.findOpClass(mix.op_class);
-        return !checker.wouldFit(low.opClasses()[cls].tree, 0,
-                                 rumap::RuMap());
+        rumap::RuMap scratch;
+        rumap::CheckStats stats;
+        return !checker.tryReserve(low.opClasses()[cls].tree, 0, scratch,
+                                   stats);
     });
     return {std::move(source), std::move(low), std::move(spec)};
 }
@@ -559,9 +561,9 @@ TEST(ExactScheduler, RootBoundProvesListSchedules)
     }
 }
 
-// --------------------------------------------------- wouldFit() purity
+// -------------------------------------------- eachSubtreeFits() purity
 
-TEST(ExactScheduler, WouldFitLeavesNoTrace)
+TEST(ExactScheduler, EachSubtreeFitsLeavesNoTrace)
 {
     LowMdes low = machineByName("K5");
     rumap::Checker probed(low);
@@ -577,8 +579,8 @@ TEST(ExactScheduler, WouldFitLeavesNoTrace)
     }
     ASSERT_FALSE(trees.empty());
 
-    // Interleave millions of wouldFit() probes on map A with identical
-    // tryReserve() sequences on both maps; the two must stay
+    // Interleave millions of eachSubtreeFits() probes on map A with
+    // identical tryReserve() sequences on both maps; the two must stay
     // bit-identical and behave identically throughout.
     uint64_t probes = 0;
     uint64_t rng = 0x9e3779b97f4a7c15ull;
@@ -592,7 +594,7 @@ TEST(ExactScheduler, WouldFitLeavesNoTrace)
         for (int32_t cycle = 0; cycle < 64; ++cycle) {
             for (uint32_t t : trees) {
                 for (int rep = 0; rep < 45; ++rep) {
-                    probed.wouldFit(t, cycle, map_a);
+                    probed.eachSubtreeFits(t, cycle, map_a);
                     ++probes;
                 }
             }
@@ -601,8 +603,8 @@ TEST(ExactScheduler, WouldFitLeavesNoTrace)
         for (int i = 0; i < 32; ++i) {
             uint32_t t = trees[next() % trees.size()];
             int32_t cycle = int32_t(next() % 64);
-            bool fit_a = probed.wouldFit(t, cycle, map_a);
-            bool fit_b = control.wouldFit(t, cycle, map_b);
+            bool fit_a = probed.eachSubtreeFits(t, cycle, map_a);
+            bool fit_b = control.eachSubtreeFits(t, cycle, map_b);
             ASSERT_EQ(fit_a, fit_b);
             rumap::CheckStats sa, sb;
             std::vector<rumap::Reservation> ra, rb;

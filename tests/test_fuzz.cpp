@@ -191,8 +191,10 @@ TEST(Fuzz, OverlappingMachinesStaySafe)
         rumap::Checker probe(low0);
         std::erase_if(spec.classes, [&](const workload::ClassMix &mix) {
             uint32_t cls = low0.findOpClass(mix.op_class);
-            rumap::RuMap empty;
-            return !probe.wouldFit(low0.opClasses()[cls].tree, 0, empty);
+            rumap::RuMap scratch;
+            rumap::CheckStats stats;
+            return !probe.tryReserve(low0.opClasses()[cls].tree, 0,
+                                     scratch, stats);
         });
         if (spec.classes.empty())
             continue;

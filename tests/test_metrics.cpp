@@ -29,6 +29,7 @@
 #include "support/diagnostics.h"
 #include "support/faultsim.h"
 #include "support/json.h"
+#include "support/text_table.h"
 
 namespace mdes {
 namespace {
@@ -388,7 +389,9 @@ TEST(NetStats, MergeSumsEveryCounterAndJsonExposesThem)
     net = plain_doc.find("net");
     ASSERT_NE(net, nullptr);
     EXPECT_FALSE(net->find("enabled")->boolean);
-    EXPECT_EQ(service::renderStats({.metrics = plain}).find("Frames In"),
+    EXPECT_NE(service::renderStats({.metrics = m}).find("frames_in"),
+              std::string::npos);
+    EXPECT_EQ(service::renderStats({.metrics = plain}).find("frames_in"),
               std::string::npos);
 }
 
@@ -647,6 +650,127 @@ TEST(StatsProtocol, EveryFieldSurvivesTheRoundTrip)
     }
 }
 
+/** A Filler whose stage series differ from each other and spread over
+ * several buckets, so each one's p50, p95, p99 and max are distinct. */
+template <class Value>
+class SpreadFiller : public Filler<Value>
+{
+  public:
+    using Filler<Value>::Filler;
+
+    void
+    series(service::StageLatency &s)
+    {
+        for (uint64_t i = 1; i < 100; ++i)
+            s.record((i * i * 100) << shift_);
+        s.record(uint64_t(5'000'000) << shift_);
+        ++shift_;
+    }
+
+  private:
+    unsigned shift_ = 0;
+};
+
+/**
+ * A visitMetrics() walk that lists the cells the text form must print:
+ * each count's value, each derived value as the tables format it, each
+ * series' p50, p95 and p99, the attempts/op count, and each fault site's
+ * and resource conflict's counts.
+ */
+class TextNeedles
+{
+  public:
+    void open(const char *) {}
+    void close() {}
+
+    template <class T>
+    void
+    count(const char *key, const T &n)
+    {
+        add(key, uint64_t(n));
+    }
+
+    void flag(const char *, bool) {}
+
+    template <class F>
+    void
+    derived(const char *key, F fn, const service::ServiceMetrics &m)
+    {
+        add(key, fn(m));
+    }
+
+    void
+    series(const service::StageLatency &s)
+    {
+        add("p50_us", s.approxPercentileUs(0.50));
+        add("p95_us", s.approxPercentileUs(0.95));
+        add("p99_us", s.approxPercentileUs(0.99));
+    }
+
+    void histogram(const Histogram &h) { add("count", h.total()); }
+
+    void windows(const service::WindowRing &) {}
+
+    void
+    faultSites(
+        const std::map<std::string, std::pair<uint64_t, uint64_t>> &sites)
+    {
+        for (const auto &[name, counts] : sites) {
+            add(name + ".evaluations", counts.first);
+            add(name + ".fires", counts.second);
+        }
+    }
+
+    void
+    conflicts(const std::map<std::string, uint64_t> &conflicts)
+    {
+        for (const auto &[name, n] : conflicts)
+            add(name, n);
+    }
+
+    /** (field, the cell it must print as), in document order. */
+    std::vector<std::pair<std::string, std::string>> cells;
+
+  private:
+    void
+    add(std::string key, uint64_t n)
+    {
+        cells.emplace_back(std::move(key), std::to_string(n));
+    }
+
+    void
+    add(std::string key, double x)
+    {
+        cells.emplace_back(std::move(key), TextTable::num(x, 2));
+    }
+};
+
+TEST(StatsProtocol, EveryFieldAppearsInTheTextForm)
+{
+    // Distinct odd values: every flag is on, so no section is gated off.
+    uint64_t next = 1'000'001;
+    auto value = [&next] { return next += 2; };
+    SpreadFiller<decltype(value)> fill(value, true);
+    service::ServiceMetrics m;
+    service::visitMetrics(fill, m);
+    // The text form ranks the top 8 resource conflicts.
+    while (m.resource_conflicts.size() > 8)
+        m.resource_conflicts.erase(std::prev(m.resource_conflicts.end()));
+
+    const std::string text = service::renderStats({.now_s = 0, .metrics = m});
+    TextNeedles needles;
+    service::visitMetrics(needles, m);
+    ASSERT_GT(needles.cells.size(), 100u);
+    for (const auto &[field, cell] : needles.cells)
+        EXPECT_NE(text.find(" " + cell + " |"), std::string::npos)
+            << field << " = " << cell << " is not printed";
+    for (const auto &[name, n] : m.fault_sites)
+        EXPECT_NE(text.find(name), std::string::npos) << name;
+    for (const auto &[name, n] : m.resource_conflicts)
+        EXPECT_NE(text.find(name), std::string::npos) << name;
+    EXPECT_NE(text.find("checks_per_attempt"), std::string::npos);
+}
+
 TEST(StatsProtocol, AFleetOfOneIsThatShard)
 {
     // A fleet document differs from its shard's only by per_shard,
@@ -726,11 +850,11 @@ TEST(StatsProtocol, ASeriesHasAtMost65Buckets)
     const std::string doc = documentOf(m);
     const service::StatsDocument back = service::parseStats(doc);
     EXPECT_TRUE(back.metrics == m);
-    // Its estimate and label stay inside the bucket's u64 range.
+    // Its estimates stay inside the bucket's u64 range, and the text
+    // form prints them.
     EXPECT_EQ(back.metrics.total.approxPercentileUs(1.0), UINT64_MAX);
     EXPECT_EQ(back.metrics.total.approxPercentileUs(0.5), UINT64_MAX);
-    EXPECT_NE(service::renderStats(back).find(
-                  "<=18446744073709551615us (9223372036854775808-"),
+    EXPECT_NE(service::renderStats(back).find(" 18446744073709551615 |"),
               std::string::npos);
 
     // A 66th bucket has no u64 behind it: the document is rejected, and
@@ -841,8 +965,8 @@ TEST(ServiceMetrics, WindowSectionAppearsInTableAndJson)
 
     const std::string table =
         service::renderStats({.now_s = now, .metrics = m});
-    EXPECT_NE(table.find("last 10s"), std::string::npos);
-    EXPECT_NE(table.find("last 60s"), std::string::npos);
+    EXPECT_NE(table.find("| w10 "), std::string::npos);
+    EXPECT_NE(table.find("| w60 "), std::string::npos);
 }
 
 } // namespace

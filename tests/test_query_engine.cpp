@@ -13,9 +13,12 @@
  *    probes, linear pending scan) and is run in lockstep against the
  *    real Checker over random machines, linear and modulo maps, and
  *    negative issue cycles;
- *  - wouldFit() is proven side-effect-free: probing between two
- *    tryReserve()s changes neither the map nor any checker state that
- *    could alter a later decision;
+ *  - eachSubtreeFits() keeps the contract its header states: it is
+ *    side-effect-free (probing between two tryReserve()s changes
+ *    neither the map nor any checker state that could alter a later
+ *    decision), it answers and counts like tryReserve() on a copy of
+ *    the map on the four paper machines, and a false answer stays false
+ *    on every fuller map of a machine whose subtrees overlap;
  *  - the RU map itself is checked against a naive std::map model,
  *    including modulo wrap with multi-word machines (ii x slotWords()
  *    slots) and negative decode-stage cycles.
@@ -28,7 +31,10 @@
 #include <utility>
 #include <vector>
 
+#include "core/transforms.h"
+#include "exp/runner.h"
 #include "lmdes/low_mdes.h"
+#include "machines/machines.h"
 #include "random_mdes.h"
 #include "rumap/checker.h"
 #include "rumap/ru_map.h"
@@ -70,12 +76,6 @@ class ReferenceChecker
                 ru.reserveSlot(p.first, p.second);
         }
         return ok;
-    }
-
-    bool
-    wouldFit(uint32_t tree, int32_t cycle, const RuMap &ru)
-    {
-        return evaluate(tree, cycle, ru, nullptr);
     }
 
     uint64_t attempts = 0;
@@ -173,13 +173,10 @@ runLockstep(const LowMdes &low, RuMap &ru_new, RuMap &ru_ref,
 
     for (int32_t cycle = first_cycle; cycle <= last_cycle; ++cycle) {
         for (const auto &oc : low.opClasses()) {
-            // The pure query must predict exactly what tryReserve is
-            // about to decide.
-            bool fit_new = checker.wouldFit(oc.tree, cycle, ru_new);
-            bool fit_ref = ref.wouldFit(oc.tree, cycle, ru_ref);
-            ASSERT_EQ(fit_new, fit_ref)
-                << "wouldFit diverged: tree " << oc.tree << " cycle "
-                << cycle;
+            // The relaxed pure query never refuses what the greedy
+            // attempt is about to accept.
+            const bool relaxed =
+                checker.eachSubtreeFits(oc.tree, cycle, ru_new);
 
             bool ok_new = checker.tryReserve(oc.tree, cycle, ru_new,
                                              stats, &chosen_new);
@@ -188,7 +185,10 @@ runLockstep(const LowMdes &low, RuMap &ru_new, RuMap &ru_ref,
             ASSERT_EQ(ok_new, ok_ref)
                 << "tryReserve diverged: tree " << oc.tree << " cycle "
                 << cycle;
-            ASSERT_EQ(ok_new, fit_new);
+            ASSERT_TRUE(relaxed || !ok_new)
+                << "eachSubtreeFits refused an attempt tryReserve "
+                   "accepted: tree "
+                << oc.tree << " cycle " << cycle;
             // chosen_options is only specified on success (on failure
             // the prefilter may reject before any option is walked).
             if (ok_new) {
@@ -201,7 +201,8 @@ runLockstep(const LowMdes &low, RuMap &ru_new, RuMap &ru_ref,
                 << cycle;
         }
     }
-    // wouldFit() ran once per attempt above and recorded nothing.
+    // eachSubtreeFits() ran once per attempt above and recorded
+    // nothing.
     EXPECT_EQ(stats.attempts, ref.attempts);
     EXPECT_EQ(stats.successes, ref.successes);
 }
@@ -252,12 +253,13 @@ TEST(QueryEngineEquivalence, ModuloMapsWrapIdentically)
 
 // ------------------------------------------------------------- purity
 
-TEST(WouldFitPurity, ProbeBetweenReservesChangesNothing)
+TEST(EachSubtreeFitsPurity, ProbeBetweenReservesChangesNothing)
 {
     // Two identical runs of the same tryReserve sequence; the probed run
-    // additionally calls wouldFit between every pair of reserves. Every
-    // decision, every chosen option, and the final map must be
-    // unaffected, and each wouldFit must leave the map bytes untouched.
+    // additionally calls eachSubtreeFits between every pair of
+    // reserves. Every decision, every chosen option, and the final map
+    // must be unaffected, and each probe must leave the map bytes
+    // untouched.
     Rng rng(424242);
     for (int iter = 0; iter < 8; ++iter) {
         RandomMdesOptions opts;
@@ -276,11 +278,12 @@ TEST(WouldFitPurity, ProbeBetweenReservesChangesNothing)
                 // including ones about to be reserved.
                 auto before = snapshot(ru_probed, low);
                 for (const auto &other : low.opClasses()) {
-                    probed.wouldFit(other.tree, cycle, ru_probed);
-                    probed.wouldFit(other.tree, cycle + 1, ru_probed);
+                    probed.eachSubtreeFits(other.tree, cycle, ru_probed);
+                    probed.eachSubtreeFits(other.tree, cycle + 1,
+                                           ru_probed);
                 }
                 EXPECT_EQ(before, snapshot(ru_probed, low))
-                    << "wouldFit mutated the map";
+                    << "eachSubtreeFits mutated the map";
 
                 bool ok_control = control.tryReserve(
                     oc.tree, cycle, ru_control, control_stats,
@@ -289,7 +292,8 @@ TEST(WouldFitPurity, ProbeBetweenReservesChangesNothing)
                     oc.tree, cycle, ru_probed, probed_stats,
                     &chosen_probed);
                 ASSERT_EQ(ok_control, ok_probed)
-                    << "wouldFit changed a later tryReserve decision";
+                    << "eachSubtreeFits changed a later tryReserve "
+                       "decision";
                 ASSERT_EQ(chosen_control, chosen_probed);
             }
         }
@@ -303,6 +307,124 @@ TEST(WouldFitPurity, ProbeBetweenReservesChangesNothing)
         EXPECT_EQ(control_stats.prefilter_hits,
                   probed_stats.prefilter_hits);
     }
+}
+
+// ----------------------------------------- eachSubtreeFits() contract
+
+/** Every AND/OR-tree an op class of @p low issues with, cascade trees
+ * included. */
+std::vector<uint32_t>
+issueTrees(const LowMdes &low)
+{
+    std::vector<uint32_t> trees;
+    for (const auto &oc : low.opClasses()) {
+        trees.push_back(oc.tree);
+        if (oc.cascade_tree != kInvalidId)
+            trees.push_back(oc.cascade_tree);
+    }
+    return trees;
+}
+
+TEST(EachSubtreeFits, AnswersAndCountsLikeTryReserveOnPaperMachines)
+{
+    // The paper machines' AND subtrees use disjoint resources, so the
+    // pending overlay never refuses an option: the pure probe is the
+    // greedy attempt without its commit, with the same answer and the
+    // same counts as tryReserve() on a copy of the map.
+    Rng rng(20261020);
+    uint64_t fits = 0;
+    uint64_t refusals = 0;
+    for (const machines::MachineInfo *info : machines::all()) {
+        for (bool optimized : {false, true}) {
+            const LowMdes low = exp::compileSourceToLow(
+                info->source,
+                optimized ? PipelineConfig::all() : PipelineConfig::none(),
+                /*bit_vector=*/optimized);
+            const std::vector<uint32_t> trees = issueTrees(low);
+            Checker checker(low);
+            RuMap ru;
+            CheckStats filling;
+            for (int step = 0; step < 2000; ++step) {
+                const uint32_t tree = trees[rng.below(trees.size())];
+                const int32_t cycle = int32_t(rng.range(-2, 30));
+                CheckStats pure, greedy;
+                const bool fit =
+                    checker.eachSubtreeFits(tree, cycle, ru, &pure);
+                RuMap copy = ru;
+                ASSERT_EQ(fit, checker.tryReserve(tree, cycle, copy, greedy))
+                    << info->name << " tree " << tree << " cycle " << cycle;
+                EXPECT_EQ(pure.attempts, greedy.attempts);
+                EXPECT_EQ(pure.successes, greedy.successes);
+                EXPECT_EQ(pure.options_checked, greedy.options_checked);
+                EXPECT_EQ(pure.resource_checks, greedy.resource_checks);
+                EXPECT_EQ(pure.prefilter_hits, greedy.prefilter_hits);
+                EXPECT_EQ(pure.probe_fastpath, greedy.probe_fastpath);
+                EXPECT_EQ(pure.options_per_attempt,
+                          greedy.options_per_attempt);
+                ++(fit ? fits : refusals);
+                // Every other step reserves for real, so the map fills.
+                if (step % 2 == 0)
+                    checker.tryReserve(tree, cycle, ru, filling);
+            }
+        }
+    }
+    EXPECT_GT(fits, 0u);
+    EXPECT_GT(refusals, 0u);
+}
+
+TEST(EachSubtreeFits, AFalseAnswerStaysFalseOnFullerMaps)
+{
+    // On machines whose AND subtrees share resources, once the probe
+    // refuses (tree, cycle) no further reservation makes it fit: the
+    // property that lets the exact search bump an earliest start for
+    // the whole search subtree. The greedy answer of tryReserve() lacks
+    // it, and the sample is large enough to show that.
+    constexpr int32_t kCycles = 8;
+    Rng rng(9090);
+    uint64_t refusals = 0;
+    uint64_t greedy_flips = 0;
+    for (int iter = 0; iter < 80; ++iter) {
+        RandomMdesOptions opts;
+        opts.disjoint_subtrees = false;
+        opts.min_subtrees = 2;
+        Mdes m = randomMdes(rng, opts);
+        LowMdes low = LowMdes::lower(m, {});
+        Checker checker(low);
+        const std::vector<uint32_t> trees = issueTrees(low);
+        const int32_t words = int32_t(low.slotWords());
+        std::vector<bool> refused(trees.size() * kCycles, false);
+        std::vector<bool> greedy_refused(trees.size() * kCycles, false);
+        RuMap ru;
+        CheckStats stats;
+        for (int round = 0; round < 12; ++round) {
+            for (size_t t = 0; t < trees.size(); ++t) {
+                for (int32_t c = 0; c < kCycles; ++c) {
+                    const size_t at = t * kCycles + size_t(c);
+                    const bool fit = checker.eachSubtreeFits(trees[t], c, ru);
+                    ASSERT_FALSE(refused[at] && fit)
+                        << "machine " << iter << " tree " << trees[t]
+                        << " cycle " << c << " fits a fuller map";
+                    refusals += !fit;
+                    refused[at] = refused[at] || !fit;
+
+                    RuMap copy = ru;
+                    CheckStats scratch;
+                    const bool greedy =
+                        checker.tryReserve(trees[t], c, copy, scratch);
+                    greedy_flips += greedy_refused[at] && greedy;
+                    greedy_refused[at] = greedy_refused[at] || !greedy;
+                }
+            }
+            // More reservations: two attempts and one busy bit.
+            for (int k = 0; k < 2; ++k)
+                checker.tryReserve(trees[rng.below(trees.size())],
+                                   int32_t(rng.below(kCycles)), ru, stats);
+            const int64_t slot = rng.range(-2 * words, (kCycles + 4) * words);
+            ru.reserveSlot(int32_t(slot), uint64_t(1) << rng.below(64));
+        }
+    }
+    EXPECT_GT(refusals, 0u);
+    EXPECT_GT(greedy_flips, 0u);
 }
 
 // --------------------------------------------------- RuMap vs a model

@@ -193,16 +193,16 @@ TEST(Checker, PendingOverlayPreventsDoubleBooking)
     EXPECT_FALSE(checker.tryReserve(0, 0, ru, stats));
 }
 
-TEST(Checker, WouldFitNeverReserves)
+TEST(Checker, EachSubtreeFitsNeverReserves)
 {
     Mdes m = loadShape();
     LowMdes low = LowMdes::lower(m, {});
     Checker checker(low);
     RuMap ru;
-    EXPECT_TRUE(checker.wouldFit(0, 0, ru));
+    EXPECT_TRUE(checker.eachSubtreeFits(0, 0, ru));
     EXPECT_TRUE(ru.available(0, ~uint64_t(0)));
     ru.reserve(0, uint64_t(1) << 0); // U busy
-    EXPECT_FALSE(checker.wouldFit(0, 0, ru));
+    EXPECT_FALSE(checker.eachSubtreeFits(0, 0, ru));
 }
 
 TEST(Checker, BitVectorEncodingCountsMergedChecks)

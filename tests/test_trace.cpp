@@ -305,7 +305,7 @@ TEST_F(TraceTest, ServiceRequestProducesEndToEndSpans)
                 << name;
             EXPECT_GT(n, 0u);
         }
-        EXPECT_GT(metrics.transform_effects.total(), 0u);
+        EXPECT_NE(metrics.transform_effects, service::TransformEffects{});
     }
     trace::setEnabled(false);
 

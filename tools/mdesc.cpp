@@ -569,12 +569,12 @@ cmdSchedule(const std::vector<std::string> &args)
 {
     std::vector<std::string> pos;
     std::string mode = "list";
-    int64_t exact_ms = 50;
+    service::ScheduleRequest req;
     for (size_t i = 0; i < args.size(); ++i) {
         if (args[i] == "--mode" && i + 1 < args.size()) {
             mode = args[++i];
         } else if (args[i] == "--exact-ms" && i + 1 < args.size()) {
-            if (!parseNumber(args[i], args[i + 1], exact_ms))
+            if (!parseNumber(args[i], args[i + 1], req.exact_ms))
                 return 1;
             ++i;
         } else if (!args[i].empty() && args[i][0] == '-') {
@@ -597,7 +597,6 @@ cmdSchedule(const std::vector<std::string> &args)
     }
     // One service request. The machine is a built-in name or a .hmdes
     // file, compiled here once only to print its front-end warnings.
-    service::ScheduleRequest req;
     if (machines::byName(pos[0])) {
         req.machine = pos[0];
     } else {
@@ -607,7 +606,6 @@ cmdSchedule(const std::vector<std::string> &args)
     const std::string text = readFile(pos[1]);
     req.sasm = text;
     req.scheduler = *kind;
-    req.exact_ms = exact_ms;
     req.verify = true;
     service::ServiceConfig config;
     config.num_workers = 1;
